@@ -113,6 +113,9 @@ def cmd_verify_relations(args):
     if args.n < 2 or args.n > 8:
         print("error: --n must lie in 2..8", file=sys.stderr)
         return EXIT_USAGE
+    if args.samples < 1:
+        print("error: --samples must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     seed = _seed_of(args)
     rng = random.Random(seed)
     ok, checked, bad = experiments.relations_suite(ring, args.n, args.samples, rng)
@@ -216,6 +219,9 @@ def cmd_case_analysis(args):
     F = parse_ring(args.ring)
     if not isinstance(F, rings.GaloisField):
         raise RingError("--ring must name a finite field gf(q)")
+    if args.box < 1:
+        print("error: --box must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     ring = poly_ring(F, laurent=False)
     f = ring.parse(args.f)
     rep = case_analysis(f, args.box)
@@ -244,6 +250,9 @@ def cmd_distinct_family(args):
     alpha = parse_ring_auto(args.alpha, ring)
     if alpha.is_identity():
         print("error: the identity substitution is excluded", file=sys.stderr)
+        return EXIT_USAGE
+    if args.imax < 1:
+        print("error: --imax must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     seed = _seed_of(args)
     phi = RingMap(alpha, Additive(ring))

@@ -380,7 +380,7 @@ def _oracle_cases():
 
 
 def criterion_oracle(seed=0):
-    """The union-find oracle agrees with the cokernel count on invariant
+    """The partition oracle agrees with the cokernel count on invariant
     windows, and inner twists do not change the class count."""
     t0 = time.time()
     cases = _oracle_cases()
@@ -664,14 +664,3 @@ ALL_CRITERIA = (
     ("8 certificates", criterion_certificates, 60.0),
     ("9 property suites", criterion_properties, 120.0),
 )
-
-
-def run_all(seed=0):
-    out = []
-    for name, fn, budget in ALL_CRITERIA:
-        res = fn(seed=seed)
-        ok = res.passed and res.elapsed < budget
-        detail = res.detail if res.elapsed < budget else \
-            res.detail + f" [over budget {budget:.0f}s]"
-        out.append(ExperimentResult(name, ok, detail, res.elapsed, res.report))
-    return out

@@ -134,17 +134,6 @@ def gf_column_space_rref(F, cols):
     return gf_rref(F, cols)[0]
 
 
-def gf_in_span(F, rref_rows, vec) -> bool:
-    """Membership of vec in a space given by rref rows."""
-    v = list(vec)
-    for row in rref_rows:
-        p = next((c for c, x in enumerate(row) if x != 0), None)
-        if p is not None and v[p] != 0:
-            f = v[p]
-            v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
-
-
 def gf_intersect_coordinates(F, basis, keep):
     """Intersection of span(basis) with the coordinate subspace supported
     on the index set `keep`; returns a canonical rref basis (full-length

@@ -449,10 +449,6 @@ class LaurentFlip(RingAutoDesc):
         return isinstance(o, LaurentFlip) and self.ring is o.ring
 
 
-def apply_ring_auto(alpha: RingAutoDesc, p: Poly) -> Poly:
-    return alpha.apply(p)
-
-
 def parse_ring_auto(word: str, ring: PolyRing) -> RingAutoDesc:
     """Parse 't->t', 't->t^-1', 't->a*t+b', 't->a*t', 't->t+b'."""
     s = word.replace(" ", "")

@@ -42,17 +42,6 @@ class RingError(ValueError):
 # ---------------------------------------------------------------------------
 # small integer helpers (trial division only; inputs are tiny by design)
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def prime_factors(n: int) -> list[int]:
     """Distinct prime divisors of n > 1, ascending."""
     out = []

@@ -1,7 +1,8 @@
 """Twisted conjugacy: the twist action h g phi(h)^-1, constructive class
 solvers for the reflection automorphisms, image/cokernel computations on
-truncated coefficient windows, a union-find partition oracle for finite
-universes, eigenvalue-1 tests, and the exponent-tuple case search for
+truncated coefficient windows, a partition oracle for finite universes
+(orbit closure on finite groups, union-find over all pairs otherwise),
+eigenvalue-1 tests, and the exponent-tuple case search for
 diagonal substitutions.
 
 The additive computations run over windows: a window fixes a finite range
@@ -298,7 +299,7 @@ def _window_rank(phi, window):
 
 
 # ---------------------------------------------------------------------------
-# the union-find partition oracle
+# the partition oracle
 
 class _UnionFind:
     def __init__(self, n):
@@ -338,18 +339,111 @@ class TwistedPartition(NamedTuple):
 
 def brute_force_partition(universe, phi: Automorphism, group=None,
                           universe_name="") -> TwistedPartition:
-    """Union-find closure of g ~ h g phi(h)^-1 over all h in the universe.
+    """The classes of g ~ h g phi(h)^-1 over all h in the universe.
 
-    Exact when the universe is a whole finite group (or any twist-closed
-    set); otherwise the partition is flagged incomplete.
+    When the universe is a finite group (it holds the identity and is
+    closed under products) the classes are found by orbit closure: a
+    generating set S is read off the universe, and each class is closed
+    under g -> s g phi(s)^-1 for s in S, |U| |S| twists in all.  That the
+    orbits under S are the full classes relies on phi being a
+    homomorphism, which the catalog checks verify.  Otherwise, or when a
+    twist leaves the universe, every pair (h, g) is twisted and merged by
+    union-find; a twist that leaves the universe then flags the partition
+    incomplete.  Both paths give the same classes (min-index
+    representatives, in min-index order) and |U| - count witnesses.
     """
     group = group or phi.domain
     els = list(universe)
+    index = _index_of(els)
+    gens = _generating_set(els, index, group)
+    orbits = None if gens is None else _orbit_closure(els, index, gens, phi, group)
+    if orbits is None:
+        return _all_pairs_partition(els, phi, group, universe_name)
+    classes, witnesses = orbits
+    return _partition(phi, els, universe_name, classes, True, witnesses)
+
+
+def _index_of(els):
     index = {}
     for i, g in enumerate(els):
         if g in index:
             raise GroupError("universe contains duplicates")
         index[g] = i
+    return index
+
+
+def _partition(phi, els, universe_name, classes, complete, witnesses):
+    return TwistedPartition(
+        auto_word=phi.word(),
+        universe=universe_name or f"{len(els)} elements",
+        classes=tuple(classes),
+        count=len(classes),
+        complete=complete,
+        witnesses=tuple(witnesses),
+    )
+
+
+def _generating_set(els, index, group):
+    """Generators of the universe read off in list order, or None when the
+    universe lacks the identity or a product leaves it.  Each element not
+    yet in the subgroup H generated so far becomes a generator s, and H is
+    extended by right multiplication: old members by s, new members by
+    every generator.  A finite set holding the identity and closed under
+    these products is the group they generate."""
+    e = group.identity()
+    if e not in index:
+        return None
+    members, seen, gens = [e], {e}, []
+    for x in els:
+        if x in seen:
+            continue
+        gens.append(x)
+        old = len(members)
+        i = 0
+        while i < len(members):
+            for s in (gens[-1:] if i < old else gens):
+                p = group.mul(members[i], s)
+                if p not in index:
+                    return None
+                if p not in seen:
+                    seen.add(p)
+                    members.append(p)
+            i += 1
+    return gens
+
+
+def _orbit_closure(els, index, gens, phi, group):
+    """(classes, witnesses) from a breadth-first closure of each class
+    under the twists by gens, or None when a twist leaves the universe.
+    Classes start at the first element not yet seen, so each
+    representative is its class's first element in list order."""
+    seen = [False] * len(els)
+    classes, witnesses = [], []
+    for i, g in enumerate(els):
+        if seen[i]:
+            continue
+        seen[i] = True
+        orbit = [g]
+        for x in orbit:
+            for s in gens:
+                t = twist(phi, s, x, group)
+                ti = index.get(t)
+                if ti is None:
+                    return None
+                if not seen[ti]:
+                    seen[ti] = True
+                    orbit.append(t)
+                    witnesses.append((s, x, t))
+        classes.append((g, len(orbit)))
+    return classes, witnesses
+
+
+def _all_pairs_partition(universe, phi, group=None, universe_name=""):
+    """Union-find closure of g ~ h g phi(h)^-1 over all pairs (h, g) of the
+    universe: the fallback of brute_force_partition, and its reference."""
+    group = group or phi.domain
+    els = list(universe)
+    index = _index_of(els)
     uf = _UnionFind(len(els))
     complete = True
     witnesses = []
@@ -366,18 +460,11 @@ def brute_force_partition(universe, phi: Automorphism, group=None,
     buckets = {}
     for i in range(len(els)):
         buckets.setdefault(uf.find(i), []).append(i)
-    classes = tuple(
+    classes = [
         (els[min(members)], len(members))
         for _, members in sorted(buckets.items())
-    )
-    return TwistedPartition(
-        auto_word=phi.word(),
-        universe=universe_name or f"{len(els)} elements",
-        classes=classes,
-        count=len(classes),
-        complete=complete,
-        witnesses=tuple(witnesses),
-    )
+    ]
+    return _partition(phi, els, universe_name, classes, complete, witnesses)
 
 
 # ---------------------------------------------------------------------------

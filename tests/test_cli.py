@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from twistconj.cli import main
 
 PASS, MISMATCH, USAGE, UNDECIDED = 0, 1, 2, 3
@@ -81,6 +83,19 @@ def test_distinct_family():
                  "--imax", "2"]) == PASS
     assert main(["distinct-family", "--p", "3", "--alpha", "t->t"]) == USAGE
     assert main(["distinct-family", "--p", "4", "--alpha", "t->t+1"]) == USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-relations", "--ring", "gf(5)[t]", "--n", "3", "--samples", "0"],
+    ["distinct-family", "--p", "2", "--alpha", "t->t+1", "--imax", "0"],
+    ["case-analysis", "--ring", "gf(3)", "--f", "t^2+1", "--box", "-1",
+     "--expect", "all-eigenvalue-one"],
+    ["case-analysis", "--ring", "gf(3)", "--f", "t^2+1", "--box", "0"],
+], ids=["no-samples", "no-pairs", "negative-box", "empty-box"])
+def test_vacuous_runs_are_refused(argv, capsys):
+    # a run that would check nothing is a usage error, not a pass
+    assert main(argv) == USAGE
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_center_and_iso(tmp_path):

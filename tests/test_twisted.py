@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twistconj import experiments
 from twistconj.autos import (
     AffineReflect, BlockCompanion, CenterScale, Compose, IdentityMap, Inner,
     RingMap, TriangularReflect,
@@ -14,8 +15,8 @@ from twistconj.groups import (
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
 from twistconj.rings import RingError, field
 from twistconj.twisted import (
-    LinearWindow, PairWindow, additive_class_count, additive_membership,
-    brute_force_partition, case_analysis, classify_reflection,
+    LinearWindow, PairWindow, _all_pairs_partition, additive_class_count,
+    additive_membership, brute_force_partition, case_analysis, classify_reflection,
     has_eigenvalue_one, int_det, pair_distinctness, reflection_unit,
     solve_reflection_corner, twist,
 )
@@ -214,6 +215,8 @@ def test_partition_flags_escape():
                 for i in (-1, 0, 1) for j in (-1, 0, 1)]
     part = brute_force_partition(universe, phi, B)
     assert not part.complete
+    # not closed under products either: the all-pairs fallback, unchanged
+    assert part == _all_pairs_partition(universe, phi, B)
 
 
 def test_oracle_equivalence_sample():
@@ -222,6 +225,53 @@ def test_oracle_equivalence_sample():
     cc = additive_class_count(phi, win, rounds=0)
     part = brute_force_partition(list(win.elements()), phi, phi.domain)
     assert part.complete and part.count == cc.count
+
+
+def _assert_orbits_match_all_pairs(universe, phi, group=None):
+    orbit = brute_force_partition(universe, phi, group)
+    ref = _all_pairs_partition(universe, phi, group)
+    assert (orbit.count, orbit.classes, orbit.complete, len(orbit.witnesses)) == \
+        (ref.count, ref.classes, ref.complete, len(ref.witnesses))
+    assert orbit.complete and len(orbit.witnesses) == len(universe) - orbit.count
+    assert orbit.verify(phi, group) and ref.verify(phi, group)
+
+
+def test_orbit_closure_matches_all_pairs_on_oracle_windows():
+    rng = random.Random(11)
+    for _, phi, window in experiments._oracle_cases():
+        universe = list(window.elements())
+        rng.shuffle(universe)
+        _assert_orbits_match_all_pairs(universe, phi)
+
+
+def test_orbit_closure_matches_all_pairs_on_finite_groups():
+    B = Borel(F4, 2)
+    els = list(B.elements())
+    random.Random(12).shuffle(els)
+    _assert_orbits_match_all_pairs(els, IdentityMap(B), B)
+    for g in els:
+        _assert_orbits_match_all_pairs(els, Inner(g, B), B)
+    for G in (Unitriangular(F2, 3), ProjBorel(F3, 2)):
+        els = list(G.elements())
+        _assert_orbits_match_all_pairs(els, IdentityMap(G), G)
+        _assert_orbits_match_all_pairs(els, Inner(els[-1], G), G)
+
+
+def test_partition_falls_back_without_identity():
+    phi = CenterScale(F4, F4.gen())
+    universe = [x for x in F4.elements() if x != F4.zero()]
+    part = brute_force_partition(universe, phi)
+    assert part == _all_pairs_partition(universe, phi)
+    assert not part.complete
+
+
+def test_partition_falls_back_when_phi_leaves_the_subgroup():
+    # the window t^0..t^3 is an additive subgroup; t -> 1/t does not keep it
+    phi = RingMap(LaurentFlip(F2L), Additive(F2L))
+    universe = list(LinearWindow(F2L, 0, 3).elements())
+    part = brute_force_partition(universe, phi)
+    assert part == _all_pairs_partition(universe, phi)
+    assert not part.complete
 
 
 def _det_fraction(rows):
