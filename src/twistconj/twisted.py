@@ -15,6 +15,7 @@ outcome, never silently converted into an answer.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from . import linalg, rings
@@ -384,20 +385,28 @@ def _partition(phi, els, universe_name, classes, complete, witnesses):
 
 
 def _generating_set(els, index, group):
-    """Generators of the universe read off in list order, or None when the
-    universe lacks the identity or a product leaves it.  Each element not
-    yet in the subgroup H generated so far becomes a generator s, and H is
-    extended by right multiplication: old members by s, new members by
-    every generator.  A finite set holding the identity and closed under
-    these products is the group they generate."""
+    """Generators of the universe, or None when the universe lacks the
+    identity or a product leaves it.  While the subgroup H generated so far
+    is not the universe, the next generator s is an element outside H whose
+    powers take the longest to fall into H (the earliest in list order on a
+    tie), and H is extended by right multiplication: old members by s, new
+    members by every generator.  A finite set holding the identity and
+    closed under these products is the group they generate.
+
+    Taking the longest reach first keeps S small, and on the oracle's
+    windows and on B2(gf(4)) makes |S|, hence the cost of the orbit
+    closure, the same however the universe is ordered; taking each
+    element not yet in H in list order gives B2(gf(4)) two or three
+    generators depending on the shuffle."""
     e = group.identity()
     if e not in index:
         return None
+    orders = _element_orders(els, index, group, e)
+    if orders is None:
+        return None
     members, seen, gens = [e], {e}, []
-    for x in els:
-        if x in seen:
-            continue
-        gens.append(x)
+    while len(members) < len(els):
+        gens.append(_longest_reach(els, seen, orders, group))
         old = len(members)
         i = 0
         while i < len(members):
@@ -410,6 +419,43 @@ def _generating_set(els, index, group):
                     members.append(p)
             i += 1
     return gens
+
+
+def _element_orders(els, index, group, e):
+    """{x: order of x} over the universe, or None when a power leaves it.
+    One walk x, x^2, ..., x^n = e gives every power its order n / gcd(k, n)."""
+    orders = {e: 1}
+    for x in els:
+        if x in orders:
+            continue
+        powers = [x]
+        while powers[-1] != e:
+            p = group.mul(powers[-1], x)
+            if p not in index:
+                return None
+            powers.append(p)
+        n = len(powers)
+        for k, p in enumerate(powers, start=1):
+            orders.setdefault(p, n // gcd(k, n))
+    return orders
+
+
+def _longest_reach(els, seen, orders, group):
+    """The element outside the subgroup `seen` whose reach, the least m
+    with x^m in the subgroup, is largest; the earliest on a tie.  A reach
+    is at most the order of x, so an element whose order is no more than
+    the best reach so far is skipped."""
+    best, reach = None, 1
+    for x in els:
+        if orders[x] <= reach or x in seen:
+            continue
+        m, p = 1, x
+        while p not in seen:
+            p = group.mul(p, x)
+            m += 1
+        if m > reach:
+            best, reach = x, m
+    return best
 
 
 def _orbit_closure(els, index, gens, phi, group):

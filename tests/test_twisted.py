@@ -15,7 +15,8 @@ from twistconj.groups import (
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
 from twistconj.rings import RingError, field
 from twistconj.twisted import (
-    LinearWindow, PairWindow, _all_pairs_partition, additive_class_count,
+    LinearWindow, PairWindow, _all_pairs_partition, _generating_set, _index_of,
+    additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
     has_eigenvalue_one, int_det, pair_distinctness, reflection_unit,
     solve_reflection_corner, twist,
@@ -255,6 +256,23 @@ def test_orbit_closure_matches_all_pairs_on_finite_groups():
         els = list(G.elements())
         _assert_orbits_match_all_pairs(els, IdentityMap(G), G)
         _assert_orbits_match_all_pairs(els, Inner(els[-1], G), G)
+
+
+def test_generating_set_size_does_not_depend_on_list_order():
+    # a list-order walk of B2(gf(4)) took two or three generators by shuffle
+    B = Borel(F4, 2)
+    els = list(B.elements())
+    rng = random.Random(13)
+    for _ in range(40):
+        rng.shuffle(els)
+        gens = _generating_set(els, _index_of(els), B)
+        assert len(gens) == 2
+    # an elementary abelian window needs exactly its dimension
+    window = LinearWindow(F3T, 0, 4)
+    els = list(window.elements())
+    for _ in range(5):
+        rng.shuffle(els)
+        assert len(_generating_set(els, _index_of(els), Additive(F3T))) == 5
 
 
 def test_partition_falls_back_without_identity():
