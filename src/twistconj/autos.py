@@ -26,7 +26,7 @@ from .groups import (
     CornerDiagGroup, GroupError, ProjBorel, ProjElem, TriMat, Unitriangular,
     diag_matrix, elementary, identity, normal_form, superdiagonal,
 )
-from .linalg import bareiss_det
+from .linalg import det_one_minus
 from .poly import (
     Poly, PolyRing, RingAutoDesc, augmentation, is_irreducible,
     parse_ring_auto, sign_augmentation,
@@ -657,10 +657,7 @@ class DiagAction(NamedTuple):
     torsion: tuple    # torsion component of each image
 
     def det_one_minus(self) -> int:
-        m = len(self.gens)
-        rows = [[(1 if i == j else 0) - self.matrix[i][j] for j in range(m)]
-                for i in range(m)]
-        return bareiss_det(rows)
+        return det_one_minus(self.matrix)
 
     def is_identity(self):
         return all(self.matrix[i][j] == (1 if i == j else 0)

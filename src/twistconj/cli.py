@@ -3,7 +3,9 @@
 Subcommands:  verify-relations | reidemeister | case-analysis |
 distinct-family | center | iso-aff | unit-equation | all
 
-Exit codes: 0 pass, 1 expectation mismatch, 2 usage error, 3 undecided.
+Exit codes: 0 pass, 1 expectation mismatch, 2 usage error, 3 undecided,
+4 internal verification failed (a computed witness or result did not
+survive its exact re-check).
 Every run prints its sampling seed; TWISTCONJ_SEED overrides the default
 and --seed overrides both.  --json writes the machine-readable report
 atomically (temp file + rename).
@@ -17,22 +19,18 @@ import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import experiments, groups, rings, twisted
-from .autos import AffineReflect, RingMap, TriangularReflect, parse_auto
-from .groups import (
-    Additive, Affine, Borel, CornerDiagGroup, GroupError, Unitriangular,
-    center_bruteforce, element_word, elementary, identity, to_affine,
-)
+from .autos import AffineReflect, TriangularReflect, parse_auto
+from .groups import Additive, Affine, Borel, GroupError, element_word
 from .poly import parse_ring, parse_ring_auto, poly_ring
 from .rings import RingError, field, localized, solve_unit_equation
 from .twisted import (
-    LinearWindow, additive_class_count, additive_membership,
-    brute_force_partition, case_analysis, classify_reflection,
+    LinearWindow, additive_class_count, brute_force_partition, case_analysis,
+    is_reflection_unit,
 )
 
-EXIT_PASS, EXIT_MISMATCH, EXIT_USAGE, EXIT_UNDECIDED = 0, 1, 2, 3
+EXIT_PASS, EXIT_MISMATCH, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 
 class ExperimentSpec:
@@ -184,14 +182,9 @@ def cmd_reidemeister(args):
         universe = experiments.truncated_affplus(ring, dw, ew, rng, dense=spec.dense)
         uname = f"aff-plus |k|<={dw} |m|<={ew} (+{spec.dense} sampled)"
 
-    constructive = isinstance(phi, (TriangularReflect, AffineReflect)) and \
-        ring.base.is_unit(ring.base.sub(ring.base.one(), ring.base.mul(phi.a, phi.a)))
-    if constructive:
-        classes = {}
-        for g in universe:
-            res = classify_reflection(g, phi)
-            classes.setdefault(res.parity, [res.representative, 0])
-            classes[res.parity][1] += 1
+    if isinstance(phi, (TriangularReflect, AffineReflect)) and \
+            is_reflection_unit(ring.base, phi.a):
+        classes = experiments.classify_universe(universe, phi)
         count = len(classes)
         stabilized = True
         class_list = [{"rep": _elem_str(rep), "witnessed_members": m}
@@ -255,25 +248,18 @@ def cmd_distinct_family(args):
         print("error: --imax must be at least 1", file=sys.stderr)
         return EXIT_USAGE
     seed = _seed_of(args)
-    phi = RingMap(alpha, Additive(ring))
-    p = args.p
-    exps = [p * (p - 1) * i + (p - 1) for i in range(args.imax + 1)]
-    hi = max(max(exps), args.window)
+    exps = experiments.family_exponents(args.p, args.imax)
     print(f"seed={seed}")
     verdicts = []
     merged = undecided = 0
-    for ii in range(len(exps)):
-        for jj in range(ii):
-            r = ring.monomial(F.one(), exps[ii]) - ring.monomial(F.one(), exps[jj])
-            v = additive_membership(r, phi, LinearWindow(ring, 0, hi),
-                                    growth=2 * p * (p - 1))
-            verdicts.append({"pair": [exps[ii], exps[jj]],
-                             "decided": v.decided, "member": v.member})
-            status = "distinct" if v.decided and not v.member else \
-                ("MERGED" if v.member else "undecided")
-            merged += int(bool(v.member))
-            undecided += int(not v.decided)
-            print(f"  t^{exps[ii]} vs t^{exps[jj]}: {status}")
+    for e, f, v in experiments.family_verdicts(alpha, exps,
+                                               max(max(exps), args.window)):
+        verdicts.append({"pair": [e, f], "decided": v.decided, "member": v.member})
+        status = "distinct" if v.decided and not v.member else \
+            ("MERGED" if v.member else "undecided")
+        merged += int(bool(v.member))
+        undecided += int(not v.decided)
+        print(f"  t^{e} vs t^{f}: {status}")
     _emit(args, {"experiment": "distinct-family", "ring": ring.tag,
                  "auto": alpha.word(), "imax": args.imax,
                  "verdicts": verdicts, "seed": seed})
@@ -289,56 +275,32 @@ def cmd_center(args):
     F = parse_ring(args.ring)
     if not isinstance(F, rings.GaloisField):
         raise RingError("--ring must name a finite field gf(q)")
-    n = args.n
-    tag = args.group.lower()
-    if tag == "b":
-        grp = Borel(F, n)
-        expect = {identity(F, n).scaled(u) for u in F.units()}
-        desc = "scalar matrices"
-    elif tag == "u":
-        grp = Unitriangular(F, n)
-        expect = {elementary(F, n, 1, n, c) for c in F.elements()}
-        desc = "corner subgroup"
-    elif tag == "w":
-        grp = CornerDiagGroup(F, n)
-        expect = {w for w in grp.elements()
-                  if F.is_zero(w.r) and w.dunits[0] == w.dunits[-1]}
-        desc = "matching outer diagonal entries, zero corner"
-    else:
-        raise GroupError(f"unsupported group {args.group!r}")
-    Z = center_bruteforce(grp)
+    c = experiments.center_check(F, args.group.lower(), args.n)
     seed = _seed_of(args)
     print(f"seed={seed}")
-    for z in Z:
+    for z in c.center:
         print(f"  {z!r}")
-    ok = set(Z) == expect
-    print(f"center of {grp.name}: {len(Z)} element(s); matches {desc}: {ok}")
-    _emit(args, {"experiment": "center", "ring": F.tag, "group": grp.name,
-                 "size": len(Z), "matches_structure": ok, "seed": seed})
-    return EXIT_PASS if ok else EXIT_MISMATCH
+    print(f"center of {c.group.name}: {len(c.center)} element(s); "
+          f"matches {c.description}: {c.matches}")
+    _emit(args, {"experiment": "center", "ring": F.tag, "group": c.group.name,
+                 "size": len(c.center), "matches_structure": c.matches,
+                 "seed": seed})
+    return EXIT_PASS if c.matches else EXIT_MISMATCH
 
 
 def cmd_iso_aff(args):
     F = parse_ring(args.ring)
     if not isinstance(F, rings.GaloisField):
         raise RingError("--ring must name a finite field gf(q)")
-    W = CornerDiagGroup(F, args.n)
-    els = list(W.elements())
-    hom = all(to_affine(W.mul(a, b)) == to_affine(a) * to_affine(b)
-              for a in els for b in els)
-    image = {to_affine(a) for a in els}
-    onto = len(image) == len(list(Affine(F).elements()))
-    kernel = {a for a in els if to_affine(a).is_identity()}
-    center = set(center_bruteforce(W))
+    epi = experiments.affine_epimorphism(F, args.n)
     seed = _seed_of(args)
-    ok = hom and onto and kernel == center
     print(f"seed={seed}")
-    print(f"{W.name} -> aff({F.tag}): homomorphism={hom} onto={onto} "
-          f"kernel==center={kernel == center}")
+    print(f"w{args.n}({F.tag}) -> aff({F.tag}): homomorphism={epi.homomorphism} "
+          f"onto={epi.onto} kernel==center={epi.kernel_is_center}")
     _emit(args, {"experiment": "iso-aff", "ring": F.tag, "n": args.n,
-                 "homomorphism": hom, "onto": onto,
-                 "kernel_is_center": kernel == center, "seed": seed})
-    return EXIT_PASS if ok else EXIT_MISMATCH
+                 "homomorphism": epi.homomorphism, "onto": epi.onto,
+                 "kernel_is_center": epi.kernel_is_center, "seed": seed})
+    return EXIT_PASS if all(epi) else EXIT_MISMATCH
 
 
 def cmd_unit_equation(args):
@@ -368,27 +330,22 @@ def cmd_all(args):
         return EXIT_USAGE
     seed = _seed_of(args)
     print(f"seed={seed}")
-    results = []
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = [(name, budget, pool.submit(fn, seed))
-                   for name, fn, budget in experiments.ALL_CRITERIA]
-        for name, budget, fut in futures:
-            res = fut.result()
-            over = res.elapsed >= budget
-            passed = res.passed and not over
-            detail = res.detail + (f" [over budget {budget:.0f}s]" if over else "")
-            results.append((name, passed, detail, res.elapsed))
-            print(f"[{'PASS' if passed else 'FAIL'}] {name}: {detail} ({res.elapsed:.2f}s)")
-            if args.json_dir:
-                os.makedirs(args.json_dir, exist_ok=True)
-                slug = name.replace(" ", "-")
-                _write_json(os.path.join(args.json_dir, f"{slug}.json"),
-                            {"experiment": name, "passed": passed,
-                             "detail": detail, "elapsed": res.elapsed,
-                             "seed": seed})
-    ok = all(p for _, p, _, _ in results)
-    print(f"{sum(p for _, p, _, _ in results)}/{len(results)} criteria passed")
-    return EXIT_PASS if ok else EXIT_MISMATCH
+    if args.json_dir:
+        os.makedirs(args.json_dir, exist_ok=True)
+    passed = 0
+    for name, fn, budget in experiments.ALL_CRITERIA:
+        res = experiments.run_criterion(name, fn, budget, seed)
+        passed += res.passed
+        print(res.line())
+        if args.json_dir:
+            slug = name.replace(" ", "-")
+            _write_json(os.path.join(args.json_dir, f"{slug}.json"),
+                        {"experiment": name, "passed": res.passed,
+                         "detail": res.detail, "elapsed": res.elapsed,
+                         "seed": seed})
+    total = len(experiments.ALL_CRITERIA)
+    print(f"{passed}/{total} criteria passed")
+    return EXIT_PASS if passed == total else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +423,6 @@ def build_parser():
 
     p = sub.add_parser("all", help="run the full experiment suite")
     p.add_argument("--paper-suite", action="store_true")
-    p.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1))
     p.add_argument("--json-dir", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(fn=cmd_all)
@@ -482,6 +438,9 @@ def main(argv=None):
     except (RingError, GroupError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"internal verification failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -20,9 +20,9 @@ from .autos import (
     make_phi0, verify_homomorphism,
 )
 from .groups import (
-    Additive, Affine, AffElem, Borel, CornerDiagGroup, ProjBorel, ProjElem,
-    Unitriangular, center_bruteforce, diag_elem, diag_matrix, elementary,
-    from_rows, identity, normal_form, recompose, to_affine,
+    Additive, Affine, AffElem, Borel, CornerDiagGroup, GroupError, ProjBorel,
+    ProjElem, Unitriangular, center_bruteforce, diag_elem, diag_matrix,
+    elementary, from_rows, identity, normal_form, recompose, to_affine,
 )
 from .linalg import gf_det
 from .poly import (
@@ -169,13 +169,98 @@ def _dedupe(elements):
 
 
 def classify_universe(universe, phi):
-    """Classify every element; returns (reps, failures).  Witnesses are
-    re-verified inside classify_reflection."""
-    reps = {}
+    """Classify every element under a reflection automorphism; returns
+    {parity: (representative, members)} in first-seen order.  Witnesses
+    are re-verified inside classify_reflection."""
+    classes = {}
     for g in universe:
         res = classify_reflection(g, phi)
-        reps.setdefault(res.parity, res.representative)
-    return reps
+        rep, members = classes.get(res.parity, (res.representative, 0))
+        classes[res.parity] = (rep, members + 1)
+    return classes
+
+
+# ---------------------------------------------------------------------------
+# finite-group structure: centers and the affine epimorphism
+
+class CenterCheck(NamedTuple):
+    group: object
+    center: list
+    description: str   # the structure the center is compared with
+    matches: bool
+
+
+def center_check(F, tag, n) -> CenterCheck:
+    """The brute-force center of b_n, u_n or w_n (tag b, u or w) over
+    gf(q), compared with its structural description."""
+    if tag == "b":
+        grp = Borel(F, n)
+        expect = {identity(F, n).scaled(u) for u in F.units()}
+        desc = "scalar matrices"
+    elif tag == "u":
+        grp = Unitriangular(F, n)
+        expect = {elementary(F, n, 1, n, c) for c in F.elements()}
+        desc = "corner subgroup"
+    elif tag == "w":
+        grp = CornerDiagGroup(F, n)
+        expect = {w for w in grp.elements()
+                  if F.is_zero(w.r) and w.dunits[0] == w.dunits[-1]}
+        desc = "matching outer diagonal entries, zero corner"
+    else:
+        raise GroupError(f"unsupported group {tag!r}")
+    Z = center_bruteforce(grp)
+    return CenterCheck(grp, Z, desc, set(Z) == expect)
+
+
+# the all-pairs check costs about 7 us a pair (w3(gf(8)), 2-vCPU x86_64,
+# Python 3.11), so this keeps affine_epimorphism near a minute
+MAX_EPI_PAIRS = 10 ** 7
+
+
+class EpiCheck(NamedTuple):
+    homomorphism: bool
+    onto: bool
+    kernel_is_center: bool
+
+
+def affine_epimorphism(F, n) -> EpiCheck:
+    """The map w_n(gf(q)) -> aff(gf(q)) of to_affine, checked on a full
+    enumeration: multiplicative on all pairs, onto, kernel = center."""
+    size = F.q * (F.q - 1) ** (n - 1)
+    if size * size > MAX_EPI_PAIRS:
+        raise GroupError(f"w{n}({F.tag}) has {size * size} element pairs, "
+                         f"more than the {MAX_EPI_PAIRS} that are checked")
+    W = CornerDiagGroup(F, n)
+    els = list(W.elements())
+    imgs = [to_affine(a) for a in els]
+    hom = all(to_affine(W.mul(a, b)) == fa * fb
+              for a, fa in zip(els, imgs) for b, fb in zip(els, imgs))
+    onto = len(set(imgs)) == len(list(Affine(F).elements()))
+    kernel = {a for a, fa in zip(els, imgs) if fa.is_identity()}
+    return EpiCheck(hom, onto, kernel == set(center_bruteforce(W)))
+
+
+# ---------------------------------------------------------------------------
+# the monomial family of the distinctness criterion
+
+def family_exponents(p, imax):
+    """The exponents p(p-1)i + p - 1, i = 0..imax."""
+    return [p * (p - 1) * i + (p - 1) for i in range(imax + 1)]
+
+
+def family_verdicts(alpha, exps, hi=None):
+    """Membership of t^e - t^f, f before e in exps, in the image of
+    id - alpha on gf(p)[t]; yields (e, f, verdict).  The solving window
+    is [0, hi], or [0, e] for each pair when hi is None."""
+    ring = alpha.ring
+    F = ring.base
+    phi = RingMap(alpha, Additive(ring))
+    for ii, e in enumerate(exps):
+        for f in exps[:ii]:
+            r = ring.monomial(F.one(), e) - ring.monomial(F.one(), f)
+            window = LinearWindow(ring, 0, e if hi is None else hi)
+            yield e, f, additive_membership(r, phi, window,
+                                            growth=2 * F.p * (F.p - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,56 +357,24 @@ def criterion_structure(seed=0):
     corner-diagonal to affine epimorphism on a full enumeration."""
     t0 = time.time()
     details = []
-    # scalar centers of the full triangular groups
-    for q, n in ((3, 2), (4, 3)):
-        F = field(q)
-        B = Borel(F, n)
-        Z = center_bruteforce(B)
-        expect = {identity(F, n).scaled(u) for u in F.units()}
-        if set(Z) != expect:
-            return _result("structure", False, f"Z(b{n}(gf({q}))) != scalars", t0)
-        details.append(f"Z(b{n}(gf({q})))=scalars")
-    # corner centers of the unitriangular groups
-    for n in (3, 4):
-        F = field(2)
-        U = Unitriangular(F, n)
-        Z = center_bruteforce(U)
-        expect = {elementary(F, n, 1, n, c) for c in F.elements()}
-        if set(Z) != expect:
-            return _result("structure", False, f"Z(u{n}(gf(2))) != corner", t0)
-        details.append(f"Z(u{n}(gf(2)))=corner")
+    # scalar centers of the full triangular groups, corner centers of the
+    # unitriangular ones, and for the corner-diagonal groups the matching
+    # outer diagonal entries
+    label = {"b": "scalars", "u": "corner", "w": "(u1=un, r=0)"}
+    for tag, q, n in (("b", 3, 2), ("b", 4, 3), ("u", 2, 3), ("u", 2, 4),
+                      ("w", 4, 3), ("w", 4, 4)):
+        c = center_check(field(q), tag, n)
+        if not c.matches:
+            return _result("structure", False, f"Z({c.group.name}) != {c.description}", t0)
+        details.append(f"Z({c.group.name})={label[tag]}")
     # cross-check the generator-based centralizer against all pairs
     for grp in (Borel(field(3), 2), Unitriangular(field(2), 3)):
         if center_bruteforce(grp) != center_bruteforce(grp, full_pairs=True):
             return _result("structure", False, f"centralizer mismatch on {grp.name}", t0)
-    # corner-diagonal groups: center = matching outer diagonal entries
-    for n in (3, 4):
-        F = field(4)
-        W = CornerDiagGroup(F, n)
-        Z = center_bruteforce(W)
-        expect = set()
-        for w in W.elements():
-            if F.is_zero(w.r) and w.dunits[0] == w.dunits[-1]:
-                expect.add(w)
-        if set(Z) != expect:
-            return _result("structure", False, f"Z(w{n}(gf(4))) mismatch", t0)
-        details.append(f"Z(w{n}(gf(4)))=(u1=un, r=0)")
     # the epimorphism onto the affine group, full enumeration at n=3, q=4
-    F = field(4)
-    W = CornerDiagGroup(F, 3)
-    els = list(W.elements())
-    aff_seen = set()
-    for a in els:
-        fa = to_affine(a)
-        aff_seen.add(fa)
-        for b in els:
-            if to_affine(W.mul(a, b)) != fa * to_affine(b):
-                return _result("structure", False, "affine map is not multiplicative", t0)
-    if len(aff_seen) != len(list(Affine(F).elements())):
-        return _result("structure", False, "affine map is not onto", t0)
-    kernel = {a for a in els if to_affine(a).is_identity()}
-    if kernel != set(center_bruteforce(W)):
-        return _result("structure", False, "kernel != center", t0)
+    epi = affine_epimorphism(field(4), 3)
+    if not all(epi):
+        return _result("structure", False, f"w3(gf(4)) -> aff(gf(4)): {epi}", t0)
     details.append("w3(gf(4)) -> aff(gf(4)) epi with kernel=center")
     return _result("structure", True, "; ".join(details), t0)
 
@@ -418,25 +471,18 @@ def criterion_distinct_family(seed=0):
     total_pairs = 0
     for p, pairs_ab in ((2, [(1, 1)]), (3, [(2, 0), (1, 1), (2, 1)]),
                         (5, [(2, 0), (1, 1), (4, 3)])):
-        F = field(p)
-        ring = poly_ring(F, laurent=False)
+        ring = poly_ring(field(p), laurent=False)
         subs = [PolySub(ring, a, b) for a, b in pairs_ab]
         if p == 2:
             subs = [PolySub(ring, 1, 1)] * 3  # the only non-identity choice
-        exps = [p * (p - 1) * i + (p - 1) for i in range(3)]
         for alpha in subs:
-            phi = RingMap(alpha, Additive(ring))
-            for ii in range(3):
-                for jj in range(ii):
-                    r = ring.monomial(F.one(), exps[ii]) - ring.monomial(F.one(), exps[jj])
-                    window = LinearWindow(ring, 0, exps[ii])
-                    v = additive_membership(r, phi, window, growth=2 * p * (p - 1))
-                    if not v.decided or v.member:
-                        return _result(
-                            "distinct-family", False,
-                            f"p={p} {alpha.word()}: t^{exps[ii]} vs t^{exps[jj]}"
-                            f" decided={v.decided} member={v.member}", t0)
-                    total_pairs += 1
+            for e, f, v in family_verdicts(alpha, family_exponents(p, 2)):
+                if not v.decided or v.member:
+                    return _result(
+                        "distinct-family", False,
+                        f"p={p} {alpha.word()}: t^{e} vs t^{f}"
+                        f" decided={v.decided} member={v.member}", t0)
+                total_pairs += 1
             for _ in range(500):
                 h = ring.random(rng, max_terms=6, span=3 * p)
                 principal, rem = twist_split(h, alpha)
@@ -651,6 +697,15 @@ def criterion_properties(seed=0, samples=1000):
         return _result("properties", False, "phi0 is not a homomorphism", t0)
     return _result("properties", True, "relations, round trips, series, catalog,"
                    " involution, half-square, phi0: all clean", t0)
+
+
+def run_criterion(name, fn, budget, seed=0) -> ExperimentResult:
+    """Run one entry of ALL_CRITERIA against its wall-clock budget; a run
+    that reaches the budget fails, and its detail says so."""
+    res = fn(seed)._replace(name=name)
+    if res.elapsed < budget:
+        return res
+    return res._replace(passed=False, detail=f"{res.detail} [over budget {budget:.0f}s]")
 
 
 ALL_CRITERIA = (

@@ -19,6 +19,7 @@ Matrix JSON form:
 from __future__ import annotations
 
 import re
+from itertools import product
 from typing import NamedTuple
 
 class GroupError(ValueError):
@@ -557,17 +558,8 @@ class Unitriangular(Group):
     def elements(self):
         """Lexicographic in the normal-form coefficients (code order)."""
         F = self.ring
-        pos = nf_positions(self.n)
-        els = list(F.elements())
-
-        def rec(k, acc):
-            if k == len(pos):
-                yield recompose(NormalForm(F, self.n, tuple(acc)))
-                return
-            for c in els:
-                yield from rec(k + 1, acc + [c])
-
-        yield from rec(0, [])
+        for cs in product(F.elements(), repeat=len(nf_positions(self.n))):
+            yield recompose(NormalForm(F, self.n, cs))
 
     def generators(self):
         out = []
@@ -618,13 +610,8 @@ class Borel(Group):
         if self.plus:
             units = [F.one()]
         for u in Unitriangular(F, self.n).elements():
-            def rec(k, acc):
-                if k == self.n:
-                    yield u * diag_matrix(F, self.n, acc)
-                    return
-                for v in units:
-                    yield from rec(k + 1, acc + [v])
-            yield from rec(0, [])
+            for d in product(units, repeat=self.n):
+                yield u * diag_matrix(F, self.n, d)
 
     def generators(self):
         out = Unitriangular(self.ring, self.n).generators()
@@ -656,14 +643,9 @@ class ProjBorel(Group):
         F = self.ring
         units = [F.one()] if self.plus else _field_units_in_exp_order(F)
         for u in Unitriangular(F, self.n).elements():
-            def rec(k, acc):
-                if k == self.n:
-                    yield ProjElem(u * diag_matrix(F, self.n, acc))
-                    return
-                for v in units:
-                    yield from rec(k + 1, acc + [v])
             # first diagonal entry pinned to 1: classes modulo scalars
-            yield from rec(1, [F.one()])
+            for d in product(units, repeat=self.n - 1):
+                yield ProjElem(u * diag_matrix(F, self.n, (F.one(),) + d))
 
     def generators(self):
         return [ProjElem(g) for g in self._borel.generators()]
@@ -725,13 +707,8 @@ class CornerDiagGroup(Group):
         F = self.ring
         units = _field_units_in_exp_order(F)
         for r in F.elements():
-            def rec(k, acc):
-                if k == self.n:
-                    yield CornerDiag(F, self.n, r, acc)
-                    return
-                for v in units:
-                    yield from rec(k + 1, acc + [v])
-            yield from rec(1, [F.one()])
+            for d in product(units, repeat=self.n - 1):
+                yield CornerDiag(F, self.n, r, (F.one(),) + d)
 
     def generators(self):
         F = self.ring

@@ -36,6 +36,12 @@ def bareiss_det(rows) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def det_one_minus(rows) -> int:
+    """det(I - M) for a square integer matrix M."""
+    return bareiss_det([[(1 if i == j else 0) - x for j, x in enumerate(row)]
+                        for i, row in enumerate(rows)])
+
+
 # ---------------------------------------------------------------------------
 # gf(q) routines; `F` is a GaloisField context, entries are codes
 

@@ -32,7 +32,7 @@ import math
 import re
 from typing import NamedTuple
 
-from .linalg import bareiss_det
+from .linalg import det_one_minus
 
 
 class RingError(ValueError):
@@ -90,42 +90,6 @@ def _pmod(u, m, p):
                 u[shift + i] = (u[shift + i] - lead * c) % p
         u.pop()
     return _trim(u)
-
-
-def _peval(m, x, p):
-    acc = 0
-    for c in reversed(m):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _monic_polys(p, deg):
-    """All monic polynomials of the given degree over gf(p), little-endian."""
-    span = p ** deg
-    for code in range(span):
-        cs = []
-        c = code
-        for _ in range(deg):
-            cs.append(c % p)
-            c //= p
-        yield cs + [1]
-
-
-def fp_irreducible(m, p) -> bool:
-    """Irreducibility of a monic polynomial over gf(p) by trial division."""
-    deg = len(_trim(m)) - 1
-    if deg <= 0:
-        return False
-    for r in range(p):
-        if _peval(m, r, p) == 0:
-            return False
-    if deg <= 3:
-        return True
-    for d in range(2, deg // 2 + 1):
-        for cand in _monic_polys(p, d):
-            if not _pmod(m, cand, p):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +241,6 @@ class GaloisField(Ring):
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise RingError("modulus must be monic of the right degree")
-            if not fp_irreducible(list(modulus), p):
-                raise RingError(f"reducible modulus for gf({q})")
         self.q, self.p, self.k = q, p, k
         self.modulus = modulus
         self.tag = f"gf({q})"
@@ -320,6 +282,10 @@ class GaloisField(Ring):
                 if mul[a][b] == 1:
                     inv[a] = b
                     break
+            else:
+                # a zero divisor: the quotient is no field, and the
+                # primitive search below would never return to 1
+                raise RingError(f"reducible modulus for gf({q})")
         self._inv = inv
         self._primitive = None
         for g in range(1, q):
@@ -720,17 +686,11 @@ def solve_unit_equation(ring: LocalizedIntegers, images=None) -> UnitEquationRes
     matrix = tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
     ident = all(matrix[i][j] == (1 if i == j else 0) for i in range(m) for j in range(m))
     forced = ident and all(s == 1 for s in signs) and not violations
-    one_minus = [[(1 if i == j else 0) - matrix[i][j] for j in range(m)] for i in range(m)]
     return UnitEquationResult(
         primes=primes,
         matrix=matrix,
         signs=tuple(signs),
         identity_forced=forced,
-        det_one_minus=bareiss_det(one_minus),
+        det_one_minus=det_one_minus(matrix),
         violations=tuple(violations),
     )
-
-
-def unit_group(ring: Ring) -> UnitGroup:
-    """Torsion and torsion-free generators of R^x."""
-    return ring.unit_group()

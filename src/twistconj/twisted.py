@@ -15,13 +15,14 @@ outcome, never silently converted into an answer.
 
 from __future__ import annotations
 
+from itertools import product
 from math import gcd
 from typing import NamedTuple
 
 from . import linalg, rings
 from .autos import Automorphism, PairSwap
 from .groups import Additive, AdditivePairs, AffElem, GroupError, TriMat, from_rows
-from .linalg import bareiss_det
+from .linalg import bareiss_det, det_one_minus
 from .poly import Poly, PolyRing, poly_ring
 from .rings import RingError
 
@@ -72,17 +73,9 @@ class LinearWindow:
         return LinearWindow(self.ring, lo, self.hi + step)
 
     def elements(self):
-        F = self.field
-        pos = list(self.positions())
-
-        def rec(k, acc):
-            if k == len(pos):
-                yield self.ring.make(dict(zip(pos, acc)))
-                return
-            for c in F.elements():
-                yield from rec(k + 1, acc + [c])
-
-        yield from rec(0, [])
+        pos = self.positions()
+        for cs in product(self.field.elements(), repeat=self.dim):
+            yield self.ring.make(dict(zip(pos, cs)))
 
     def random(self, rng):
         return self.ring.make({e: self.field.random(rng) for e in self.positions()})
@@ -516,12 +509,17 @@ def _all_pairs_partition(universe, phi, group=None, universe_name=""):
 # ---------------------------------------------------------------------------
 # constructive class solver for the reflection automorphisms
 
+def is_reflection_unit(F, a) -> bool:
+    """1 - a^2 is invertible, so the reflection by a has constructive
+    class representatives (classify_reflection)."""
+    return F.is_unit(F.sub(F.one(), F.mul(a, a)))
+
+
 def reflection_unit(F) -> int | None:
     """The least field element a with 1 - a^2 invertible, if any.  Exists
     exactly when q >= 4."""
-    one = F.one()
     for a in F.units():
-        if F.is_unit(F.sub(one, F.mul(a, a))):
+        if is_reflection_unit(F, a):
             return a
     return None
 
@@ -612,10 +610,6 @@ def classify_reflection(g, phi) -> ReflectionClass:
 # ---------------------------------------------------------------------------
 # eigenvalue-1 test
 
-def int_det(rows) -> int:
-    return bareiss_det(rows)
-
-
 def has_eigenvalue_one(rows) -> bool:
     """det(I - M) == 0 for a square integer matrix M with det(M) != 0;
     equivalently the induced map on Z^r has infinitely many twisted
@@ -625,8 +619,7 @@ def has_eigenvalue_one(rows) -> bool:
         raise ValueError("square matrix required")
     if bareiss_det(rows) == 0:
         raise ValueError("the matrix must be invertible over the rationals")
-    one_minus = [[(1 if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
-    return bareiss_det(one_minus) == 0
+    return det_one_minus(rows) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +706,7 @@ def case_analysis(f: Poly, box: int) -> CaseReport:
                         sols.append(CaseSolution(
                             a, b, c, d,
                             det=a * d - b * c,
-                            det_one_minus=(1 - a) * (1 - d) - c * b,
+                            det_one_minus=det_one_minus([[a, c], [b, d]]),
                         ))
     exceptions = tuple(s for s in sols if s.det_one_minus != 0)
     return CaseReport(

@@ -4,7 +4,7 @@ import pytest
 
 from twistconj.cli import main
 
-PASS, MISMATCH, USAGE, UNDECIDED = 0, 1, 2, 3
+PASS, MISMATCH, USAGE, UNDECIDED, INTERNAL = 0, 1, 2, 3, 4
 
 
 def test_verify_relations(tmp_path):
@@ -104,6 +104,17 @@ def test_center_and_iso(tmp_path):
     assert main(["center", "--ring", "gf(4)", "--group", "w", "--n", "3"]) == PASS
     assert main(["iso-aff", "--ring", "gf(4)", "--n", "3"]) == PASS
     assert main(["center", "--ring", "z", "--group", "b", "--n", "2"]) == USAGE
+    # 4608^2 = 2.1e7 pairs: refused before any work, not left running
+    assert main(["iso-aff", "--ring", "gf(9)", "--n", "4"]) == USAGE
+
+
+def test_internal_verification_failure(monkeypatch, capsys):
+    # a witness that fails its exact re-check is told apart from a mismatch
+    monkeypatch.setattr("twistconj.twisted.twist", lambda *args, **kw: None)
+    assert main(["reidemeister", "--ring", "gf(4)[t,t^-1]", "--group", "b2plus",
+                 "--auto", "phiB(w)", "--exp-window", "2", "--diag-window", "1",
+                 "--expect", "4"]) == INTERNAL
+    assert "internal verification failed" in capsys.readouterr().err
 
 
 def test_unit_equation(tmp_path):

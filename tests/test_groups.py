@@ -7,13 +7,15 @@ from twistconj import groups
 from twistconj.groups import (
     AffElem, Affine, Borel, CornerDiag, CornerDiagGroup, GroupError,
     ProjElem, ProjBorel, Unitriangular, aff_from_proj, center_bruteforce,
-    commutator_escape, diag_elem, element_word, elementary, from_rows,
-    gamma_member, identity, mat_from_json, mat_to_json, normal_form,
-    parse_element, proj_from_aff, recompose, superdiagonal, to_affine,
+    commutator_escape, diag_elem, diag_matrix, element_word, elementary,
+    from_rows, gamma_member, identity, mat_from_json, mat_to_json,
+    normal_form, parse_element, proj_from_aff, recompose, superdiagonal,
+    to_affine,
 )
 from twistconj.experiments import relations_suite
 from twistconj.poly import parse_ring
 from twistconj.rings import ZZ, field, localized
+from twistconj.twisted import LinearWindow
 
 F2 = field(2)
 F3 = field(3)
@@ -258,6 +260,28 @@ def test_enumeration_sizes_and_order():
     assert len(list(Affine(F4).elements())) == 12
     first = next(iter(Unitriangular(F2, 3).elements()))
     assert first.is_identity()       # all-zero coefficients come first
+
+
+def test_enumeration_order_matches_nested_loops():
+    # the partition oracle picks min-index representatives, so the order
+    # is part of every reported class: the last coordinate varies fastest,
+    # units run through powers of the primitive element, and the first
+    # diagonal entry of the projective and corner-diagonal groups is 1
+    F5 = field(5)
+    units = [1, 2, 4, 3]                 # powers of 2 in gf(5)
+    win = LinearWindow(F2T, 0, 2)
+    assert list(win.elements()) == [F2T.make({0: a, 1: b, 2: c})
+                                     for a in range(2) for b in range(2)
+                                     for c in range(2)]
+    assert [normal_form(u).coeffs for u in Unitriangular(F3, 3).elements()] == \
+        [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    U2 = list(Unitriangular(F5, 2).elements())
+    assert list(Borel(F5, 2).elements()) == \
+        [u * diag_matrix(F5, 2, (x, y)) for u in U2 for x in units for y in units]
+    assert list(ProjBorel(F5, 2).elements()) == \
+        [ProjElem(u * diag_matrix(F5, 2, (1, y))) for u in U2 for y in units]
+    assert list(CornerDiagGroup(F5, 3).elements()) == \
+        [CornerDiag(F5, 3, r, (1, x, y)) for r in range(5) for x in units for y in units]
 
 
 def test_bs_and_lamplighter_presentations():

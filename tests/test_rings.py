@@ -6,7 +6,6 @@ import pytest
 from twistconj.poly import parse_ring
 from twistconj.rings import (
     LocalizedInt, RingError, ZZ, field, localized, solve_unit_equation,
-    unit_group,
 )
 
 ALL_TAGS = ["gf(4)", "gf(5)[t]", "gf(5)[t,t^-1]", "z", "z[1/6]", "z[t]", "z[t,t^-1]"]
@@ -46,6 +45,11 @@ def test_unsupported_fields():
         field(32)  # no built-in modulus
     with pytest.raises(RingError):
         field(4, modulus=(0, 0, 1))  # x^2 is reducible
+    with pytest.raises(RingError):
+        field(4, modulus=(1, 0, 1))  # x^2 + 1 = (x + 1)^2 over gf(2)
+    with pytest.raises(RingError):
+        # (x^2 + x + 1)^2: reducible, yet without a root in gf(2)
+        field(16, modulus=(1, 0, 1, 0, 1))
 
 
 def test_multiplicative_order_exhaustive():
@@ -116,19 +120,19 @@ def test_localized_units():
 
 
 def test_unit_groups():
-    ug = unit_group(localized(6))
+    ug = localized(6).unit_group()
     assert [u.num for u in ug.torsion] == [-1]
     assert [u.num for u in ug.torsion_free] == [2, 3]
 
-    ug = unit_group(parse_ring("gf(5)[t,t^-1]"))
+    ug = parse_ring("gf(5)[t,t^-1]").unit_group()
     tor = ug.torsion[0]
     assert tor.terms == {0: 2}            # 2 generates gf(5)^x
     assert ug.torsion_free[0].terms == {1: 1}
 
-    ug = unit_group(parse_ring("gf(2)[t]"))
+    ug = parse_ring("gf(2)[t]").unit_group()
     assert ug.torsion == () and ug.torsion_free == ()
 
-    assert unit_group(ZZ).torsion == (-1,)
+    assert ZZ.unit_group().torsion == (-1,)
 
 
 def test_ring_tag_round_trip():

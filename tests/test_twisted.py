@@ -12,13 +12,14 @@ from twistconj.groups import (
     Additive, AffElem, Borel, GroupError, ProjBorel, Unitriangular,
     elementary, from_rows, identity,
 )
+from twistconj.linalg import bareiss_det, det_one_minus
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
 from twistconj.rings import RingError, field
 from twistconj.twisted import (
     LinearWindow, PairWindow, _all_pairs_partition, _generating_set, _index_of,
     additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
-    has_eigenvalue_one, int_det, pair_distinctness, reflection_unit,
+    has_eigenvalue_one, pair_distinctness, reflection_unit,
     solve_reflection_corner, twist,
 )
 
@@ -321,7 +322,10 @@ def test_eigenvalue_one():
     for _ in range(300):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
-        assert int_det(rows) == _det_fraction(rows)
+        assert bareiss_det(rows) == _det_fraction(rows)
+        one_minus = [[(1 if i == j else 0) - rows[i][j] for j in range(n)]
+                     for i in range(n)]
+        assert det_one_minus(rows) == _det_fraction(one_minus)
 
 
 def test_case_analysis_examples():
