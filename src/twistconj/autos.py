@@ -24,7 +24,7 @@ from . import groups, poly, rings
 from .groups import (
     Additive, AdditivePairs, Affine, AffElem, Borel, CornerDiag,
     CornerDiagGroup, GroupError, ProjBorel, ProjElem, TriMat, Unitriangular,
-    diag_matrix, elementary, identity, normal_form, superdiagonal,
+    diag_matrix, elementary, superdiagonal,
 )
 from .linalg import det_one_minus
 from .poly import (
@@ -283,24 +283,31 @@ class SigmaLast(Automorphism):
 
 class Flip(Automorphism):
     """e_{i,j}(r) -> e_{n-j+1,n-i+1}((-1)^(j-i-1) r): the anti-diagonal
-    reflection; an involution of the unitriangular group."""
+    reflection; an involution of the unitriangular group.
+
+    Closed form: m -> D J m^-T J D, with J the anti-diagonal permutation
+    matrix and D = diag((-1)^i).  Inverse and transpose are both
+    anti-automorphisms, so m -> m^-T is an automorphism; conjugation by
+    D J is one too, and it carries the lower triangular matrices back to
+    the upper ones.  So entry (i,j) of m^-1 goes to (n+1-j, n+1-i) with
+    the sign (-1)^(i+j).  On e_{i,j}(r), whose inverse is e_{i,j}(-r),
+    this is the map above, and a homomorphism is fixed by its values on
+    the normal-form factors."""
 
     def __init__(self, group: Unitriangular):
         self.domain = group
 
     def apply(self, m: TriMat):
-        if not (isinstance(m, TriMat) and m.is_unitriangular()):
-            raise GroupError("flip acts on unitriangular matrices")
-        g = self.domain
-        ring = g.ring
-        out = identity(ring, g.n)
-        for (i, j), r in normal_form(m).factors():
-            if ring.is_zero(r):
-                continue
-            if (j - i - 1) % 2:
-                r = ring.neg(r)
-            out = out * elementary(ring, g.n, g.n - j + 1, g.n - i + 1, r)
-        return out
+        # the closed form reads n and the ring off m: refuse any m but the
+        # unitriangular matrices of the domain
+        if not self.domain.contains(m):
+            raise GroupError(f"flip acts on the unitriangular matrices of {self.domain.name}")
+        inv = m.inv()
+        neg = m.ring.neg
+        n1 = m.n + 1
+        upper = {(n1 - j, n1 - i): neg(r) if (i + j) % 2 else r
+                 for (i, j), r in inv.upper.items()}
+        return TriMat(m.ring, m.n, m.diag, upper)
 
     def word(self):
         return "flip"

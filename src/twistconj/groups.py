@@ -69,21 +69,23 @@ class TriMat:
         if not isinstance(o, TriMat) or o.ring is not self.ring or o.n != self.n:
             raise GroupError("incompatible matrices")
         ring = self.ring
-        diag = tuple(ring.mul(a, b) for a, b in zip(self.diag, o.diag))
+        mul, add = ring.mul, ring.add
+        diag = tuple(mul(a, b) for a, b in zip(self.diag, o.diag))
         upper = {}
-        for (i, j), v in o.upper.items():
-            upper[(i, j)] = ring.mul(self.diag[i - 1], v)
+        o_rows = {}  # row k of o.upper as (j, w) pairs
+        for (k, j), w in o.upper.items():
+            upper[(k, j)] = mul(self.diag[k - 1], w)
+            o_rows.setdefault(k, []).append((j, w))
         for (i, k), v in self.upper.items():
             key = (i, k)
-            c = ring.mul(v, o.diag[k - 1])
+            c = mul(v, o.diag[k - 1])
             prev = upper.get(key)
-            upper[key] = c if prev is None else ring.add(prev, c)
-            for (k2, j), w in o.upper.items():
-                if k2 == k:
-                    key = (i, j)
-                    c = ring.mul(v, w)
-                    prev = upper.get(key)
-                    upper[key] = c if prev is None else ring.add(prev, c)
+            upper[key] = c if prev is None else add(prev, c)
+            for j, w in o_rows.get(k, ()):
+                key = (i, j)
+                c = mul(v, w)
+                prev = upper.get(key)
+                upper[key] = c if prev is None else add(prev, c)
         upper = {k: v for k, v in upper.items() if not ring.is_zero(v)}
         return TriMat(ring, self.n, diag, upper)
 
@@ -237,11 +239,30 @@ def normal_form(m: TriMat) -> NormalForm:
 
 
 def recompose(nf: NormalForm) -> TriMat:
-    out = identity(nf.ring, nf.n)
+    """The ordered product of the elementaries e(i,j;r) of a normal form,
+    built by column operations: right multiplication by e(i,j;r) adds r
+    times column i to column j.  Column i holds the diagonal 1 in row i
+    and the strictly upper entries above it, so each factor costs one pass
+    over column i instead of a full matrix product."""
+    ring, n = nf.ring, nf.n
+    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
+    cols = {}  # column j -> {row: nonzero entry above the diagonal}
     for (i, j), r in nf.factors():
-        if not nf.ring.is_zero(r):
-            out = out * elementary(nf.ring, nf.n, i, j, r)
-    return out
+        if is_zero(r):
+            continue
+        # the diagonal 1 of column i, then its entries above; a product of
+        # nonzero entries is nonzero, since the rings are domains
+        added = [(i, r)] + [(k, mul(v, r)) for k, v in cols.get(i, {}).items()]
+        col_j = cols.setdefault(j, {})
+        for k, v in added:
+            if k in col_j:
+                v = add(col_j[k], v)
+                if is_zero(v):
+                    del col_j[k]
+                    continue
+            col_j[k] = v
+    upper = {(k, j): v for j, col in cols.items() for k, v in col.items()}
+    return TriMat(ring, n, (ring.one(),) * n, upper)
 
 
 def gamma_member(m: TriMat, k: int) -> bool:
@@ -689,6 +710,8 @@ class Affine(Group):
 
 class CornerDiagGroup(Group):
     def __init__(self, ring, n):
+        if n < 2:
+            raise GroupError("dimension must be >= 2")
         self.ring, self.n = ring, n
         self.name = f"w{n}({ring.tag})"
 

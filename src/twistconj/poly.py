@@ -190,18 +190,38 @@ class Poly:
         return self + (-o)
 
     def __mul__(self, o):
+        # PolyRing admits only gf(q) and z coefficients, both integral
+        # domains, so a product of nonzero coefficients is never zero: only
+        # a sum of products needs a zero test
         self._check(o)
         base = self.ring.base
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = e1 + e2
-                s = base.add(out.get(e, base.zero()), base.mul(c1, c2))
-                if base.is_zero(s):
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly(self.ring, out)
+        if len(o.terms) <= 1:
+            short, other = o, self
+        elif len(self.terms) <= 1:
+            short, other = self, o
+        else:
+            add, mul, is_zero = base.add, base.mul, base.is_zero
+            out = {}
+            for e1, c1 in self.terms.items():
+                for e2, c2 in o.terms.items():
+                    e = e1 + e2
+                    c = mul(c1, c2)
+                    if e in out:
+                        c = add(out[e], c)
+                        if is_zero(c):
+                            del out[e]
+                            continue
+                    out[e] = c
+            return Poly(self.ring, out)
+        # values are immutable, so a zero or a one factor hands back an operand
+        if not short.terms:
+            return short
+        (e1, c1), = short.terms.items()
+        if e1 == 0 and c1 == base.one():
+            return other
+        # one term c1*t^e1: distinct e2 give distinct e1+e2, so no collision
+        mul = base.mul
+        return Poly(self.ring, {e1 + e2: mul(c1, c2) for e2, c2 in other.terms.items()})
 
     def __pow__(self, k):
         if k < 0:

@@ -313,6 +313,9 @@ class GaloisField(Ring):
     def mul(self, a, b):
         return self._mul[a][b]
 
+    def is_zero(self, a):
+        return a == 0
+
     def is_unit(self, a):
         return a != 0
 

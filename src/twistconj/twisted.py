@@ -116,9 +116,7 @@ class PairWindow:
         return PairWindow(self.win.grow(step))
 
     def elements(self):
-        for a in self.win.elements():
-            for b in self.win.elements():
-                yield (a, b)
+        return product(self.win.elements(), repeat=2)
 
     def random(self, rng):
         return (self.win.random(rng), self.win.random(rng))

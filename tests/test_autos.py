@@ -9,9 +9,10 @@ from twistconj.autos import (
     induced_on_quotient, induced_superdiag_action, make_phi0, parse_auto,
     verify_homomorphism,
 )
+from twistconj.experiments import RING_TAGS
 from twistconj.groups import (
     Additive, AffElem, Affine, Borel, GroupError, ProjElem, Unitriangular,
-    elementary, diag_elem, superdiagonal,
+    elementary, diag_elem, identity, nf_positions, normal_form, superdiagonal,
 )
 from twistconj.poly import PolySub, parse_ring
 from twistconj.rings import RingError, field, localized
@@ -40,6 +41,38 @@ def test_flip_examples():
         assert fl5.apply(fl5.apply(u)) == u
     with pytest.raises(GroupError):
         fl.apply(diag_elem(F5T, 3, 1, F5T.from_int(2)))
+    with pytest.raises(GroupError):
+        fl5.apply(elementary(F5T, 3, 1, 2, r))            # not in U5
+    with pytest.raises(GroupError):
+        fl.apply(elementary(F5L, 3, 1, 2, F5L.one()))     # another ring
+
+
+def _flip_by_normal_form(m):
+    # the definition: flip each normal-form factor, multiply them in order
+    ring, n = m.ring, m.n
+    out = identity(ring, n)
+    for (i, j), r in normal_form(m).factors():
+        if (j - i - 1) % 2:
+            r = ring.neg(r)
+        out = out * elementary(ring, n, n - j + 1, n - i + 1, r)
+    return out
+
+
+@pytest.mark.parametrize("tag", RING_TAGS + ("gf(2)[t]",))
+def test_flip_closed_form_matches_normal_form_product(tag):
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    for n in range(2, 7):
+        U = Unitriangular(ring, n)
+        fl = Flip(U)
+        for _ in range(15):
+            u = U.random(rng)
+            assert fl.apply(u) == _flip_by_normal_form(u)
+        for i, j in nf_positions(n):
+            r = ring.random_nonzero(rng)
+            image = r if (j - i - 1) % 2 == 0 else ring.neg(r)
+            assert fl.apply(elementary(ring, n, i, j, r)) == \
+                elementary(ring, n, n + 1 - j, n + 1 - i, image)
 
 
 def test_companion_examples():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from twistconj import experiments
 from twistconj.cli import main
 
 PASS, MISMATCH, USAGE, UNDECIDED, INTERNAL = 0, 1, 2, 3, 4
@@ -104,6 +105,9 @@ def test_center_and_iso(tmp_path):
     assert main(["center", "--ring", "gf(4)", "--group", "w", "--n", "3"]) == PASS
     assert main(["iso-aff", "--ring", "gf(4)", "--n", "3"]) == PASS
     assert main(["center", "--ring", "z", "--group", "b", "--n", "2"]) == USAGE
+    # w_1 has no corner: refused like b_1 and u_1, not run as a mismatch
+    assert main(["center", "--ring", "gf(2)", "--group", "w", "--n", "1"]) == USAGE
+    assert main(["iso-aff", "--ring", "gf(2)", "--n", "1"]) == USAGE
     # 4608^2 = 2.1e7 pairs: refused before any work, not left running
     assert main(["iso-aff", "--ring", "gf(9)", "--n", "4"]) == USAGE
 
@@ -134,12 +138,35 @@ def test_seed_resolution(capsys, monkeypatch):
     assert "seed=7" in capsys.readouterr().out
 
 
-def test_all_paper_suite(tmp_path, capsys):
+def test_all_paper_suite(tmp_path, capsys, monkeypatch):
+    # the loop, its lines, exit code and reports, on one real criterion and
+    # two stubs; test_acceptance runs every real criterion once
+    real = next(c for c in experiments.ALL_CRITERIA if c[0].startswith("3 "))
+
+    def failing(seed):
+        return experiments.ExperimentResult("", False, "stub mismatch", 0.0, {})
+
+    def overrun(seed):
+        return experiments.ExperimentResult("", True, "stub pass", 5.0, {})
+
+    monkeypatch.setattr(experiments, "ALL_CRITERIA", (
+        real, ("stub failing", failing, 1.0), ("stub overrun", overrun, 1.0)))
     outdir = tmp_path / "reports"
-    assert main(["all", "--paper-suite", "--json-dir", str(outdir)]) == PASS
+    assert main(["all", "--paper-suite", "--json-dir", str(outdir)]) == MISMATCH
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 9
-    assert len(list(outdir.glob("*.json"))) == 9
+    assert "[PASS] 3 reflection unit boundary: " in out
+    assert "[FAIL] stub failing: stub mismatch (0.00s)" in out
+    assert "[FAIL] stub overrun: stub pass [over budget 1s] (5.00s)" in out
+    assert "1/3 criteria passed" in out
+    reports = {p.name: json.loads(p.read_text()) for p in outdir.glob("*.json")}
+    assert {name: r["passed"] for name, r in reports.items()} == {
+        "3-reflection-unit-boundary.json": True,
+        "stub-failing.json": False,
+        "stub-overrun.json": False,
+    }
+
+    monkeypatch.setattr(experiments, "ALL_CRITERIA", (real,))
+    assert main(["all", "--paper-suite"]) == PASS
     assert main(["all"]) == USAGE
 
 

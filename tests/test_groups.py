@@ -12,10 +12,11 @@ from twistconj.groups import (
     normal_form, parse_element, proj_from_aff, recompose, superdiagonal,
     to_affine,
 )
-from twistconj.experiments import relations_suite
+from twistconj.autos import Flip
+from twistconj.experiments import RING_TAGS, relations_suite
 from twistconj.poly import parse_ring
 from twistconj.rings import ZZ, field, localized
-from twistconj.twisted import LinearWindow
+from twistconj.twisted import LinearWindow, PairWindow
 
 F2 = field(2)
 F3 = field(3)
@@ -87,6 +88,65 @@ def test_normal_form_round_trip():
             for _ in range(40):
                 u = U.random(rng)
                 assert recompose(normal_form(u)) == u
+
+
+def _recompose_by_products(nf):
+    # the definition: one matrix product per elementary factor
+    out = identity(nf.ring, nf.n)
+    for (i, j), r in nf.factors():
+        out = out * elementary(nf.ring, nf.n, i, j, r)
+    return out
+
+
+@pytest.mark.parametrize("tag", RING_TAGS + ("gf(2)[t]",))
+def test_recompose_matches_product_of_elementaries(tag):
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    for n in range(2, 7):
+        positions = groups.nf_positions(n)
+        for _ in range(30):
+            # about a third of the coefficients zero, as in sparse forms
+            coeffs = tuple(ring.zero() if rng.random() < 0.3 else ring.random(rng)
+                           for _ in positions)
+            nf = groups.NormalForm(ring, n, coeffs)
+            m, ref = recompose(nf), _recompose_by_products(nf)
+            assert m == ref and hash(m) == hash(ref)
+            assert normal_form(m) == nf
+
+
+def _poly_is_canonical(p):
+    return not any(p.ring.base.is_zero(c) for c in p.terms.values())
+
+
+def _mat_is_canonical(m):
+    return not any(m.ring.is_zero(v) for v in m.upper.values())
+
+
+def test_arithmetic_keeps_no_zero_entries():
+    # == and hash compare the stored maps, so a stored zero coefficient or
+    # entry would split one value in two; small supports force cancellation
+    rng = random.Random(71)
+    for tag in ("gf(2)[t]", "gf(3)[t,t^-1]", "z[t]"):
+        R = parse_ring(tag)
+        for _ in range(300):
+            a, b = R.random(rng, max_terms=3, span=2), R.random(rng, max_terms=3, span=2)
+            for p in (a * b, a + b, a + (-a), (a + b) * (a - b), a * b - b * a):
+                assert _poly_is_canonical(p)
+    for tag in ("gf(2)", "gf(2)[t]", "z", "z[1/6]", "gf(3)[t,t^-1]"):
+        ring = parse_ring(tag)
+        for n in range(2, 6):
+            U, B = Unitriangular(ring, n), Borel(ring, n)
+            fl = Flip(U)
+            for _ in range(20):
+                u, v, g = U.random(rng), U.random(rng), B.random(rng)
+                nf = groups.NormalForm(ring, n, tuple(
+                    ring.zero() if rng.random() < 0.5 else ring.random(rng)
+                    for _ in groups.nf_positions(n)))
+                for m in (u * v, g * u, u * u.inv(), g.inv(), g * g.inv(),
+                          g.scaled(ring.random_unit(rng)), recompose(nf),
+                          fl.apply(u), fl.apply(u * fl.apply(u))):
+                    assert _mat_is_canonical(m)
+                assert u * u.inv() == identity(ring, n)
 
 
 def test_series_membership():
@@ -282,6 +342,15 @@ def test_enumeration_order_matches_nested_loops():
         [ProjElem(u * diag_matrix(F5, 2, (1, y))) for u in U2 for y in units]
     assert list(CornerDiagGroup(F5, 3).elements()) == \
         [CornerDiag(F5, 3, r, (1, x, y)) for r in range(5) for x in units for y in units]
+    W = list(win.elements())
+    assert list(PairWindow(win).elements()) == [(a, b) for a in W for b in W]
+
+
+def test_groups_refuse_dimension_below_two():
+    for n in (0, 1):
+        for make in (Unitriangular, Borel, CornerDiagGroup):
+            with pytest.raises(GroupError, match="dimension must be >= 2"):
+                make(F3, n)
 
 
 def test_bs_and_lamplighter_presentations():

@@ -26,6 +26,31 @@ def test_arithmetic_examples():
         F2T.one() + F3T.one()
 
 
+def _schoolbook(a, b):
+    base = a.ring.base
+    out = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            out[e1 + e2] = base.add(out.get(e1 + e2, base.zero()), base.mul(c1, c2))
+    return a.ring.make(out)      # make drops the zero coefficients
+
+
+@pytest.mark.parametrize("tag", ["gf(2)", "gf(4)", "gf(5)", "z"])
+def test_mul_matches_schoolbook(tag):
+    # zero, one, monomials (Laurent ones too) and multi-term factors
+    rng = random.Random(tag)
+    for R in (parse_ring(tag + "[t]"), parse_ring(tag + "[t,t^-1]")):
+        base = R.base
+        lo = -3 if R.laurent else 0
+        values = [R.zero(), R.one(), R.neg(R.one()), R.gen()]
+        values += [R.monomial(base.random_unit(rng), rng.randint(lo, 3)) for _ in range(4)]
+        values += [R.random(rng, max_terms=5, span=3) for _ in range(12)]
+        for a in values:
+            for b in values:
+                prod, ref = a * b, _schoolbook(a, b)
+                assert prod == ref and hash(prod) == hash(ref)
+
+
 def test_pow_and_units():
     t = F5L.gen()
     assert t ** -3 == F5L.parse("t^-3")
