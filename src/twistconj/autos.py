@@ -1,7 +1,7 @@
 """The automorphism catalog: inner, central, type-Sigma, flip, ring-map,
 corner-scaling, block-companion and reflection automorphisms, together
-with homomorphism verification, the factor-preserving normalisation of a
-semidirect-product automorphism, and induced actions on quotients.
+with homomorphism verification and the factor-preserving normalisation
+of a semidirect-product automorphism.
 
 Word grammar (composed with '*', applied right to left):
 
@@ -24,9 +24,8 @@ from . import groups, poly, rings
 from .groups import (
     Additive, AdditivePairs, Affine, AffElem, Borel, CornerDiag,
     CornerDiagGroup, GroupError, ProjBorel, ProjElem, TriMat, Unitriangular,
-    diag_matrix, elementary, superdiagonal,
+    diag_matrix, elementary,
 )
-from .linalg import det_one_minus
 from .poly import (
     Poly, PolyRing, RingAutoDesc, augmentation, is_irreducible,
     parse_ring_auto, sign_augmentation,
@@ -226,8 +225,9 @@ def _check_sigma_pair(ring, lam, a, rng=None, samples=1000):
     return None
 
 
-class SigmaFirst(Automorphism):
-    """u -> u * e_{2,n}(a*u_{1,2}) * e_{1,n}(lambda(u_{1,2}) - a*u_{1,2}^2)."""
+class _Sigma(Automorphism):
+    """A type-Sigma automorphism of U_n, n >= 3, given by an endomorphism
+    lambda and a scalar a that satisfy the Sigma condition."""
 
     def __init__(self, group: Unitriangular, lam, a, unchecked=False):
         if group.n < 3:
@@ -239,6 +239,10 @@ class SigmaFirst(Automorphism):
         self.domain = group
         self.lam = lam
         self.a = a
+
+
+class SigmaFirst(_Sigma):
+    """u -> u * e_{2,n}(a*u_{1,2}) * e_{1,n}(lambda(u_{1,2}) - a*u_{1,2}^2)."""
 
     def apply(self, m: TriMat):
         if not (isinstance(m, TriMat) and m.is_unitriangular()):
@@ -254,19 +258,8 @@ class SigmaFirst(Automorphism):
         return f"sigma({self.lam.word()},{self.domain.ring.to_str(self.a)})"
 
 
-class SigmaLast(Automorphism):
+class SigmaLast(_Sigma):
     """u -> u * e_{1,n-1}(a*u_{n-1,n}) * e_{1,n}(lambda(u_{n-1,n}))."""
-
-    def __init__(self, group: Unitriangular, lam, a, unchecked=False):
-        if group.n < 3:
-            raise GroupError("type-Sigma automorphisms need n >= 3")
-        if not unchecked:
-            bad = _check_sigma_pair(group.ring, lam, a)
-            if bad is not None:
-                raise GroupError(f"(lambda, a) violates the Sigma condition at {bad}")
-        self.domain = group
-        self.lam = lam
-        self.a = a
 
     def apply(self, m: TriMat):
         if not (isinstance(m, TriMat) and m.is_unitriangular()):
@@ -623,10 +616,7 @@ class Phi0(Automorphism):
 
     def __init__(self, phi, group=None):
         group = group or phi.domain
-        if not isinstance(group, (Borel, Affine, CornerDiagGroup)):
-            raise GroupError(f"no split decomposition registered for {group.name}")
-        if isinstance(group, Borel) and group.n != 2:
-            raise GroupError("the unipotent kernel is non-abelian for n > 2")
+        # _split_parts refuses a group without an abelian split kernel
         rng = random.Random(1)
         for _ in range(64):
             n_elt, _ = _split_parts(group, group.random(rng))
@@ -647,192 +637,6 @@ class Phi0(Automorphism):
 
     def word(self):
         return f"phi0[{self.phi.word()}]"
-
-
-def make_phi0(phi: Automorphism, group=None) -> Phi0:
-    return Phi0(phi, group)
-
-
-# ---------------------------------------------------------------------------
-# induced actions on quotients
-
-class DiagAction(NamedTuple):
-    """Action on the diagonal quotient modulo torsion, as an integer
-    matrix over the torsion-free unit generators (columns = images)."""
-    gens: tuple
-    matrix: tuple     # matrix[i][j] = exponent of gens[i] in the image of gens[j]
-    torsion: tuple    # torsion component of each image
-
-    def det_one_minus(self) -> int:
-        return det_one_minus(self.matrix)
-
-    def is_identity(self):
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(len(self.gens)) for j in range(len(self.gens)))
-
-
-def induced_diag_action(phi: Automorphism, group: Affine = None) -> DiagAction:
-    """The matrix of the induced map on the diagonal quotient of an affine
-    group; requires the translation subgroup to be invariant."""
-    group = group or phi.domain
-    if not isinstance(group, Affine):
-        raise GroupError("diagonal quotient action is computed on affine groups")
-    ring = group.ring
-    rng = random.Random(2)
-    for _ in range(32):
-        img = phi.apply(AffElem(ring, ring.one(), ring.random(rng)))
-        if img.u != ring.one():
-            raise GroupError("the translation subgroup is not invariant")
-    gens = ring.unit_group().torsion_free
-    cols, tors = [], []
-    for g in gens:
-        img = phi.apply(AffElem(ring, g, ring.zero()))
-        tor, exps = ring.unit_decompose(img.u)
-        cols.append(exps)
-        tors.append(tor)
-    m = len(gens)
-    matrix = tuple(tuple(cols[j][i] for j in range(m)) for i in range(m))
-    return DiagAction(gens=tuple(gens), matrix=matrix, torsion=tuple(tors))
-
-
-class FactorMap:
-    """An additive self-map of one abelianization factor: a composition
-    of unit scalings and coefficient-ring automorphisms."""
-
-    def __init__(self, ops=()):
-        self.ops = tuple(ops)
-
-    def apply(self, ring, r):
-        for kind, data in self.ops:
-            r = ring.mul(data, r) if kind == "mul" else data.apply(r)
-        return r
-
-    def then(self, other):
-        return FactorMap(self.ops + other.ops)
-
-    def is_plain_identity(self):
-        return not self.ops
-
-    def describe(self):
-        if not self.ops:
-            return "id"
-        return ";".join("mul" if k == "mul" else d.word() for k, d in self.ops)
-
-
-class SuperdiagAction(NamedTuple):
-    """Induced action on the abelianization factors E_{i,i+1}: a factor
-    permutation plus an additive map on each factor."""
-    n: int
-    perm: tuple        # 0-based: source factor j lands in factor perm[j]
-    maps: tuple        # FactorMap applied to the coefficient on the way
-
-    def apply(self, ring, rs):
-        out = [ring.zero()] * (self.n - 1)
-        for j, r in enumerate(rs):
-            out[self.perm[j]] = ring.add(out[self.perm[j]], self.maps[j].apply(ring, r))
-        return tuple(out)
-
-    def is_identity(self):
-        return all(p == j for j, p in enumerate(self.perm)) and \
-            all(m.is_plain_identity() for m in self.maps)
-
-
-def induced_superdiag_action(phi: Automorphism) -> SuperdiagAction:
-    """Structural action of a unitriangular automorphism on the
-    abelianization; verified against the matrix action on samples."""
-    group = phi.domain
-    if not isinstance(group, Unitriangular):
-        raise GroupError("abelianization action is computed on unitriangular groups")
-    n = group.n
-    act = _superdiag_action(phi, n)
-    ring = group.ring
-    rng = random.Random(3)
-    for _ in range(32):
-        u = group.random(rng)
-        if act.apply(ring, superdiagonal(u)) != superdiagonal(phi.apply(u)):
-            raise AssertionError("structural abelianization action disagrees with samples")
-    return act
-
-
-def _identity_action(n):
-    return SuperdiagAction(n, tuple(range(n - 1)), tuple(FactorMap() for _ in range(n - 1)))
-
-
-def _superdiag_action(phi, n):
-    if isinstance(phi, (Central, SigmaFirst, SigmaLast, IdentityMap)):
-        return _identity_action(n)
-    if isinstance(phi, Flip):
-        return SuperdiagAction(n, tuple(n - 2 - j for j in range(n - 1)),
-                               tuple(FactorMap() for _ in range(n - 1)))
-    if isinstance(phi, RingMap):
-        return SuperdiagAction(n, tuple(range(n - 1)),
-                               tuple(FactorMap((("alpha", phi.alpha),)) for _ in range(n - 1)))
-    if isinstance(phi, Inner):
-        g = phi.g
-        mat = g.mat if isinstance(g, ProjElem) else g
-        if not isinstance(mat, TriMat):
-            raise GroupError("inner factor action needs a triangular conjugator")
-        ring = mat.ring
-        maps = []
-        for i in range(n - 1):
-            q = ring.mul(mat.diag[i], ring.inv(mat.diag[i + 1]))
-            maps.append(FactorMap() if q == ring.one() else FactorMap((("mul", q),)))
-        return SuperdiagAction(n, tuple(range(n - 1)), tuple(maps))
-    if isinstance(phi, Compose):
-        act = _identity_action(n)
-        for p in reversed(phi.parts):
-            step = _superdiag_action(p, n)
-            perm = tuple(step.perm[act.perm[j]] for j in range(n - 1))
-            maps = tuple(act.maps[j].then(step.maps[act.perm[j]]) for j in range(n - 1))
-            act = SuperdiagAction(n, perm, maps)
-        return act
-    raise GroupError(f"no abelianization action for {phi.word()}")
-
-
-class EmidAction(NamedTuple):
-    """Restriction of the abelianization action to the middle factors."""
-    indices: tuple     # 1-based middle factor indices (one or two)
-    swapped: bool
-    maps: tuple        # FactorMap per middle factor
-
-    def apply(self, ring, rs):
-        if len(self.indices) == 1:
-            return (self.maps[0].apply(ring, rs[0]),)
-        a = self.maps[0].apply(ring, rs[0])
-        b = self.maps[1].apply(ring, rs[1])
-        return (b, a) if self.swapped else (a, b)
-
-
-def induced_emid_action(phi: Automorphism) -> EmidAction:
-    group = phi.domain
-    if not isinstance(group, Unitriangular):
-        raise GroupError("middle-factor action is computed on unitriangular groups")
-    n = group.n
-    act = induced_superdiag_action(phi)
-    a = -(-(n - 1) // 2)          # ceil((n-1)/2), 1-based factor index
-    b = n - a
-    mid = sorted({a, b})
-    idx = [m - 1 for m in mid]
-    for j in idx:
-        if act.perm[j] not in idx:
-            raise GroupError("the middle factors are not invariant")
-    if len(idx) == 1:
-        return EmidAction(indices=tuple(mid), swapped=False, maps=(act.maps[idx[0]],))
-    swapped = act.perm[idx[0]] == idx[1]
-    return EmidAction(indices=tuple(mid), swapped=swapped,
-                      maps=(act.maps[idx[0]], act.maps[idx[1]]))
-
-
-def induced_on_quotient(phi: Automorphism, kind: str):
-    """kind: 'diag' or 'mod-torsion' (affine diagonal quotient),
-    'abelianization', or 'emid' (unitriangular)."""
-    if kind in ("diag", "mod-torsion"):
-        return induced_diag_action(phi)
-    if kind == "abelianization":
-        return induced_superdiag_action(phi)
-    if kind == "emid":
-        return induced_emid_action(phi)
-    raise GroupError(f"unknown quotient {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -42,16 +42,19 @@ class ExperimentSpec:
     FIELDS = ("name", "ring", "group", "auto", "exp_window", "diag_window",
               "dense", "expect")
 
-    def __init__(self, name, ring, group, auto, exp_window=6, diag_window=3,
-                 dense=40, expect=None):
+    def __init__(self, name=None, ring=None, group=None, auto=None,
+                 exp_window=6, diag_window=3, dense=40, expect=None):
         if not ring or not group or not auto:
             raise RingError("experiment needs ring, group and auto")
+        for label, value in (("ring", ring), ("group", group), ("auto", auto)):
+            if not isinstance(value, str):
+                raise RingError(f"{label} must be a string")
         for label, value in (("exp_window", exp_window),
-                             ("diag_window", diag_window), ("dense", dense)):
-            if not isinstance(value, int) or value < 0:
+                             ("diag_window", diag_window), ("dense", dense),
+                             ("expect", 0 if expect is None else expect)):
+            # bool is an int subclass: refuse true/false in a config file
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise RingError(f"{label} must be a non-negative integer")
-        if expect is not None and (not isinstance(expect, int) or expect < 0):
-            raise RingError("expect must be a non-negative integer")
         self.name = name or "reidemeister"
         self.ring = ring
         self.group = group
@@ -70,6 +73,8 @@ class ExperimentSpec:
     def from_file(cls, path):
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise RingError("an experiment config must be a JSON object")
         unknown = set(data) - set(cls.FIELDS)
         if unknown:
             raise RingError(f"unknown experiment fields {sorted(unknown)}")
@@ -435,7 +440,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (RingError, GroupError, ValueError) as exc:
+    except (RingError, GroupError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

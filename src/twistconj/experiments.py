@@ -16,8 +16,8 @@ from . import groups, poly, twisted
 from .autos import (
     AffineReflect, AugScale, AugShift, BlockCompanion, Central, CenterScale,
     Compose, Flip, HalfSquare, IdentityMap, Inner, MulBy, PairSwap, RingMap,
-    SigmaFirst, SigmaLast, TriangularReflect, WindowLinear, ZeroEndo,
-    make_phi0, verify_homomorphism,
+    Phi0, SigmaFirst, SigmaLast, TriangularReflect, WindowLinear, ZeroEndo,
+    verify_homomorphism,
 )
 from .groups import (
     Additive, Affine, AffElem, Borel, CornerDiagGroup, GroupError, ProjBorel,
@@ -685,7 +685,7 @@ def criterion_properties(seed=0, samples=1000):
     F5 = field(5)
     aff = Affine(F5)
     phi = Inner(AffElem(F5, 2, 3), aff)
-    phi0 = make_phi0(phi)
+    phi0 = Phi0(phi)
     for _ in range(samples):
         g = aff.random(rng)
         n_part = AffElem(F5, F5.one(), g.r)

@@ -10,10 +10,6 @@ and dict-keyed partitions.
 Element word form (printer/parser round-trip):
 
     e(1,2;t+1) e(2,3;2) d(1;t) d(3;w+1)       identity prints as "1"
-
-Matrix JSON form:
-
-    {"n": 3, "ring": "gf(2)[t]", "rows": [["1","t","0"], ...]}
 """
 
 from __future__ import annotations
@@ -57,9 +53,6 @@ class TriMat:
     def is_unitriangular(self):
         one = self.ring.one()
         return all(u == one for u in self.diag)
-
-    def is_diagonal(self):
-        return not self.upper
 
     def is_identity(self):
         return self.is_unitriangular() and not self.upper
@@ -317,19 +310,6 @@ class ProjElem:
     def is_identity(self):
         return self.mat.is_identity()
 
-    def unipotent_part(self) -> TriMat:
-        """x with self = x * [d]; canonical in the split decomposition."""
-        d = diag_matrix(self.ring, self.n, self.mat.diag)
-        return self.mat * d.inv()
-
-    def diag_ratios(self):
-        """Successive ratios u_i / u_{i+1}; class invariants."""
-        ring = self.ring
-        return tuple(
-            ring.mul(self.mat.diag[i], ring.inv(self.mat.diag[i + 1]))
-            for i in range(self.n - 1)
-        )
-
     def conj(self, x: TriMat) -> TriMat:
         """Conjugate a unitriangular matrix by this class (well defined
         because scalars are central)."""
@@ -376,9 +356,6 @@ class AffElem:
     def is_identity(self):
         return self.u == self.ring.one() and self.ring.is_zero(self.r)
 
-    def as_matrix(self) -> TriMat:
-        return from_rows(self.ring, [[self.u, self.r], [self.ring.zero(), self.ring.one()]])
-
     def __eq__(self, o):
         return isinstance(o, AffElem) and self.ring is o.ring and \
             self.u == o.u and self.r == o.r
@@ -388,20 +365,6 @@ class AffElem:
 
     def __repr__(self):
         return f"aff({self.ring.to_str(self.u)}; {self.ring.to_str(self.r)})"
-
-
-def aff_from_proj(g: ProjElem) -> AffElem:
-    """The isomorphism PB_2(R) -> Aff(R): e(r)[d(u1,u2)] -> (u1/u2, r)."""
-    if g.n != 2:
-        raise GroupError("projective-to-affine needs n = 2")
-    ring = g.ring
-    u = ring.mul(g.mat.diag[0], ring.inv(g.mat.diag[1]))
-    x = g.unipotent_part()
-    return AffElem(ring, u, x.entry(1, 2))
-
-
-def proj_from_aff(a: AffElem) -> ProjElem:
-    return ProjElem(a.as_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +493,6 @@ class Additive(Group):
 
     def contains(self, x):
         return True
-
-    def is_identity(self, x):
-        return self.ring.is_zero(x)
 
 
 class AdditivePairs(Group):
@@ -769,60 +729,7 @@ def center_bruteforce(group: Group, budget: int = 10 ** 6, full_pairs: bool = Fa
 
 
 # ---------------------------------------------------------------------------
-# the escape construction: no diagonal class sits in a nilpotent normal subgroup
-
-class EscapeReport(NamedTuple):
-    k: int                  # the adjacent position with distinct diagonal ratios
-    witness: object         # s, built inside the normal closure of m
-    target: object          # m itself, or its elementary perturbation
-    chain: tuple            # chain[0] = s, chain[i] = [chain[i-1], target]
-    leading: tuple          # (k,k+1) coefficients of the chain
-    ratio_factor: object    # 1 - u_k / u_{k+1}
-
-
-def commutator_escape(m: ProjElem, depth: int) -> EscapeReport:
-    """Iterated commutators [s, m], [[s, m], m], ... with nonvanishing
-    superdiagonal coefficient r*(1-u)^i, certifying that no projective
-    class outside the unitriangular part normalises into a nilpotent
-    subgroup over an integral domain.
-    """
-    ring, n = m.ring, m.n
-    one = ring.one()
-    ratios = m.diag_ratios()
-    k = next((i + 1 for i, q in enumerate(ratios) if q != one), None)
-    if k is None:
-        raise GroupError("all adjacent diagonal ratios are 1: the class is unipotent")
-    target = m
-    x = m.unipotent_part()
-    if ring.is_zero(x.entry(k, k + 1)):
-        seed = elementary(ring, n, k, k + 1, one)
-        target = ProjElem(seed) * m * ProjElem(seed).inv()
-        x = target.unipotent_part()
-    r = x.entry(k, k + 1)
-    u = target.diag_ratios()[k - 1]
-    factor = ring.sub(one, u)
-    delta = diag_elem(ring, n, k, target.mat.diag[k - 1]) * \
-        diag_elem(ring, n, k + 1, target.mat.diag[k])
-    pd = ProjElem(delta)
-    s = target * (pd * target * pd.inv()).inv()
-    chain = [s]
-    for _ in range(depth - 1):
-        chain.append(chain[-1] * target * chain[-1].inv() * target.inv())
-    leading = tuple(c.unipotent_part().entry(k, k + 1) for c in chain)
-    # chain[i] carries r * factor^(i+1) at position (k, k+1)
-    check = r
-    for coeff in leading:
-        check = ring.mul(check, factor)
-        if coeff != check:
-            raise AssertionError("escape chain disagrees with its closed form")
-        if ring.is_zero(coeff):
-            raise AssertionError("escape chain died; the ring is not a domain?")
-    return EscapeReport(k=k, witness=s, target=target, chain=tuple(chain),
-                        leading=leading, ratio_factor=factor)
-
-
-# ---------------------------------------------------------------------------
-# printing and serialisation
+# printing and parsing
 
 def element_word(m: TriMat) -> str:
     """The ordered word e(i,j;r)... d(i;u)... of a triangular matrix."""
@@ -865,21 +772,3 @@ def parse_element(s: str, ring, n: int) -> TriMat:
     if s[pos:].strip(" *"):
         raise GroupError(f"bad element word {s!r}")
     return out
-
-
-def mat_to_json(m: TriMat) -> dict:
-    return {
-        "n": m.n,
-        "ring": m.ring.tag,
-        "rows": [[m.ring.to_str(v) for v in row] for row in m.rows()],
-    }
-
-
-def mat_from_json(data: dict, ring=None) -> TriMat:
-    from .poly import parse_ring
-    if ring is None:
-        ring = parse_ring(data["ring"])
-    rows = [[ring.parse(v) for v in row] for row in data["rows"]]
-    if len(rows) != data["n"]:
-        raise GroupError("dimension mismatch in matrix JSON")
-    return from_rows(ring, rows)

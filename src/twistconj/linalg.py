@@ -133,13 +133,6 @@ def gf_det(F, rows):
     return det
 
 
-def gf_column_space_rref(F, cols):
-    """Canonical form (rref rows) of the span of the given vectors."""
-    if not cols:
-        return []
-    return gf_rref(F, cols)[0]
-
-
 def gf_intersect_coordinates(F, basis, keep):
     """Intersection of span(basis) with the coordinate subspace supported
     on the index set `keep`; returns a canonical rref basis (full-length
@@ -149,7 +142,7 @@ def gf_intersect_coordinates(F, basis, keep):
     n = len(basis[0])
     out_idx = [i for i in range(n) if i not in keep]
     if not out_idx:
-        return gf_column_space_rref(F, basis)
+        return gf_rref(F, basis)[0]
     # combinations c with sum c_k * basis_k vanishing outside `keep`
     rows = [[b[i] for b in basis] for i in out_idx]
     combos = gf_nullspace(F, rows)
@@ -160,4 +153,4 @@ def gf_intersect_coordinates(F, basis, keep):
             if ck != 0:
                 v = [F.add(x, F.mul(ck, y)) for x, y in zip(v, b)]
         vecs.append(v)
-    return gf_column_space_rref(F, vecs)
+    return gf_rref(F, vecs)[0]

@@ -1,6 +1,7 @@
 """Sparse polynomials and Laurent polynomials over the base rings, the
-ring substitutions t -> a*t+b and t -> 1/t, augmentation maps, and the
-valuation attached to an irreducible polynomial.
+ring substitutions t -> a*t+b and t -> 1/t, augmentation maps,
+divisibility and irreducibility over gf(q)[t], and the difference split
+behind the distinct-class families.
 
 A polynomial is a map {exponent -> nonzero coefficient}; Laurent rings
 allow negative exponents.  Values are immutable, hashable and carry their
@@ -150,9 +151,6 @@ class Poly:
     # ring data ---------------------------------------------------------------
     def coeff(self, e):
         return self.terms.get(e, self.ring.base.zero())
-
-    def support(self):
-        return sorted(self.terms)
 
     @property
     def degree(self):
@@ -366,9 +364,6 @@ class IdentityAuto(RingAutoDesc):
     def is_identity(self):
         return True
 
-    def compose(self, o):
-        return o
-
     def word(self):
         return "t->t"
 
@@ -419,19 +414,6 @@ class PolySub(RingAutoDesc):
             out = out + powers[e].scale(p.terms[e])
         return out
 
-    def compose(self, o):
-        base = self.ring.base
-        if isinstance(o, IdentityAuto):
-            return self
-        if isinstance(o, PolySub):
-            # first o, then self: t -> a*(a'*t+b') + b
-            return PolySub(
-                self.ring,
-                base.mul(self.a, o.a),
-                base.add(base.mul(self.a, o.b), self.b),
-            )
-        raise RingError("cannot compose these substitutions")
-
     def word(self):
         base = self.ring.base
         a, b = base.to_str(self.a), base.to_str(self.b)
@@ -454,13 +436,6 @@ class LaurentFlip(RingAutoDesc):
         if p.ring is not self.ring:
             raise RingError(f"flip defined over {self.ring.tag}, got {p.ring.tag}")
         return p.reversed_var()
-
-    def compose(self, o):
-        if isinstance(o, LaurentFlip):
-            return IdentityAuto()
-        if isinstance(o, IdentityAuto):
-            return self
-        raise RingError("cannot compose these substitutions")
 
     def word(self):
         return "t->t^-1"
@@ -511,7 +486,7 @@ def sign_augmentation(p: Poly) -> int:
 
 
 # ---------------------------------------------------------------------------
-# divisibility and valuations over gf(q)[t]
+# divisibility and irreducibility over gf(q)[t]
 
 def divmod_poly(a: Poly, b: Poly):
     """(q, r) with a = q*b + r, deg r < deg b; field coefficients only."""
@@ -579,33 +554,6 @@ def first_irreducible(F, degree: int) -> Poly:
         if is_irreducible(cand):
             return cand
     raise RingError("no irreducible found")  # unreachable for degree >= 1
-
-
-def adic_valuation(x: Poly, f: Poly):
-    """Largest v with f^v dividing x after clearing powers of t; inf at 0.
-
-    f must be monic, irreducible, non-constant and different from t."""
-    ring = f.ring
-    base = ring.base
-    if ring.laurent:
-        raise RingError("the valuation polynomial lives in gf(q)[t]")
-    if f.degree < 1 or f.terms.get(f.degree) != base.one():
-        raise RingError("valuation needs a monic non-constant polynomial")
-    if base.is_zero(f.coeff(0)):
-        raise RingError("valuation at t is excluded")
-    if not is_irreducible(f):
-        raise RingError(f"{f} is reducible")
-    if x.is_zero():
-        return math.inf
-    plain = poly_ring(base, laurent=False)
-    shifted = plain.make({e - x.low: c for e, c in x.terms.items()})
-    v = 0
-    while True:
-        q, r = divmod_poly(shifted, f)
-        if not r.is_zero():
-            return v
-        shifted = q
-        v += 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ Supported rings, with their canonical text tags:
 
 Every context exposes the same small protocol (zero/one/add/mul/neg/inv,
 unit tests, printing, seeded sampling).  All values are immutable and all
-operations are pure functions, so contexts and values can be shared freely
-across threads and parallel maps.
+operations are pure functions.
 
 Finite fields are realised on integer codes 0..q-1.  For prime q the code
 is the residue itself; for q = p^k the base-p digits of the code are the
@@ -120,9 +119,6 @@ class Ring:
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
-
-    def eq(self, a, b) -> bool:
-        return a == b
 
     def is_unit(self, a) -> bool:
         raise NotImplementedError

@@ -2,8 +2,7 @@
 solvers for the reflection automorphisms, image/cokernel computations on
 truncated coefficient windows, a partition oracle for finite universes
 (orbit closure on finite groups, union-find over all pairs otherwise),
-eigenvalue-1 tests, and the exponent-tuple case search for
-diagonal substitutions.
+and the exponent-tuple case search for diagonal substitutions.
 
 The additive computations run over windows: a window fixes a finite range
 of monomial exponents and treats the corresponding coefficient space as a
@@ -22,7 +21,7 @@ from typing import NamedTuple
 from . import linalg, rings
 from .autos import Automorphism, PairSwap
 from .groups import Additive, AdditivePairs, AffElem, GroupError, TriMat, from_rows
-from .linalg import bareiss_det, det_one_minus
+from .linalg import det_one_minus
 from .poly import Poly, PolyRing, poly_ring
 from .rings import RingError
 
@@ -35,8 +34,8 @@ class LinearWindow:
     as a coordinate space of dimension hi - lo + 1."""
 
     def __init__(self, ring: PolyRing, lo: int, hi: int):
-        if not isinstance(ring.base, rings.GaloisField):
-            raise RingError("windows need gf(q) coefficients")
+        if not (isinstance(ring, PolyRing) and isinstance(ring.base, rings.GaloisField)):
+            raise RingError(f"windows need gf(q)[t] or gf(q)[t,t^-1], not {ring.tag}")
         if lo > hi:
             raise RingError("empty window")
         if lo < 0 and not ring.laurent:
@@ -147,10 +146,6 @@ class MembershipVerdict(NamedTuple):
         return self.decided and self.member
 
 
-def _pair_diff(group, a, b):
-    return group.mul(a, group.inv(b))
-
-
 def additive_membership(r, phi: Automorphism, window, growth=None,
                         max_rounds=8) -> MembershipVerdict:
     """Decide r in Im(id - phi) against a target window.
@@ -197,7 +192,7 @@ def additive_membership(r, phi: Automorphism, window, growth=None,
         inter = linalg.gf_intersect_coordinates(F, cols, keep)
         # canonical form inside the fixed target coordinate space
         proj = [[v[index[p]] for p in target_pos] for v in inter]
-        rref = tuple(tuple(row) for row in linalg.gf_column_space_rref(F, proj))
+        rref = tuple(tuple(row) for row in linalg.gf_rref(F, proj)[0])
         if rref == prev_rref:
             stable += 1
             if stable >= 2:
@@ -606,21 +601,6 @@ def classify_reflection(g, phi) -> ReflectionClass:
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue-1 test
-
-def has_eigenvalue_one(rows) -> bool:
-    """det(I - M) == 0 for a square integer matrix M with det(M) != 0;
-    equivalently the induced map on Z^r has infinitely many twisted
-    classes."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("square matrix required")
-    if bareiss_det(rows) == 0:
-        raise ValueError("the matrix must be invertible over the rationals")
-    return det_one_minus(rows) == 0
-
-
-# ---------------------------------------------------------------------------
 # exponent-tuple case search for diagonal substitutions
 
 class CaseSolution(NamedTuple):
@@ -726,7 +706,7 @@ def pair_distinctness(alpha, pairs, window: PairWindow, growth=None,
     dom = phi.domain
     out = []
     for A, B in pairs:
-        diff = _pair_diff(dom, A, B)
+        diff = _sub_vec(dom, A, B)
         out.append(additive_membership(diff, phi, window, growth=growth,
                                        max_rounds=max_rounds))
     return out
@@ -736,8 +716,8 @@ def pair_distinctness(alpha, pairs, window: PairWindow, growth=None,
 # report shape shared with the command line
 
 def partition_report(experiment, ring_tag, auto_word, universe, count,
-                     classes, stabilized, seed, extra=None):
-    rep = {
+                     classes, stabilized, seed):
+    return {
         "experiment": experiment,
         "ring": ring_tag,
         "auto": auto_word,
@@ -747,6 +727,3 @@ def partition_report(experiment, ring_tag, auto_word, universe, count,
         "stabilized": stabilized,
         "seed": seed,
     }
-    if extra:
-        rep.update(extra)
-    return rep

@@ -3,11 +3,9 @@ import random
 import pytest
 
 from twistconj.autos import (
-    AffineReflect, AugScale, AugShift, BlockCompanion, Central, CenterScale,
-    Compose, Flip, HalfSquare, IdentityMap, Inner, MulBy, PairSwap, RingMap,
-    SigmaFirst, SigmaLast, WindowLinear, induced_diag_action,
-    induced_on_quotient, induced_superdiag_action, make_phi0, parse_auto,
-    verify_homomorphism,
+    AugScale, AugShift, BlockCompanion, Central, CenterScale, Compose, Flip,
+    HalfSquare, IdentityMap, Inner, MulBy, PairSwap, Phi0, RingMap,
+    SigmaFirst, SigmaLast, WindowLinear, parse_auto, verify_homomorphism,
 )
 from twistconj.experiments import RING_TAGS
 from twistconj.groups import (
@@ -16,7 +14,7 @@ from twistconj.groups import (
 )
 from twistconj.poly import PolySub, parse_ring
 from twistconj.rings import RingError, field, localized
-from twistconj.twisted import LinearWindow, reflection_unit
+from twistconj.twisted import LinearWindow
 
 F2T = parse_ring("gf(2)[t]")
 F5T = parse_ring("gf(5)[t]")
@@ -163,7 +161,6 @@ def test_sigma_trivial_on_abelianization():
         for _ in range(200):
             u = U5.random(rng)
             assert superdiagonal(phi.apply(u)) == superdiagonal(u)
-        assert induced_superdiag_action(phi).is_identity()
         assert verify_homomorphism(phi, samples=300, rng=rng).passed
 
 
@@ -187,7 +184,7 @@ def test_make_phi0_examples():
     F5 = field(5)
     aff = Affine(F5)
     phi = Inner(AffElem(F5, F5.one(), F5.one()), aff)
-    phi0 = make_phi0(phi)
+    phi0 = Phi0(phi)
     rng = random.Random(12)
     for _ in range(300):
         g = aff.random(rng)
@@ -197,22 +194,24 @@ def test_make_phi0_examples():
     alpha = PolySub(F5T, 2, 0)
     aff_t = Affine(F5T)
     rm = RingMap(alpha, aff_t)
-    rm0 = make_phi0(rm, aff_t)
+    rm0 = Phi0(rm, aff_t)
     for _ in range(300):
         g = aff_t.random(rng)
         assert rm0.apply(g) == rm.apply(g)
 
-    with pytest.raises(GroupError):
-        make_phi0(AugScale(ZT))                    # kernel not invariant
-    with pytest.raises(GroupError):
-        make_phi0(IdentityMap(Borel(F5T, 3)))      # kernel not abelian
+    with pytest.raises(GroupError, match="kernel is not invariant"):
+        Phi0(AugScale(ZT))
+    with pytest.raises(GroupError, match="non-abelian"):
+        Phi0(IdentityMap(Borel(F5T, 3)))
+    with pytest.raises(GroupError, match="no split decomposition"):
+        Phi0(IdentityMap(Unitriangular(F5T, 3)))
 
 
 def test_make_phi0_contract():
     F5 = field(5)
     aff = Affine(F5)
     phi = Inner(AffElem(F5, 2, 3), aff)
-    phi0 = make_phi0(phi)
+    phi0 = Phi0(phi)
     rng = random.Random(14)
     for _ in range(1000):
         g = aff.random(rng)
@@ -222,41 +221,24 @@ def test_make_phi0_contract():
     assert verify_homomorphism(phi0, samples=500, rng=rng).passed
 
 
-def test_induced_diag_action():
-    phiA = AffineReflect(F4L, reflection_unit(field(4)))
-    act = induced_diag_action(phiA)
-    assert act.matrix == ((-1,),)
-    assert act.det_one_minus() == 2
-    ident = IdentityMap(Affine(F4L, plus=True))
-    act = induced_diag_action(ident)
-    assert act.matrix == ((1,),) and act.det_one_minus() == 0
-    with pytest.raises(GroupError):
-        induced_diag_action(IdentityMap(Borel(F4L, 2)))
-
-
 def test_induced_abelianization_actions():
+    # the action on the abelianization, read off the superdiagonal
     U5 = Unitriangular(F5T, 5)
     z = Central(U5, 1, MulBy(F5T, F5T.gen()))
-    assert induced_on_quotient(z, "abelianization").is_identity()
     fl = Flip(U5)
-    act = induced_on_quotient(fl, "abelianization")
-    assert act.perm == (3, 2, 1, 0)
     alpha = PolySub(F5T, 2, 0)
     comp = Compose([fl, RingMap(alpha, U5)])
-    em = induced_on_quotient(comp, "emid")
-    assert em.indices == (2, 3) and em.swapped
-    r, s = F5T.gen(), F5T.one()
-    out = em.apply(F5T, (r, s))
-    assert out == (alpha.apply(s), alpha.apply(r))
-    # even size: single middle factor, no swap possible
-    U6 = Unitriangular(F5T, 6)
-    em6 = induced_on_quotient(Flip(U6), "emid")
-    assert em6.indices == (3,) and not em6.swapped
     # inner conjugation by a diagonal scales the factors
-    d = ProjElem(diag_elem(F5T, 5, 1, F5T.from_int(2)))
-    act = induced_on_quotient(Inner(d, U5), "abelianization")
-    assert act.apply(F5T, (F5T.one(),) * 4) == \
-        (F5T.from_int(2), F5T.one(), F5T.one(), F5T.one())
+    inner = Inner(ProjElem(diag_elem(F5T, 5, 1, F5T.from_int(2))), U5)
+    two = F5T.from_int(2)
+    rng = random.Random(11)
+    for _ in range(100):
+        u = U5.random(rng)
+        s = superdiagonal(u)
+        assert superdiagonal(z.apply(u)) == s
+        assert superdiagonal(fl.apply(u)) == s[::-1]
+        assert superdiagonal(comp.apply(u)) == tuple(alpha.apply(r) for r in s[::-1])
+        assert superdiagonal(inner.apply(u)) == (two * s[0],) + s[1:]
 
 
 def test_window_linear_endo():
@@ -319,11 +301,3 @@ def test_central_trivial_on_series_factors():
               for (i, j) in nf_positions(5)]
         g = recompose(NormalForm(F5T, 5, tuple(nf)))
         assert gamma_member(z.apply(g) * g.inv(), k + 1)
-
-
-def test_induced_diag_action_multi_generator():
-    ring = localized(6)
-    aff = Affine(ring, plus=True)
-    act = induced_diag_action(IdentityMap(aff))
-    assert act.matrix == ((1, 0), (0, 1))
-    assert act.det_one_minus() == 0 and act.is_identity()

@@ -51,6 +51,9 @@ def test_reidemeister_additive():
     assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
                  "--auto", "mul(1)", "--exp-window", "2",
                  "--expect", "8"]) == UNDECIDED
+    # windows live over gf(q)[t] and gf(q)[t,t^-1] only
+    assert main(["reidemeister", "--ring", "z", "--group", "u2",
+                 "--auto", "mul(1)"]) == USAGE
 
 
 def test_reidemeister_raw_counts_below_q4():
@@ -121,11 +124,17 @@ def test_internal_verification_failure(monkeypatch, capsys):
     assert "internal verification failed" in capsys.readouterr().err
 
 
-def test_unit_equation(tmp_path):
+def test_unit_equation(tmp_path, capsys):
     out = tmp_path / "u.json"
     assert main(["unit-equation", "--w", "6", "--json", str(out)]) == PASS
     data = json.loads(out.read_text())
     assert data["identity_forced"] and data["det_one_minus"] == 0
+    # a report path in a missing directory is a usage error
+    capsys.readouterr()
+    missing = tmp_path / "missing" / "u.json"
+    assert main(["unit-equation", "--w", "6", "--json", str(missing)]) == USAGE
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.parent.exists()
     assert main(["unit-equation", "--w", "6", "--images", "3,2"]) == MISMATCH
     assert main(["unit-equation", "--w", "6", "--images", "5,7"]) == USAGE
 
@@ -182,6 +191,19 @@ def test_reidemeister_config_file(tmp_path):
                                "auto": "phiB(w)", "bogus": 1}))
     assert main(["reidemeister", "--config", str(bad)]) == USAGE
     assert main(["reidemeister", "--auto", "phiB(w)"]) == USAGE
+    # the name is optional; a missing file, a top-level value that is not
+    # an object, a bool where an integer belongs and a ring that is not a
+    # string are usage errors
+    spec = {"ring": "gf(4)[t,t^-1]", "group": "b2plus", "auto": "phiB(w)",
+            "exp_window": 1, "diag_window": 1, "dense": 0, "expect": 4}
+    cfg.write_text(json.dumps(spec))
+    assert main(["reidemeister", "--config", str(cfg)]) == PASS
+    assert main(["reidemeister", "--config", str(tmp_path / "none.json")]) == USAGE
+    bad.write_text("5")
+    assert main(["reidemeister", "--config", str(bad)]) == USAGE
+    for field, value in (("exp_window", True), ("expect", False), ("ring", 5)):
+        bad.write_text(json.dumps({**spec, field: value}))
+        assert main(["reidemeister", "--config", str(bad)]) == USAGE
 
 
 def test_reports_reproduce_bit_for_bit(tmp_path):

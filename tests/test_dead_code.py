@@ -1,0 +1,83 @@
+"""Guards against dead library code.
+
+A top-level function or class of src/twistconj is live when some src
+module names it outside its own definition, or when the benchmark in
+perfbench/ names it (as an attribute, or as a string handed to getattr).
+Names reached only from tests/ do not count.  Every name a src module
+imports must be used in that module.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "twistconj"
+BENCH = ROOT / "perfbench"
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _referenced(node, skip=None):
+    """Identifiers read as names or attributes under node, not descending
+    into the subtree skip."""
+    out = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def _bench_names():
+    out = set()
+    for path in BENCH.glob("*.py"):
+        tree = _parse(path)
+        out |= _referenced(tree)
+        out |= {n.value for n in ast.walk(tree)
+                if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                and n.value.isidentifier()}
+    return out
+
+
+def test_every_top_level_definition_is_reached():
+    trees = {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    bench = _bench_names()
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            used = node.name in bench or any(
+                node.name in _referenced(other, skip=node) for other in trees.values())
+            if not used:
+                dead.append(f"{name}:{node.name}")
+    assert not dead, f"defined but reached by no src module or benchmark: {dead}"
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        # names a package __init__ re-exports through __all__ count as used
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in imports:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.name}:{bound}")
+    assert not unused, f"imported but unused: {unused}"

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -6,11 +5,9 @@ import pytest
 from twistconj import groups
 from twistconj.groups import (
     AffElem, Affine, Borel, CornerDiag, CornerDiagGroup, GroupError,
-    ProjElem, ProjBorel, Unitriangular, aff_from_proj, center_bruteforce,
-    commutator_escape, diag_elem, diag_matrix, element_word, elementary,
-    from_rows, gamma_member, identity, mat_from_json, mat_to_json,
-    normal_form, parse_element, proj_from_aff, recompose, superdiagonal,
-    to_affine,
+    ProjElem, ProjBorel, Unitriangular, center_bruteforce, diag_elem,
+    diag_matrix, element_word, elementary, from_rows, gamma_member, identity,
+    normal_form, parse_element, recompose, superdiagonal, to_affine,
 )
 from twistconj.autos import Flip
 from twistconj.experiments import RING_TAGS, relations_suite
@@ -198,19 +195,6 @@ def test_projective_scalar_invariance():
                     assert ProjElem(m) == ProjElem(m.scaled(u))
 
 
-def test_affine_is_projective_2x2():
-    rng = random.Random(73)
-    A = Affine(F5L)
-    for _ in range(1000):
-        a, b = A.random(rng), A.random(rng)
-        assert proj_from_aff(a * b) == proj_from_aff(a) * proj_from_aff(b)
-        assert aff_from_proj(proj_from_aff(a)) == a
-    P = ProjBorel(F5L, 2)
-    for _ in range(200):
-        g, h = P.random(rng), P.random(rng)
-        assert aff_from_proj(g * h) == aff_from_proj(g) * aff_from_proj(h)
-
-
 def test_to_affine_examples():
     w = CornerDiag(F4L, 3, F4L.zero(), (F4L.one(),) * 3)
     assert to_affine(w).is_identity()
@@ -257,31 +241,6 @@ def test_center_examples():
         center_bruteforce(Borel(F3, 2), budget=3)
 
 
-def test_commutator_escape_diagonal_class():
-    m = ProjElem(diag_elem(F4, 2, 1, F4.gen()))
-    rep = commutator_escape(m, 5)
-    assert len(rep.chain) == 5
-    assert all(not c.is_identity() for c in rep.chain)
-
-
-def test_commutator_escape_formula():
-    m = ProjElem(elementary(F5T, 3, 1, 2, F5T.gen()) *
-                 diag_elem(F5T, 3, 1, F5T.from_int(2)))
-    rep = commutator_escape(m, 8)
-    factor = F5T.from_int(-1)        # 1 - 2 = -1 = 4 over gf(5)
-    assert rep.ratio_factor == F5T.from_int(4) == factor
-    expect = F5T.gen()
-    for coeff in rep.leading:
-        expect = expect * factor
-        assert coeff == expect
-        assert not coeff.is_zero()
-
-
-def test_commutator_escape_rejects_unipotent():
-    with pytest.raises(GroupError):
-        commutator_escape(ProjElem(elementary(F4, 3, 1, 2, 1)), 3)
-
-
 def test_element_word_round_trip():
     rng = random.Random(83)
     for tag in ("gf(4)", "gf(5)[t,t^-1]", "z[1/6]"):
@@ -295,21 +254,6 @@ def test_element_word_round_trip():
         elementary(F4, 2, 1, 2, 2) * diag_elem(F4, 2, 2, 3)
     with pytest.raises(GroupError):
         parse_element("nonsense", F4, 2)
-
-
-def test_matrix_json_round_trip():
-    rng = random.Random(89)
-    for tag in ("gf(2)[t]", "z[t,t^-1]", "gf(9)"):
-        ring = parse_ring(tag)
-        B = Borel(ring, 3)
-        for _ in range(100):
-            m = B.random(rng)
-            data = json.loads(json.dumps(mat_to_json(m)))
-            assert mat_from_json(data) == m
-    bad = mat_to_json(identity(F4, 2))
-    bad["rows"][1][0] = "w"
-    with pytest.raises(GroupError):
-        mat_from_json(bad)
 
 
 def test_enumeration_sizes_and_order():

@@ -14,12 +14,12 @@ from twistconj.groups import (
 )
 from twistconj.linalg import bareiss_det, det_one_minus
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
-from twistconj.rings import RingError, field
+from twistconj.rings import ZZ, RingError, field
 from twistconj.twisted import (
     LinearWindow, PairWindow, _all_pairs_partition, _generating_set, _index_of,
     additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
-    has_eigenvalue_one, pair_distinctness, reflection_unit,
+    pair_distinctness, reflection_unit,
     solve_reflection_corner, twist,
 )
 
@@ -82,6 +82,16 @@ def test_additive_membership_guards():
     with pytest.raises(GroupError):
         additive_membership((F2L.one(), F2L.zero()), phi,
                             PairWindow(LinearWindow(F2L, -1, 1)))
+
+
+def test_linear_window_guards():
+    for ring in (ZZ, F4, parse_ring("z[t]")):
+        with pytest.raises(RingError):
+            LinearWindow(ring, 0, 3)
+    with pytest.raises(RingError):
+        LinearWindow(F2T, 3, 2)                     # empty
+    with pytest.raises(RingError):
+        LinearWindow(F2T, -1, 2)                    # t^-1 is not in gf(2)[t]
 
 
 def test_additive_class_count_examples():
@@ -313,11 +323,10 @@ def _det_fraction(rows):
 
 
 def test_eigenvalue_one():
-    assert has_eigenvalue_one([[1, 0], [0, 1]])
-    assert has_eigenvalue_one([[0, 1], [1, 0]])
-    assert not has_eigenvalue_one([[0, -1], [1, 0]])
-    with pytest.raises(ValueError):
-        has_eigenvalue_one([[1, 1], [1, 1]])        # singular
+    assert det_one_minus([[1, 0], [0, 1]]) == 0
+    assert det_one_minus([[0, 1], [1, 0]]) == 0
+    assert det_one_minus([[0, -1], [1, 0]]) == 2    # rotation: no eigenvalue 1
+    assert bareiss_det([[1, 1], [1, 1]]) == 0
     rng = random.Random(6)
     for _ in range(300):
         n = rng.randint(1, 5)
