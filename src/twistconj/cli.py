@@ -37,16 +37,17 @@ class ExperimentSpec:
     """A named twisted-class experiment: ring, group tag, automorphism
     word, window bounds and an optional expected count.  Built from CLI
     flags or from a JSON config file; every field is validated before the
-    run starts."""
+    run starts.  The name is the report's "experiment" field."""
 
     FIELDS = ("name", "ring", "group", "auto", "exp_window", "diag_window",
               "dense", "expect")
 
-    def __init__(self, name=None, ring=None, group=None, auto=None,
+    def __init__(self, name="reidemeister", ring=None, group=None, auto=None,
                  exp_window=6, diag_window=3, dense=40, expect=None):
         if not ring or not group or not auto:
             raise RingError("experiment needs ring, group and auto")
-        for label, value in (("ring", ring), ("group", group), ("auto", auto)):
+        for label, value in (("name", name), ("ring", ring), ("group", group),
+                             ("auto", auto)):
             if not isinstance(value, str):
                 raise RingError(f"{label} must be a string")
         for label, value in (("exp_window", exp_window),
@@ -55,7 +56,7 @@ class ExperimentSpec:
             # bool is an int subclass: refuse true/false in a config file
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise RingError(f"{label} must be a non-negative integer")
-        self.name = name or "reidemeister"
+        self.name = name
         self.ring = ring
         self.group = group
         self.auto = auto
@@ -169,7 +170,7 @@ def cmd_reidemeister(args):
         print(f"count={cc.count} stabilized={cc.stabilized} "
               f"(dim {cc.dim}, rank {cc.rank}, counts {list(cc.counts_tried)})")
         report = twisted.partition_report(
-            "reidemeister", ring.tag, phi.word(), f"u2 window [{lo},{hi}]",
+            spec.name, ring.tag, phi.word(), f"u2 window [{lo},{hi}]",
             cc.count, [], cc.stabilized, seed)
         _emit(args, report)
         if spec.expect is not None:
@@ -202,7 +203,7 @@ def cmd_reidemeister(args):
         class_list = [{"rep": _elem_str(rep), "witnessed_members": size}
                       for rep, size in part.classes]
         print(f"count={count} complete={part.complete} (raw truncation count)")
-    report = twisted.partition_report("reidemeister", ring.tag, phi.word(),
+    report = twisted.partition_report(spec.name, ring.tag, phi.word(),
                                       uname, count, class_list, stabilized, seed)
     _emit(args, report)
     if spec.expect is not None:

@@ -93,22 +93,6 @@ def gf_solve(F, rows, rhs):
     return x
 
 
-def gf_nullspace(F, rows):
-    """Basis of {x : A x = 0} over gf."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    red, pivots = gf_rref(F, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(red, pivots):
-            v[pc] = F.neg(row[fc])
-        basis.append(v)
-    return basis
-
-
 def gf_det(F, rows):
     a = [list(r) for r in rows]
     n = len(a)
@@ -132,25 +116,3 @@ def gf_det(F, rows):
                 a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[c])]
     return det
 
-
-def gf_intersect_coordinates(F, basis, keep):
-    """Intersection of span(basis) with the coordinate subspace supported
-    on the index set `keep`; returns a canonical rref basis (full-length
-    vectors, zero off `keep`)."""
-    if not basis:
-        return []
-    n = len(basis[0])
-    out_idx = [i for i in range(n) if i not in keep]
-    if not out_idx:
-        return gf_rref(F, basis)[0]
-    # combinations c with sum c_k * basis_k vanishing outside `keep`
-    rows = [[b[i] for b in basis] for i in out_idx]
-    combos = gf_nullspace(F, rows)
-    vecs = []
-    for c in combos:
-        v = [0] * n
-        for ck, b in zip(c, basis):
-            if ck != 0:
-                v = [F.add(x, F.mul(ck, y)) for x, y in zip(v, b)]
-        vecs.append(v)
-    return gf_rref(F, vecs)[0]

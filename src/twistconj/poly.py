@@ -77,9 +77,6 @@ class PolyRing(Ring):
     def from_int(self, k):
         return self.constant(self.base.from_int(k))
 
-    def char(self):
-        return self.base.char()
-
     def is_zero(self, a):
         return not a.terms
 

@@ -145,9 +145,6 @@ class Ring:
             out = self.add(out, one)
         return self.neg(out) if sign else out
 
-    def char(self) -> int:
-        return 0
-
     def to_str(self, a) -> str:
         raise NotImplementedError
 
@@ -159,13 +156,6 @@ class Ring:
 
     def random_unit(self, rng):
         raise NotImplementedError
-
-    def random_nonzero(self, rng):
-        for _ in range(1000):
-            a = self.random(rng)
-            if not self.is_zero(a):
-                return a
-        raise RingError("sampling produced only zero")
 
     def unit_group(self) -> "UnitGroup":
         raise NotImplementedError
@@ -322,9 +312,6 @@ class GaloisField(Ring):
 
     def from_int(self, k):
         return k % self.p
-
-    def char(self):
-        return self.p
 
     def elements(self):
         return range(self.q)

@@ -6,10 +6,15 @@ and the exponent-tuple case search for diagonal substitutions.
 
 The additive computations run over windows: a window fixes a finite range
 of monomial exponents and treats the corresponding coefficient space as a
-vector space over gf(q).  Deciding membership of r in the image of
-(id - phi) grows the solving window until the image intersected with the
-target window stops moving twice in a row; "undecided" is an explicit
-outcome, never silently converted into an answer.
+vector space over gf(q); a pair window does the same for R x R.  Deciding
+membership of r in the image of (id - phi) grows the solving window
+round by round.  Each round is one elimination of the images of the
+solving basis, with the coordinates outside the target window ordered
+first and the target window's last: r is a member when it reduces to zero
+there, and otherwise the reduced rows that start inside the target window
+are the canonical basis of the image intersected with it.  The growth
+stops when that basis stays the same twice in a row; "undecided" is an
+explicit outcome, never silently converted into an answer.
 """
 
 from __future__ import annotations
@@ -29,9 +34,58 @@ from .rings import RingError
 # ---------------------------------------------------------------------------
 # windows
 
-class LinearWindow:
+class _Window:
+    """A finite coordinate space of monomial positions over gf(q).
+
+    Both kinds of window speak one protocol: `positions()` gives the
+    coordinate keys in window order, `terms(x)` maps a vector to
+    {key: coefficient}, `make(terms)` builds the vector back, `bounds` is
+    the exponent range (lo, hi) and `span` its length.  The coordinate
+    routines below are written once against that protocol."""
+
+    def __init__(self, ring, positions, bounds):
+        self.ring = ring
+        self.bounds = bounds
+        self.span = bounds[1] - bounds[0] + 1
+        self._positions = tuple(positions)
+        self._keys = frozenset(self._positions)
+        self.dim = len(self._positions)
+
+    @property
+    def field(self):
+        return self.ring.base
+
+    def positions(self):
+        return self._positions
+
+    def basis(self):
+        one = self.field.one()
+        return [self.make({k: one}) for k in self._positions]
+
+    def contains(self, x) -> bool:
+        return self._keys.issuperset(self.terms(x))
+
+    def coords(self, x):
+        if not self.contains(x):
+            raise RingError("support leaves the window")
+        terms, z = self.terms(x), self.field.zero()
+        return [terms.get(k, z) for k in self._positions]
+
+    def from_coords(self, cs):
+        return self.make(dict(zip(self._positions, cs)))
+
+    def elements(self):
+        for cs in product(self.field.elements(), repeat=self.dim):
+            yield self.from_coords(cs)
+
+    def random(self, rng):
+        return self.make({k: self.field.random(rng) for k in self._positions})
+
+
+class LinearWindow(_Window):
     """The monomials t^lo .. t^hi of a gf(q)-coefficient polynomial ring,
-    as a coordinate space of dimension hi - lo + 1."""
+    as a coordinate space of dimension hi - lo + 1; the keys are the
+    exponents."""
 
     def __init__(self, ring: PolyRing, lo: int, hi: int):
         if not (isinstance(ring, PolyRing) and isinstance(ring.base, rings.GaloisField)):
@@ -40,85 +94,43 @@ class LinearWindow:
             raise RingError("empty window")
         if lo < 0 and not ring.laurent:
             raise RingError(f"negative exponents outside {ring.tag}")
-        self.ring = ring
+        super().__init__(ring, range(lo, hi + 1), (lo, hi))
         self.lo, self.hi = lo, hi
-        self.dim = hi - lo + 1
 
-    @property
-    def field(self):
-        return self.ring.base
+    def terms(self, p: Poly):
+        return p.terms
 
-    def positions(self):
-        return range(self.lo, self.hi + 1)
-
-    def basis(self):
-        one = self.field.one()
-        return [self.ring.monomial(one, e) for e in self.positions()]
-
-    def contains(self, p: Poly) -> bool:
-        return all(self.lo <= e <= self.hi for e in p.terms)
-
-    def coords(self, p: Poly):
-        if not self.contains(p):
-            raise RingError("support leaves the window")
-        z = self.field.zero()
-        return [p.terms.get(e, z) for e in self.positions()]
-
-    def from_coords(self, cs):
-        return self.ring.make({self.lo + i: c for i, c in enumerate(cs)})
+    def make(self, terms):
+        return self.ring.make(terms)
 
     def grow(self, step: int) -> "LinearWindow":
         lo = self.lo - step if self.ring.laurent else max(0, self.lo - step)
         return LinearWindow(self.ring, lo, self.hi + step)
 
-    def elements(self):
-        pos = self.positions()
-        for cs in product(self.field.elements(), repeat=self.dim):
-            yield self.ring.make(dict(zip(pos, cs)))
-
-    def random(self, rng):
-        return self.ring.make({e: self.field.random(rng) for e in self.positions()})
-
     def __repr__(self):
         return f"window({self.ring.tag}, [{self.lo}, {self.hi}])"
 
 
-class PairWindow:
-    """Two copies of a window; vectors are pairs of polynomials."""
+class PairWindow(_Window):
+    """Two copies of a window; vectors are pairs of polynomials and the
+    keys are (side, exponent), side 0 first."""
 
     def __init__(self, win: LinearWindow):
+        super().__init__(win.ring, [(side, e) for side in (0, 1) for e in win.positions()],
+                         win.bounds)
         self.win = win
-        self.ring = win.ring
-        self.dim = 2 * win.dim
 
-    @property
-    def field(self):
-        return self.win.field
+    def terms(self, x):
+        return {(side, e): c for side in (0, 1) for e, c in x[side].terms.items()}
 
-    def contains(self, x):
-        return self.win.contains(x[0]) and self.win.contains(x[1])
-
-    def coords(self, x):
-        return self.win.coords(x[0]) + self.win.coords(x[1])
-
-    def from_coords(self, cs):
-        half = self.win.dim
-        return (self.win.from_coords(cs[:half]), self.win.from_coords(cs[half:]))
-
-    def basis(self):
-        zero = self.ring.zero()
-        out = [(b, zero) for b in self.win.basis()]
-        out += [(zero, b) for b in self.win.basis()]
-        return out
+    def make(self, terms):
+        sides = ({}, {})
+        for (side, e), c in terms.items():
+            sides[side][e] = c
+        return (self.ring.make(sides[0]), self.ring.make(sides[1]))
 
     def grow(self, step):
         return PairWindow(self.win.grow(step))
-
-    def elements(self):
-        return product(self.win.elements(), repeat=2)
-
-    def random(self, rng):
-        return (self.win.random(rng), self.win.random(rng))
 
     def __repr__(self):
         return f"pair {self.win!r}"
@@ -146,13 +158,24 @@ class MembershipVerdict(NamedTuple):
         return self.decided and self.member
 
 
-def additive_membership(r, phi: Automorphism, window, growth=None,
-                        max_rounds=8) -> MembershipVerdict:
-    """Decide r in Im(id - phi) against a target window.
+# growths of the solving window before a membership verdict is left undecided
+MAX_ROUNDS = 8
 
-    The solving window grows by `growth` (default twice the window span)
-    until either a witness appears or the image intersected with the
-    target window is unchanged twice in a row.
+
+def additive_membership(r, phi: Automorphism, window, growth=None) -> MembershipVerdict:
+    """Decide r in Im(id - phi) against a target window W.
+
+    Each round does one elimination: the images b - phi(b) of the solving
+    window's basis are the rows, over the ambient coordinates ordered with
+    the positions outside W first (sorted) and W's positions last (in
+    window order), and gf_rref brings them to reduced form.  r is a member
+    exactly when it reduces to zero against those rows; only then does
+    gf_solve find the witness h, which is re-verified as r = h - phi(h).
+    Otherwise the rows whose pivot falls in the W block, cut to W, are the
+    canonical basis of the intersection of Im(id - phi) with W.  The
+    solving window grows by `growth` (default twice the window span) until
+    that basis is unchanged twice in a row, or MAX_ROUNDS growths leave
+    the verdict undecided.
     """
     pairs = isinstance(window, PairWindow)
     dom = phi.domain
@@ -163,74 +186,48 @@ def additive_membership(r, phi: Automorphism, window, growth=None,
     if not window.contains(r):
         raise RingError("target vector leaves the window")
     F = window.field
-    ring = window.ring
-    span = window.win.dim if pairs else window.dim
-    step = growth if growth is not None else 2 * span
-    target_pos = _positions_of(window)
+    step = growth if growth is not None else 2 * window.span
+    target = window.positions()
     tried = []
-    prev_rref = None
+    prev_canon = None
     stable = 0
     source = window
-    for _ in range(max_rounds + 1):
-        tried.append(_bounds_of(source))
-        basis = source.basis()
-        images = [_sub_vec(dom, b, phi.apply(b)) for b in basis]
-        ambient = sorted(set(target_pos)
-                         | {p for img in images for p in _support_of(img)}
-                         | set(_support_of(r)))
-        index = {p: i for i, p in enumerate(ambient)}
-        cols = [_ambient_coords(img, ambient, index, F) for img in images]
-        rhs = _ambient_coords(r, ambient, index, F)
-        rows = [[col[i] for col in cols] for i in range(len(ambient))]
-        sol = linalg.gf_solve(F, rows, rhs) if rows else None
-        if sol is not None:
-            h = source.from_coords(sol)
+    for _ in range(MAX_ROUNDS + 1):
+        tried.append(source.bounds)
+        images = [window.terms(_sub_vec(dom, b, phi.apply(b))) for b in source.basis()]
+        outside = sorted({k for img in images for k in img} - set(target))
+        index = {k: i for i, k in enumerate(outside + list(target))}
+        rows = [_dense(img, index) for img in images]
+        red, pivots = linalg.gf_rref(F, rows)
+        rhs = _dense(window.terms(r), index)
+        rest = rhs
+        for row, c in zip(red, pivots):
+            if rest[c]:
+                f = rest[c]
+                rest = [F.sub(x, F.mul(f, y)) for x, y in zip(rest, row)]
+        if not any(rest):
+            h = source.from_coords(linalg.gf_solve(F, list(zip(*rows)), rhs))
             if _sub_vec(dom, h, phi.apply(h)) != r:
                 raise AssertionError("membership witness failed re-verification")
             return MembershipVerdict(True, True, h, tuple(tried))
-        keep = {index[p] for p in target_pos}
-        inter = linalg.gf_intersect_coordinates(F, cols, keep)
-        # canonical form inside the fixed target coordinate space
-        proj = [[v[index[p]] for p in target_pos] for v in inter]
-        rref = tuple(tuple(row) for row in linalg.gf_rref(F, proj)[0])
-        if rref == prev_rref:
+        cut = len(outside)
+        canon = tuple(tuple(row[cut:]) for row, c in zip(red, pivots) if c >= cut)
+        if canon == prev_canon:
             stable += 1
             if stable >= 2:
                 return MembershipVerdict(True, False, None, tuple(tried))
         else:
             stable = 0
-        prev_rref = rref
+        prev_canon = canon
         source = source.grow(step)
     return MembershipVerdict(False, False, None, tuple(tried))
 
 
-def _positions_of(window):
-    if isinstance(window, PairWindow):
-        return [(0, e) for e in window.win.positions()] + \
-               [(1, e) for e in window.win.positions()]
-    return list(window.positions())
-
-
-def _bounds_of(window):
-    w = window.win if isinstance(window, PairWindow) else window
-    return (w.lo, w.hi)
-
-
-def _support_of(x):
-    if isinstance(x, tuple):
-        return [(0, e) for e in x[0].terms] + [(1, e) for e in x[1].terms]
-    return list(x.terms)
-
-
-def _ambient_coords(x, ambient, index, F):
-    out = [F.zero()] * len(ambient)
-    if isinstance(x, tuple):
-        for side in (0, 1):
-            for e, c in x[side].terms.items():
-                out[index[(side, e)]] = c
-    else:
-        for e, c in x.terms.items():
-            out[index[e]] = c
+def _dense(terms, index):
+    """The coordinate vector, in the order of `index`, of {key: coefficient}."""
+    out = [0] * len(index)
+    for k, c in terms.items():
+        out[index[k]] = c
     return out
 
 
@@ -262,8 +259,7 @@ def additive_class_count(phi: Automorphism, window, rounds=2) -> ClassCount:
         counts.append(window.field.q ** (dim - rank))
         if first is None:
             first = (dim, rank, counts[0])
-        src = src.grow(block * max(1, (src.win.dim if isinstance(src, PairWindow)
-                                       else src.dim) // 2))
+        src = src.grow(block * max(1, src.span // 2))
     return ClassCount(
         count=counts[0],
         stabilized=all(c == counts[0] for c in counts),
@@ -698,8 +694,7 @@ def case_analysis(f: Poly, box: int) -> CaseReport:
 # ---------------------------------------------------------------------------
 # distinctness of pairs under the swap automorphism
 
-def pair_distinctness(alpha, pairs, window: PairWindow, growth=None,
-                      max_rounds=8):
+def pair_distinctness(alpha, pairs, window: PairWindow):
     """Membership verdicts for (A - B) in Im(id - tau_alpha) for each
     (A, B) in pairs; 'not member, decided' certifies distinct classes."""
     phi = PairSwap(alpha, window.ring)
@@ -707,8 +702,7 @@ def pair_distinctness(alpha, pairs, window: PairWindow, growth=None,
     out = []
     for A, B in pairs:
         diff = _sub_vec(dom, A, B)
-        out.append(additive_membership(diff, phi, window, growth=growth,
-                                       max_rounds=max_rounds))
+        out.append(additive_membership(diff, phi, window))
     return out
 
 

@@ -24,6 +24,13 @@ ZT = parse_ring("z[t]")
 ZL = parse_ring("z[t,t^-1]")
 
 
+def _random_nonzero(ring, rng):
+    a = ring.random(rng)
+    while ring.is_zero(a):
+        a = ring.random(rng)
+    return a
+
+
 def test_flip_examples():
     U3 = Unitriangular(F5T, 3)
     fl = Flip(U3)
@@ -67,7 +74,7 @@ def test_flip_closed_form_matches_normal_form_product(tag):
             u = U.random(rng)
             assert fl.apply(u) == _flip_by_normal_form(u)
         for i, j in nf_positions(n):
-            r = ring.random_nonzero(rng)
+            r = _random_nonzero(ring, rng)
             image = r if (j - i - 1) % 2 == 0 else ring.neg(r)
             assert fl.apply(elementary(ring, n, i, j, r)) == \
                 elementary(ring, n, n + 1 - j, n + 1 - i, image)

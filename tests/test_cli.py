@@ -201,9 +201,19 @@ def test_reidemeister_config_file(tmp_path):
     assert main(["reidemeister", "--config", str(tmp_path / "none.json")]) == USAGE
     bad.write_text("5")
     assert main(["reidemeister", "--config", str(bad)]) == USAGE
-    for field, value in (("exp_window", True), ("expect", False), ("ring", 5)):
+    for field, value in (("exp_window", True), ("expect", False), ("ring", 5),
+                         ("name", 5)):
         bad.write_text(json.dumps({**spec, field: value}))
         assert main(["reidemeister", "--config", str(bad)]) == USAGE
+    # the name is the report's experiment field, and nothing else
+    reports = []
+    for name in ("first", "second"):
+        cfg.write_text(json.dumps({**spec, "name": name}))
+        out = tmp_path / f"{name}.json"
+        assert main(["reidemeister", "--config", str(cfg), "--json", str(out)]) == PASS
+        reports.append(json.loads(out.read_text()))
+    assert [r.pop("experiment") for r in reports] == ["first", "second"]
+    assert reports[0] == reports[1]
 
 
 def test_reports_reproduce_bit_for_bit(tmp_path):

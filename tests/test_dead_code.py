@@ -1,10 +1,14 @@
 """Guards against dead library code.
 
 A top-level function or class of src/twistconj is live when some src
-module names it outside its own definition, or when the benchmark in
-perfbench/ names it (as an attribute, or as a string handed to getattr).
-Names reached only from tests/ do not count.  Every name a src module
-imports must be used in that module.
+module reads its name outside its own definition, or when the benchmark
+in perfbench/ reads it (as an attribute, or as a string handed to
+getattr).  A method of a src class (dunders aside) is live when its name
+is read as an attribute, a name or an identifier string in src outside
+its own definition, or anywhere in perfbench/; a method is matched by
+name alone, so one read keeps every method of that name.  Names reached
+only from tests/ do not count.  Every name a src module imports must be
+used in that module.
 """
 
 import ast
@@ -19,36 +23,40 @@ def _parse(path):
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _referenced(node, skip=None):
-    """Identifiers read as names or attributes under node, not descending
-    into the subtree skip."""
+def _referenced(node, skip=None, strings=False):
+    """Identifiers read as names or attributes under node, and with
+    strings=True the identifier strings too, not descending into the
+    subtree skip."""
     out = set()
     stack = [node]
     while stack:
         n = stack.pop()
         if n is skip:
             continue
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             out.add(n.attr)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str) \
+                and n.value.isidentifier():
+            out.add(n.value)
         stack.extend(ast.iter_child_nodes(n))
     return out
+
+
+def _src_trees():
+    return {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
 
 
 def _bench_names():
     out = set()
     for path in BENCH.glob("*.py"):
-        tree = _parse(path)
-        out |= _referenced(tree)
-        out |= {n.value for n in ast.walk(tree)
-                if isinstance(n, ast.Constant) and isinstance(n.value, str)
-                and n.value.isidentifier()}
+        out |= _referenced(_parse(path), strings=True)
     return out
 
 
 def test_every_top_level_definition_is_reached():
-    trees = {path.name: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    trees = _src_trees()
     bench = _bench_names()
     dead = []
     for name, tree in trees.items():
@@ -60,6 +68,26 @@ def test_every_top_level_definition_is_reached():
             if not used:
                 dead.append(f"{name}:{node.name}")
     assert not dead, f"defined but reached by no src module or benchmark: {dead}"
+
+
+def test_every_method_is_reached():
+    trees = _src_trees()
+    bench = _bench_names()
+    dead = []
+    for name, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        or (node.name.startswith("__") and node.name.endswith("__")):
+                    continue
+                used = node.name in bench or any(
+                    node.name in _referenced(other, skip=node, strings=True)
+                    for other in trees.values())
+                if not used:
+                    dead.append(f"{name}:{cls.name}.{node.name}")
+    assert not dead, f"methods reached by no src module or benchmark: {dead}"
 
 
 def test_every_import_is_used():

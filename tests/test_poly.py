@@ -7,7 +7,7 @@ from twistconj.poly import (
     divmod_poly, first_irreducible, is_irreducible, parse_ring,
     parse_ring_auto, poly_ring, sign_augmentation, twist_split,
 )
-from twistconj.rings import RingError, field
+from twistconj.rings import IntegerRing, RingError, field
 
 F2T = parse_ring("gf(2)[t]")
 F3T = parse_ring("gf(3)[t]")
@@ -70,7 +70,7 @@ def test_text_round_trip(tag):
         p = ring.random(rng)
         assert ring.parse(str(p)) == p
     s = "3*t^-2 + 1 + 2*t^5"
-    if ring.laurent and ring.base.char() == 0:
+    if ring.laurent and isinstance(ring.base, IntegerRing):
         assert str(ring.parse(s)) == s
 
 

@@ -11,6 +11,13 @@ from twistconj.rings import (
 ALL_TAGS = ["gf(4)", "gf(5)[t]", "gf(5)[t,t^-1]", "z", "z[1/6]", "z[t]", "z[t,t^-1]"]
 
 
+def _random_nonzero(ring, rng):
+    a = ring.random(rng)
+    while ring.is_zero(a):
+        a = ring.random(rng)
+    return a
+
+
 def gf4_oracle_mul(a, b):
     """Independent product: polynomial multiplication mod x^2 + x + 1."""
     da = (a % 2, a // 2)
@@ -81,8 +88,8 @@ def test_no_zero_divisors_sampled(tag):
     ring = parse_ring(tag)
     rng = random.Random(13)
     for _ in range(1000):
-        a = ring.random_nonzero(rng)
-        b = ring.random_nonzero(rng)
+        a = _random_nonzero(ring, rng)
+        b = _random_nonzero(ring, rng)
         assert not ring.is_zero(ring.mul(a, b))
 
 

@@ -75,6 +75,43 @@ def test_additive_membership_examples():
     assert v.decided and not v.member
 
 
+def test_membership_rounds_are_pinned():
+    """Windows tried, verdicts and witnesses of fixed inputs, as computed
+    before membership became one block-ordered elimination per round."""
+    got = list(experiments.family_verdicts(PolySub(F3T, 1, 1),
+                                           experiments.family_exponents(3, 2)))
+    assert got == [                                 # criterion 6, p = 3
+        (8, 2, (True, False, None, ((0, 8), (0, 20), (0, 32)))),
+        (14, 2, (True, False, None, ((0, 14), (0, 26), (0, 38)))),
+        (14, 8, (True, False, None, ((0, 14), (0, 26), (0, 38)))),
+    ]
+
+    shift = RingMap(PolySub(F2T, 1, 1), Additive(F2T))
+    win = LinearWindow(F2T, 0, 4)
+    assert additive_membership(F2T.gen(), shift, win) == \
+        (True, False, None, ((0, 4), (0, 14), (0, 24), (0, 34)))
+    for r, h in (("t^2+t^4", "t^3+t^5"), ("1+t+t^4", "t^5")):
+        assert additive_membership(F2T.parse(r), shift, win) == \
+            (True, True, F2T.parse(h), ((0, 4), (0, 14)))
+
+    flip = RingMap(LaurentFlip(F2L), Additive(F2L))
+    win = LinearWindow(F2L, -5, 5)
+    assert additive_membership(F2L.parse("t^3+t^-3"), flip, win) == \
+        (True, True, F2L.parse("t^-3"), ((-5, 5),))
+    assert additive_membership(F2L.parse("t^3+t"), flip, win) == \
+        (True, False, None, ((-5, 5), (-27, 27), (-49, 49)))
+
+    t2, zero = F3L.parse("t^2"), F3L.zero()
+    verdicts = pair_distinctness(
+        LaurentFlip(F3L),
+        [((t2, zero), (zero, -F3L.gen())), ((t2, zero), (zero, F3L.parse("t^-2")))],
+        PairWindow(LinearWindow(F3L, -5, 5)))
+    assert verdicts == [
+        (True, False, None, ((-5, 5), (-27, 27), (-49, 49))),
+        (True, True, (t2, zero), ((-5, 5),)),
+    ]
+
+
 def test_additive_membership_guards():
     phi = IdentityMap(Additive(F2T))
     with pytest.raises(RingError):
