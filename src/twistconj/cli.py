@@ -165,7 +165,7 @@ def cmd_reidemeister(args):
         if not isinstance(phi.domain, Additive):
             raise GroupError("group u2 needs an additive automorphism word")
         lo = -ew if getattr(ring, "laurent", False) else 0
-        hi = ew + (-(ew - lo + 1)) % getattr(phi, "block_size", 1)
+        hi = ew + (-(ew - lo + 1)) % phi.block_size
         cc = additive_class_count(phi, LinearWindow(ring, lo, hi))
         print(f"count={cc.count} stabilized={cc.stabilized} "
               f"(dim {cc.dim}, rank {cc.rank}, counts {list(cc.counts_tried)})")

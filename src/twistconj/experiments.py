@@ -49,8 +49,8 @@ class ExperimentResult(NamedTuple):
         return f"[{mark}] {self.name}: {self.detail} ({self.elapsed:.2f}s)"
 
 
-def _result(name, passed, detail, t0, report=None):
-    return ExperimentResult(name, passed, detail, time.time() - t0, report or {})
+def _result(name, passed, detail, t0):
+    return ExperimentResult(name, passed, detail, time.time() - t0, {})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Upper triangular matrix groups over a base ring: elements, normal
-forms, the series and center machinery, affine and projective variants,
-and finite enumerations.
+forms, the series machinery, affine and projective variants, finite
+enumerations, and the one routine that reads a generating set off a
+finite enumeration, shared by the centers here and the partition oracle
+of the twisted module.
 
 A TriMat keeps the diagonal as a tuple of units and the strictly upper
 part as a sparse {(i,j): value} map (1-based, i < j).  Everything is
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import re
 from itertools import product
+from math import gcd
 from typing import NamedTuple
 
 class GroupError(ValueError):
@@ -455,9 +458,6 @@ class Group:
     def elements(self):
         raise NotImplementedError("not a finite enumeration")
 
-    def generators(self):
-        raise NotImplementedError
-
     def __repr__(self):
         return self.name
 
@@ -470,6 +470,17 @@ def _field_units_in_exp_order(F):
         out.append(x)
         x = F.mul(x, g)
     return out
+
+
+def _random_unit(ring, plus, rng):
+    """A random unit of the ring; with plus, a random product of powers
+    of its torsion-free unit generators (the diagonal of a '+' group)."""
+    if not plus:
+        return ring.random_unit(rng)
+    u = ring.one()
+    for g in ring.torsion_free_units():
+        u = ring.mul(u, ring.pow_unit(g, rng.randint(-3, 3)))
+    return u
 
 
 class Additive(Group):
@@ -542,13 +553,6 @@ class Unitriangular(Group):
         for cs in product(F.elements(), repeat=len(nf_positions(self.n))):
             yield recompose(NormalForm(F, self.n, cs))
 
-    def generators(self):
-        out = []
-        for i in range(1, self.n):
-            for b in self.ring.additive_gens():
-                out.append(elementary(self.ring, self.n, i, i + 1, b))
-        return out
-
 
 class Borel(Group):
     def __init__(self, ring, n, plus=False):
@@ -560,19 +564,10 @@ class Borel(Group):
     def identity(self):
         return identity(self.ring, self.n)
 
-    def _random_unit(self, rng):
-        ring = self.ring
-        if not self.plus:
-            return ring.random_unit(rng)
-        tf = ring.unit_group().torsion_free
-        u = ring.one()
-        for g in tf:
-            u = ring.mul(u, ring.pow_unit(g, rng.randint(-3, 3)))
-        return u
-
     def random(self, rng):
         u = Unitriangular(self.ring, self.n).random(rng)
-        d = diag_matrix(self.ring, self.n, [self._random_unit(rng) for _ in range(self.n)])
+        d = diag_matrix(self.ring, self.n,
+                        [_random_unit(self.ring, self.plus, rng) for _ in range(self.n)])
         return u * d
 
     def contains(self, x):
@@ -593,15 +588,6 @@ class Borel(Group):
         for u in Unitriangular(F, self.n).elements():
             for d in product(units, repeat=self.n):
                 yield u * diag_matrix(F, self.n, d)
-
-    def generators(self):
-        out = Unitriangular(self.ring, self.n).generators()
-        ug = self.ring.unit_group()
-        gens = ug.torsion_free if self.plus else (tuple(ug.torsion) + tuple(ug.torsion_free))
-        for i in range(1, self.n + 1):
-            for g in gens:
-                out.append(diag_elem(self.ring, self.n, i, g))
-        return out
 
 
 class ProjBorel(Group):
@@ -628,9 +614,6 @@ class ProjBorel(Group):
             for d in product(units, repeat=self.n - 1):
                 yield ProjElem(u * diag_matrix(F, self.n, (F.one(),) + d))
 
-    def generators(self):
-        return [ProjElem(g) for g in self._borel.generators()]
-
 
 class Affine(Group):
     def __init__(self, ring, plus=False):
@@ -640,11 +623,9 @@ class Affine(Group):
     def identity(self):
         return AffElem(self.ring, self.ring.one(), self.ring.zero())
 
-    def _random_unit(self, rng):
-        return Borel(self.ring, 2, self.plus)._random_unit(rng)
-
     def random(self, rng):
-        return AffElem(self.ring, self._random_unit(rng), self.ring.random(rng))
+        return AffElem(self.ring, _random_unit(self.ring, self.plus, rng),
+                       self.ring.random(rng))
 
     def contains(self, x):
         if not (isinstance(x, AffElem) and x.ring is self.ring):
@@ -659,13 +640,6 @@ class Affine(Group):
         for r in F.elements():
             for u in units:
                 yield AffElem(F, u, r)
-
-    def generators(self):
-        ug = self.ring.unit_group()
-        gens = ug.torsion_free if self.plus else (tuple(ug.torsion) + tuple(ug.torsion_free))
-        out = [AffElem(self.ring, self.ring.one(), b) for b in self.ring.additive_gens()]
-        out += [AffElem(self.ring, g, self.ring.zero()) for g in gens]
-        return out
 
 
 class CornerDiagGroup(Group):
@@ -693,39 +667,109 @@ class CornerDiagGroup(Group):
             for d in product(units, repeat=self.n - 1):
                 yield CornerDiag(F, self.n, r, (F.one(),) + d)
 
-    def generators(self):
-        F = self.ring
-        out = [CornerDiag(F, self.n, b, (F.one(),) * self.n) for b in F.additive_gens()]
-        units = F.unit_group().torsion + F.unit_group().torsion_free
-        for i in range(1, self.n):
-            for g in units:
-                d = [F.one()] * self.n
-                d[i] = g
-                out.append(CornerDiag(F, self.n, F.zero(), d))
-        return out
-
 
 # ---------------------------------------------------------------------------
-# centers
+# generating sets and centers of finite enumerations
 
-def center_bruteforce(group: Group, budget: int = 10 ** 6, full_pairs: bool = False):
-    """The exact center of a finite enumeration.
+def generating_set(els, index, group):
+    """Generators of the universe els, or None when it lacks the identity
+    or a product leaves it; `index` holds the elements of els (a set, or a
+    dict keyed by them).  While the subgroup H generated so far is not the
+    universe, the next generator s is an element outside H whose powers
+    take the longest to fall into H (the earliest in list order on a tie),
+    and H is extended by right multiplication: old members by s, new
+    members by every generator.  A finite set holding the identity and
+    closed under these products is the group they generate.
 
-    Commuting against a generating set is equivalent to commuting against
-    every element (the centralizer of a generating set is the centralizer
-    of the group); full_pairs forces the quadratic check instead.
+    Taking the longest reach first keeps S small, and on the oracle's
+    windows and on B2(gf(4)) makes |S|, hence the cost of the orbit
+    closure, the same however the universe is ordered; taking each
+    element not yet in H in list order gives B2(gf(4)) two or three
+    generators depending on the shuffle."""
+    e = group.identity()
+    if e not in index:
+        return None
+    orders = _element_orders(els, index, group, e)
+    if orders is None:
+        return None
+    members, seen, gens = [e], {e}, []
+    while len(members) < len(index):
+        gens.append(_longest_reach(els, seen, orders, group))
+        old = len(members)
+        i = 0
+        while i < len(members):
+            for s in (gens[-1:] if i < old else gens):
+                p = group.mul(members[i], s)
+                if p not in index:
+                    return None
+                if p not in seen:
+                    seen.add(p)
+                    members.append(p)
+            i += 1
+    return gens
+
+
+def _element_orders(els, index, group, e):
+    """{x: order of x} over the universe, or None when a power leaves it.
+    One walk x, x^2, ..., x^n = e gives every power its order n / gcd(k, n)."""
+    orders = {e: 1}
+    for x in els:
+        if x in orders:
+            continue
+        powers = [x]
+        while powers[-1] != e:
+            p = group.mul(powers[-1], x)
+            if p not in index:
+                return None
+            powers.append(p)
+        n = len(powers)
+        for k, p in enumerate(powers, start=1):
+            orders.setdefault(p, n // gcd(k, n))
+    return orders
+
+
+def _longest_reach(els, seen, orders, group):
+    """The element outside the subgroup `seen` whose reach, the least m
+    with x^m in the subgroup, is largest; the earliest on a tie.  A reach
+    is at most the order of x, so an element whose order is no more than
+    the best reach so far is skipped."""
+    best, reach = None, 1
+    for x in els:
+        if orders[x] <= reach or x in seen:
+            continue
+        m, p = 1, x
+        while p not in seen:
+            p = group.mul(p, x)
+            m += 1
+        if m > reach:
+            best, reach = x, m
+    return best
+
+
+# the most elements center_bruteforce enumerates before it refuses the group
+MAX_CENTER_ELEMENTS = 10 ** 6
+
+
+def center_bruteforce(group: Group, full_pairs: bool = False):
+    """The exact center of a finite enumeration, in enumeration order.
+
+    Each element is commuted against the generating set that
+    generating_set reads off the enumeration: the centralizer of a
+    generating set is the centralizer of the group.  full_pairs commutes
+    against every element instead, the quadratic reference.  An
+    enumeration longer than MAX_CENTER_ELEMENTS is refused with a
+    GroupError; one that lacks the identity or is not closed under
+    products is a fault of the enumeration and raises AssertionError.
     """
     els = []
     for k, g in enumerate(group.elements()):
-        if k >= budget:
+        if k >= MAX_CENTER_ELEMENTS:
             raise GroupError("enumeration budget exceeded")
         els.append(g)
-    tests = els if full_pairs else group.generators()
-    out = []
-    for g in els:
-        if all(group.mul(g, h) == group.mul(h, g) for h in tests):
-            out.append(g)
-    return out
+    tests = els if full_pairs else generating_set(els, set(els), group)
+    if tests is None:
+        raise AssertionError(f"the enumeration of {group.name} is not a group")
+    return [g for g in els if all(group.mul(g, h) == group.mul(h, g) for h in tests)]
 
 
 # ---------------------------------------------------------------------------

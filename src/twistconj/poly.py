@@ -112,14 +112,8 @@ class PolyRing(Ring):
         e = rng.randint(-3, 3) if self.laurent else 0
         return self.monomial(c, e)
 
-    def unit_group(self):
-        tor = tuple(self.constant(g) for g in self.base.unit_group().torsion)
-        tf = (self.gen(),) if self.laurent else ()
-        return rings.UnitGroup(
-            torsion=tor,
-            torsion_free=tf,
-            torsion_order=self.base.unit_group().torsion_order,
-        )
+    def torsion_free_units(self):
+        return (self.gen(),) if self.laurent else ()
 
     def unit_decompose(self, u):
         if not self.is_unit(u):
@@ -127,11 +121,6 @@ class PolyRing(Ring):
         (e, c), = u.terms.items()
         exps = (e,) if self.laurent else ()
         return self.constant(c), exps
-
-    def additive_gens(self):
-        # spanning sample only: (R,+) is not finitely generated here
-        gens = [self.constant(g) for g in self.base.additive_gens()]
-        return gens + [self.gen()]
 
 
 class Poly:
@@ -219,16 +208,7 @@ class Poly:
         return Poly(self.ring, {e1 + e2: mul(c1, c2) for e2, c2 in other.terms.items()})
 
     def __pow__(self, k):
-        if k < 0:
-            return self.ring.pow_unit(self, k)
-        out = self.ring.one()
-        b = self
-        while k:
-            if k & 1:
-                out = out * b
-            b = b * b
-            k >>= 1
-        return out
+        return self.ring.pow_unit(self, k)
 
     def scale(self, c):
         base = self.ring.base

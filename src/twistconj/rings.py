@@ -127,7 +127,7 @@ class Ring:
         raise NotImplementedError
 
     def pow_unit(self, a, e: int):
-        """a**e for a unit a and any integer e."""
+        """a**e for any integer e; a must be a unit when e < 0."""
         if e < 0:
             a, e = self.inv(a), -e
         out = self.one()
@@ -139,11 +139,7 @@ class Ring:
         return out
 
     def from_int(self, k: int):
-        out, one = self.zero(), self.one()
-        sign = k < 0
-        for _ in range(abs(k)):
-            out = self.add(out, one)
-        return self.neg(out) if sign else out
+        raise NotImplementedError
 
     def to_str(self, a) -> str:
         raise NotImplementedError
@@ -157,27 +153,18 @@ class Ring:
     def random_unit(self, rng):
         raise NotImplementedError
 
-    def unit_group(self) -> "UnitGroup":
-        raise NotImplementedError
+    def torsion_free_units(self) -> tuple:
+        """Generators of a torsion-free complement of the torsion units;
+        empty when every unit is torsion."""
+        return ()
 
     def unit_decompose(self, u):
-        """Split a unit as (torsion part, exponents over the torsion-free
-        generators).  Raises RingError on non-units."""
+        """Split a unit as (torsion part, exponents over the
+        torsion_free_units).  Raises RingError on non-units."""
         raise NotImplementedError
-
-    def additive_gens(self):
-        """Generators of (R,+) when finitely generated, else a spanning
-        sample used for property tests."""
-        return [self.one()]
 
     def __repr__(self):
         return self.tag
-
-
-class UnitGroup(NamedTuple):
-    torsion: tuple         # generators of Tor(R^x); empty when trivial
-    torsion_free: tuple    # chosen generators of a complement
-    torsion_order: int     # |Tor(R^x)|
 
 
 # ---------------------------------------------------------------------------
@@ -329,18 +316,11 @@ class GaloisField(Ring):
             raise RingError(f"{self.tag} has no extension generator")
         return self.p
 
-    def additive_gens(self):
-        return [self.p ** i for i in range(self.k)]
-
     def random(self, rng):
         return rng.randrange(self.q)
 
     def random_unit(self, rng):
         return rng.randrange(1, self.q)
-
-    def unit_group(self):
-        tor = () if self.q == 2 else (self._primitive,)
-        return UnitGroup(torsion=tor, torsion_free=(), torsion_order=self.q - 1)
 
     def unit_decompose(self, u):
         if not self.is_unit(u):
@@ -455,9 +435,6 @@ class IntegerRing(Ring):
 
     def random_unit(self, rng):
         return rng.choice((1, -1))
-
-    def unit_group(self):
-        return UnitGroup(torsion=(-1,), torsion_free=(), torsion_order=2)
 
     def unit_decompose(self, u):
         if not self.is_unit(u):
@@ -608,12 +585,8 @@ class LocalizedIntegers(Ring):
                 den *= p ** (-e)
         return LocalizedInt(num, den)
 
-    def unit_group(self):
-        return UnitGroup(
-            torsion=(LocalizedInt(-1),),
-            torsion_free=tuple(LocalizedInt(p) for p in self.primes),
-            torsion_order=2,
-        )
+    def torsion_free_units(self):
+        return tuple(LocalizedInt(p) for p in self.primes)
 
     def unit_decompose(self, u):
         if not self.is_unit(u):

@@ -1,8 +1,9 @@
 """Twisted conjugacy: the twist action h g phi(h)^-1, constructive class
 solvers for the reflection automorphisms, image/cokernel computations on
 truncated coefficient windows, a partition oracle for finite universes
-(orbit closure on finite groups, union-find over all pairs otherwise),
-and the exponent-tuple case search for diagonal substitutions.
+(orbit closure under the generating set that groups.generating_set reads
+off a finite group, union-find over all pairs otherwise), and the
+exponent-tuple case search for diagonal substitutions.
 
 The additive computations run over windows: a window fixes a finite range
 of monomial exponents and treats the corresponding coefficient space as a
@@ -20,12 +21,13 @@ explicit outcome, never silently converted into an answer.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
 from typing import NamedTuple
 
 from . import linalg, rings
 from .autos import Automorphism, PairSwap
-from .groups import Additive, AdditivePairs, AffElem, GroupError, TriMat, from_rows
+from .groups import (
+    Additive, AdditivePairs, AffElem, GroupError, TriMat, from_rows, generating_set,
+)
 from .linalg import det_one_minus
 from .poly import Poly, PolyRing, poly_ring
 from .rings import RingError
@@ -253,7 +255,7 @@ def additive_class_count(phi: Automorphism, window, rounds=2) -> ClassCount:
     counts = []
     first = None
     src = window
-    block = getattr(phi, "block_size", 1)
+    block = phi.block_size
     for k in range(rounds + 1):
         dim, rank = _window_rank(phi, src)
         counts.append(window.field.q ** (dim - rank))
@@ -325,9 +327,10 @@ def brute_force_partition(universe, phi: Automorphism, group=None,
     """The classes of g ~ h g phi(h)^-1 over all h in the universe.
 
     When the universe is a finite group (it holds the identity and is
-    closed under products) the classes are found by orbit closure: a
-    generating set S is read off the universe, and each class is closed
-    under g -> s g phi(s)^-1 for s in S, |U| |S| twists in all.  That the
+    closed under products) the classes are found by orbit closure:
+    groups.generating_set reads a generating set S off the universe, and
+    each class is closed under g -> s g phi(s)^-1 for s in S, |U| |S|
+    twists in all.  That the
     orbits under S are the full classes relies on phi being a
     homomorphism, which the catalog checks verify.  Otherwise, or when a
     twist leaves the universe, every pair (h, g) is twisted and merged by
@@ -338,7 +341,7 @@ def brute_force_partition(universe, phi: Automorphism, group=None,
     group = group or phi.domain
     els = list(universe)
     index = _index_of(els)
-    gens = _generating_set(els, index, group)
+    gens = generating_set(els, index, group)
     orbits = None if gens is None else _orbit_closure(els, index, gens, phi, group)
     if orbits is None:
         return _all_pairs_partition(els, phi, group, universe_name)
@@ -364,80 +367,6 @@ def _partition(phi, els, universe_name, classes, complete, witnesses):
         complete=complete,
         witnesses=tuple(witnesses),
     )
-
-
-def _generating_set(els, index, group):
-    """Generators of the universe, or None when the universe lacks the
-    identity or a product leaves it.  While the subgroup H generated so far
-    is not the universe, the next generator s is an element outside H whose
-    powers take the longest to fall into H (the earliest in list order on a
-    tie), and H is extended by right multiplication: old members by s, new
-    members by every generator.  A finite set holding the identity and
-    closed under these products is the group they generate.
-
-    Taking the longest reach first keeps S small, and on the oracle's
-    windows and on B2(gf(4)) makes |S|, hence the cost of the orbit
-    closure, the same however the universe is ordered; taking each
-    element not yet in H in list order gives B2(gf(4)) two or three
-    generators depending on the shuffle."""
-    e = group.identity()
-    if e not in index:
-        return None
-    orders = _element_orders(els, index, group, e)
-    if orders is None:
-        return None
-    members, seen, gens = [e], {e}, []
-    while len(members) < len(els):
-        gens.append(_longest_reach(els, seen, orders, group))
-        old = len(members)
-        i = 0
-        while i < len(members):
-            for s in (gens[-1:] if i < old else gens):
-                p = group.mul(members[i], s)
-                if p not in index:
-                    return None
-                if p not in seen:
-                    seen.add(p)
-                    members.append(p)
-            i += 1
-    return gens
-
-
-def _element_orders(els, index, group, e):
-    """{x: order of x} over the universe, or None when a power leaves it.
-    One walk x, x^2, ..., x^n = e gives every power its order n / gcd(k, n)."""
-    orders = {e: 1}
-    for x in els:
-        if x in orders:
-            continue
-        powers = [x]
-        while powers[-1] != e:
-            p = group.mul(powers[-1], x)
-            if p not in index:
-                return None
-            powers.append(p)
-        n = len(powers)
-        for k, p in enumerate(powers, start=1):
-            orders.setdefault(p, n // gcd(k, n))
-    return orders
-
-
-def _longest_reach(els, seen, orders, group):
-    """The element outside the subgroup `seen` whose reach, the least m
-    with x^m in the subgroup, is largest; the earliest on a tie.  A reach
-    is at most the order of x, so an element whose order is no more than
-    the best reach so far is skipped."""
-    best, reach = None, 1
-    for x in els:
-        if orders[x] <= reach or x in seen:
-            continue
-        m, p = 1, x
-        while p not in seen:
-            p = group.mul(p, x)
-            m += 1
-        if m > reach:
-            best, reach = x, m
-    return best
 
 
 def _orbit_closure(els, index, gens, phi, group):

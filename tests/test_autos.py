@@ -201,7 +201,7 @@ def test_make_phi0_examples():
     alpha = PolySub(F5T, 2, 0)
     aff_t = Affine(F5T)
     rm = RingMap(alpha, aff_t)
-    rm0 = Phi0(rm, aff_t)
+    rm0 = Phi0(rm)
     for _ in range(300):
         g = aff_t.random(rng)
         assert rm0.apply(g) == rm.apply(g)

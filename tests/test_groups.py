@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twistconj import groups
+from twistconj import experiments, groups
 from twistconj.groups import (
     AffElem, Affine, Borel, CornerDiag, CornerDiagGroup, GroupError,
     ProjElem, ProjBorel, Unitriangular, center_bruteforce, diag_elem,
@@ -10,6 +10,7 @@ from twistconj.groups import (
     normal_form, parse_element, recompose, superdiagonal, to_affine,
 )
 from twistconj.autos import Flip
+from twistconj.cli import main
 from twistconj.experiments import RING_TAGS, relations_suite
 from twistconj.poly import parse_ring
 from twistconj.rings import ZZ, field, localized
@@ -234,11 +235,41 @@ def test_center_examples():
     for w in Z:
         assert F4.is_zero(w.r) and w.dunits[0] == w.dunits[-1]
     assert len(Z) == 3
-    # generator-based centralizer equals the all-pairs one
-    for grp in (Borel(F3, 2), Unitriangular(F2, 3), CornerDiagGroup(F3, 3)):
-        assert center_bruteforce(grp) == center_bruteforce(grp, full_pairs=True)
-    with pytest.raises(GroupError):
-        center_bruteforce(Borel(F3, 2), budget=3)
+
+
+def test_generating_set_center_equals_all_pairs_center(monkeypatch):
+    # the groups of the structure criterion, and one of each other kind
+    cases = (Borel(F3, 2), Borel(F4, 3), Unitriangular(F2, 3), Unitriangular(F2, 4),
+             CornerDiagGroup(F4, 3), CornerDiagGroup(F4, 4), CornerDiagGroup(F3, 3),
+             ProjBorel(F4, 2), Affine(field(5)), Borel(F4, 2, plus=True),
+             CornerDiagGroup(field(8), 3))
+    for grp in cases:
+        assert center_bruteforce(grp) == center_bruteforce(grp, full_pairs=True), grp.name
+    monkeypatch.setattr(groups, "MAX_CENTER_ELEMENTS", 3)
+    with pytest.raises(GroupError, match="budget"):
+        center_bruteforce(Borel(F3, 2))
+
+
+class _Punctured(Unitriangular):
+    """u_n(R) with one element left out of its enumeration: not a group."""
+
+    def __init__(self, ring, n, drop):
+        super().__init__(ring, n)
+        self.drop = drop
+
+    def elements(self):
+        els = list(super().elements())
+        del els[self.drop]
+        return iter(els)
+
+
+def test_center_refuses_an_enumeration_that_is_not_a_group(monkeypatch):
+    for drop in (0, -1):                   # the identity, then another element
+        with pytest.raises(AssertionError, match="not a group"):
+            center_bruteforce(_Punctured(F2, 3, drop))
+    # the CLI reports it as an internal fault, not as a mismatch
+    monkeypatch.setattr(experiments, "Unitriangular", lambda F, n: _Punctured(F, n, -1))
+    assert main(["center", "--ring", "gf(2)", "--group", "u", "--n", "3"]) == 4
 
 
 def test_element_word_round_trip():

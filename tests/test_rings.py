@@ -127,19 +127,14 @@ def test_localized_units():
 
 
 def test_unit_groups():
-    ug = localized(6).unit_group()
-    assert [u.num for u in ug.torsion] == [-1]
-    assert [u.num for u in ug.torsion_free] == [2, 3]
-
-    ug = parse_ring("gf(5)[t,t^-1]").unit_group()
-    tor = ug.torsion[0]
-    assert tor.terms == {0: 2}            # 2 generates gf(5)^x
-    assert ug.torsion_free[0].terms == {1: 1}
-
-    ug = parse_ring("gf(2)[t]").unit_group()
-    assert ug.torsion == () and ug.torsion_free == ()
-
-    assert ZZ.unit_group().torsion == (-1,)
+    assert [u.num for u in localized(6).torsion_free_units()] == [2, 3]
+    (t,) = parse_ring("gf(5)[t,t^-1]").torsion_free_units()
+    assert t.terms == {1: 1}
+    (t,) = parse_ring("z[t,t^-1]").torsion_free_units()
+    assert t.terms == {1: 1}
+    # every unit is torsion: no generators
+    for tag in ("gf(4)", "z", "gf(2)[t]", "z[t]"):
+        assert parse_ring(tag).torsion_free_units() == ()
 
 
 def test_ring_tag_round_trip():

@@ -10,13 +10,13 @@ from twistconj.autos import (
 )
 from twistconj.groups import (
     Additive, AffElem, Borel, GroupError, ProjBorel, Unitriangular,
-    elementary, from_rows, identity,
+    elementary, from_rows, generating_set, identity,
 )
 from twistconj.linalg import bareiss_det, det_one_minus
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
 from twistconj.rings import ZZ, RingError, field
 from twistconj.twisted import (
-    LinearWindow, PairWindow, _all_pairs_partition, _generating_set, _index_of,
+    LinearWindow, PairWindow, _all_pairs_partition, _index_of,
     additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
     pair_distinctness, reflection_unit,
@@ -313,14 +313,14 @@ def test_generating_set_size_does_not_depend_on_list_order():
     rng = random.Random(13)
     for _ in range(40):
         rng.shuffle(els)
-        gens = _generating_set(els, _index_of(els), B)
+        gens = generating_set(els, _index_of(els), B)
         assert len(gens) == 2
     # an elementary abelian window needs exactly its dimension
     window = LinearWindow(F3T, 0, 4)
     els = list(window.elements())
     for _ in range(5):
         rng.shuffle(els)
-        assert len(_generating_set(els, _index_of(els), Additive(F3T))) == 5
+        assert len(generating_set(els, _index_of(els), Additive(F3T))) == 5
 
 
 def test_partition_falls_back_without_identity():
