@@ -192,22 +192,29 @@ class CenterCheck(NamedTuple):
 
 def center_check(F, tag, n) -> CenterCheck:
     """The brute-force center of b_n, u_n or w_n (tag b, u or w) over
-    gf(q), compared with its structural description."""
+    gf(q), compared with its structural description.  A group of more
+    than groups.MAX_CENTER_ELEMENTS elements is refused before any is
+    listed."""
+    q, upper = F.q, F.q ** (n * (n - 1) // 2)
     if tag == "b":
-        grp = Borel(F, n)
-        expect = {identity(F, n).scaled(u) for u in F.units()}
-        desc = "scalar matrices"
+        grp, size, desc = Borel(F, n), upper * (q - 1) ** n, "scalar matrices"
     elif tag == "u":
-        grp = Unitriangular(F, n)
-        expect = {elementary(F, n, 1, n, c) for c in F.elements()}
-        desc = "corner subgroup"
+        grp, size, desc = Unitriangular(F, n), upper, "corner subgroup"
     elif tag == "w":
-        grp = CornerDiagGroup(F, n)
-        expect = {w for w in grp.elements()
-                  if F.is_zero(w.r) and w.dunits[0] == w.dunits[-1]}
+        grp, size = CornerDiagGroup(F, n), q * (q - 1) ** (n - 1)
         desc = "matching outer diagonal entries, zero corner"
     else:
         raise GroupError(f"unsupported group {tag!r}")
+    if size > groups.MAX_CENTER_ELEMENTS:
+        raise GroupError(f"{grp.name} has {size} elements, more than the "
+                         f"{groups.MAX_CENTER_ELEMENTS} that are enumerated")
+    if tag == "b":
+        expect = {identity(F, n).scaled(u) for u in F.units()}
+    elif tag == "u":
+        expect = {elementary(F, n, 1, n, c) for c in F.elements()}
+    else:
+        expect = {w for w in grp.elements()
+                  if F.is_zero(w.r) and w.dunits[0] == w.dunits[-1]}
     Z = center_bruteforce(grp)
     return CenterCheck(grp, Z, desc, set(Z) == expect)
 

@@ -2,8 +2,11 @@
 Gaussian elimination over the finite fields of the rings module.
 
 Matrices are plain lists of row lists.  Field entries are gf codes, so a
-field context must accompany every gf routine.  Everything here is pure
-and allocation-light; the dimensions in this package stay below ~100.
+field context must accompany every gf routine.  Every gf elimination step
+is one row_sub, which reads x - f*y off the field's addition table through
+a q-entry table of -f*v built once per row, so a cell costs table
+lookups and no field call.  Everything here is pure; the dimensions in
+this package stay below a few hundred.
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ def det_one_minus(rows) -> int:
 # ---------------------------------------------------------------------------
 # gf(q) routines; `F` is a GaloisField context, entries are codes
 
+def row_sub(F, x, f, y, start=0):
+    """The row x - f*y of codes.  The columns before `start` are copied
+    from x, which is exact when y is zero there."""
+    neg = F.neg_table
+    negf = [neg[v] for v in F.mul_table[f]]
+    add = F.add_table
+    return x[:start] + [add[u][negf[v]] for u, v in zip(x[start:], y[start:])]
+
+
 def gf_rref(F, rows):
     """(rref, pivot columns).  Input rows are not mutated."""
     a = [list(r) for r in rows]
@@ -63,11 +75,13 @@ def gf_rref(F, rows):
         a[r], a[pr] = a[pr], a[r]
         s = F.inv(a[r][c])
         if s != 1:
-            a[r] = [F.mul(s, x) for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[r])]
+            scale = F.mul_table[s]
+            a[r] = [scale[x] for x in a[r]]
+        # rows from r on are zero before column c, the pivot row among them
+        piv = a[r]
+        for i, row in enumerate(a):
+            if row[c] != 0 and i != r:
+                a[i] = row_sub(F, row, row[c], piv, c)
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -112,7 +126,6 @@ def gf_det(F, rows):
         s = F.inv(a[c][c])
         for i in range(c + 1, n):
             if a[i][c] != 0:
-                f = F.mul(a[i][c], s)
-                a[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(a[i], a[c])]
+                a[i] = row_sub(F, a[i], F.mul(a[i][c], s), a[c], c)
     return det
 

@@ -349,7 +349,13 @@ class IdentityAuto(RingAutoDesc):
 
 
 class PolySub(RingAutoDesc):
-    """t -> a*t + b with a a unit of the coefficient ring."""
+    """t -> a*t + b with a a unit of the coefficient ring.
+
+    For b != 0 the object keeps the powers (a*t + b)^e it has built, and
+    each apply extends that list only past the highest exponent seen so
+    far.  After a degree-d apply it holds O(d^2) coefficients, the order
+    of the elimination matrix a caller builds from d such images.
+    """
 
     def __init__(self, ring: PolyRing, a, b):
         for x in (a, b):
@@ -363,6 +369,7 @@ class PolySub(RingAutoDesc):
         self.ring = ring
         self.a = a
         self.b = b
+        self._powers = [ring.one(), ring.monomial(a, 1) + ring.constant(b)]
 
     def is_identity(self):
         base = self.ring.base
@@ -380,14 +387,11 @@ class PolySub(RingAutoDesc):
             # t^e -> a^e t^e, valid for negative e as well
             return Poly(ring, {e: base.mul(base.pow_unit(self.a, e), c)
                                for e, c in p.terms.items()})
-        image = ring.monomial(self.a, 1) + ring.constant(self.b)
+        powers = self._powers
         out = ring.zero()
-        powers = {0: ring.one()}
         for e in sorted(p.terms):
-            last = max(powers)
-            while last < e:
-                powers[last + 1] = powers[last] * image
-                last += 1
+            while len(powers) <= e:
+                powers.append(powers[-1] * powers[1])
             out = out + powers[e].scale(p.terms[e])
         return out
 

@@ -246,9 +246,10 @@ class GaloisField(Ring):
                     prod = _pmod(prod, list(self.modulus), p)
                 prod = (prod + [0] * self.k)[: self.k]
                 mul[a][b] = self._code(prod)
-        self._add = add
-        self._mul = mul
-        self._neg = [self._code([(-x) % p for x in self._digits(a)]) for a in range(q)]
+        # the tables, indexed by codes; linalg's row routines read them whole
+        self.add_table = add
+        self.mul_table = mul
+        self.neg_table = [self._code([(-x) % p for x in self._digits(a)]) for a in range(q)]
         inv = [0] * q
         for a in range(1, q):
             for b in range(1, q):
@@ -278,13 +279,13 @@ class GaloisField(Ring):
         return 1
 
     def add(self, a, b):
-        return self._add[a][b]
+        return self.add_table[a][b]
 
     def neg(self, a):
-        return self._neg[a]
+        return self.neg_table[a]
 
     def mul(self, a, b):
-        return self._mul[a][b]
+        return self.mul_table[a][b]
 
     def is_zero(self, a):
         return a == 0

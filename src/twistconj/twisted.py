@@ -205,8 +205,7 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
         rest = rhs
         for row, c in zip(red, pivots):
             if rest[c]:
-                f = rest[c]
-                rest = [F.sub(x, F.mul(f, y)) for x, y in zip(rest, row)]
+                rest = linalg.row_sub(F, rest, rest[c], row, c)
         if not any(rest):
             h = source.from_coords(linalg.gf_solve(F, list(zip(*rows)), rhs))
             if _sub_vec(dom, h, phi.apply(h)) != r:
@@ -371,9 +370,11 @@ def _partition(phi, els, universe_name, classes, complete, witnesses):
 
 def _orbit_closure(els, index, gens, phi, group):
     """(classes, witnesses) from a breadth-first closure of each class
-    under the twists by gens, or None when a twist leaves the universe.
-    Classes start at the first element not yet seen, so each
+    under the twists x -> s x phi(s)^-1 by the generators s, or None when
+    a twist leaves the universe.  phi(s)^-1 is computed once per
+    generator.  Classes start at the first element not yet seen, so each
     representative is its class's first element in list order."""
+    twisters = [(s, group.inv(phi.apply(s))) for s in gens]
     seen = [False] * len(els)
     classes, witnesses = [], []
     for i, g in enumerate(els):
@@ -382,8 +383,8 @@ def _orbit_closure(els, index, gens, phi, group):
         seen[i] = True
         orbit = [g]
         for x in orbit:
-            for s in gens:
-                t = twist(phi, s, x, group)
+            for s, u in twisters:
+                t = group.mul(group.mul(s, x), u)
                 ti = index.get(t)
                 if ti is None:
                     return None

@@ -250,6 +250,28 @@ def test_generating_set_center_equals_all_pairs_center(monkeypatch):
         center_bruteforce(Borel(F3, 2))
 
 
+def test_center_check_refuses_a_large_group_before_listing_it(monkeypatch, capsys):
+    # the computed order is exact: a budget of |G| passes, |G| - 1 refuses
+    for F, tag, n in ((F3, "b", 2), (F2, "u", 4), (F4, "w", 3), (F3, "b", 3)):
+        monkeypatch.undo()
+        size = len(list(experiments.center_check(F, tag, n).group.elements()))
+        monkeypatch.setattr(groups, "MAX_CENTER_ELEMENTS", size)
+        experiments.center_check(F, tag, n)
+        monkeypatch.setattr(groups, "MAX_CENTER_ELEMENTS", size - 1)
+        with pytest.raises(GroupError, match=f"has {size} elements"):
+            experiments.center_check(F, tag, n)
+    monkeypatch.undo()
+
+    def listed(self):
+        raise AssertionError("the group was listed")
+
+    monkeypatch.setattr(Borel, "elements", listed)
+    with pytest.raises(GroupError, match="more than"):
+        experiments.center_check(F4, "b", 5)    # about 2.5e8 elements
+    assert main(["center", "--ring", "gf(4)", "--group", "b", "--n", "5"]) == 2
+    assert "more than" in capsys.readouterr().err
+
+
 class _Punctured(Unitriangular):
     """u_n(R) with one element left out of its enumeration: not a group."""
 

@@ -128,6 +128,52 @@ def test_polysub_guards():
     assert PolySub(F5L, 2, 0).apply(F5L.parse("t^-1")) == F5L.parse("3*t^-1")
 
 
+def _horner(alpha, p):
+    """p(a t + b) by Horner's rule, one coefficient per degree."""
+    ring = alpha.ring
+    image = ring.monomial(alpha.a, 1) + ring.constant(alpha.b)
+    out = ring.zero()
+    for e in range(p.degree, -1, -1):
+        out = out * image + ring.constant(p.coeff(e))
+    return out
+
+
+def _random_of_degree(ring, rng, d):
+    q = ring.base.q
+    terms = {e: rng.randrange(q) for e in range(d) if rng.random() < 0.3}
+    terms[d] = rng.randrange(1, q)
+    return ring.make(terms)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_polysub_kept_powers_match_fresh_and_horner(q):
+    ring = poly_ring(field(q), laurent=False)
+    rng = random.Random(f"polysub-{q}")
+    for a in range(1, q):
+        for b in range(q):
+            high, low, mid = (_random_of_degree(ring, rng, d) for d in (130, 4, 61))
+            # high then low, and low then high, on one object each
+            for order in ((high, low, mid, high), (low, mid, high, low)):
+                alpha = PolySub(ring, a, b)
+                for p in order:
+                    got = alpha.apply(p)
+                    assert got == PolySub(ring, a, b).apply(p)
+                    assert got == _horner(alpha, p)
+
+
+def test_polysub_objects_keep_their_own_powers():
+    ring = poly_ring(field(5), laurent=False)
+    rng = random.Random(37)
+    subs = [PolySub(ring, 2, 1), PolySub(ring, 3, 4), PolySub(ring, 2, 1)]
+    for _ in range(20):
+        alpha = rng.choice(subs)
+        p = _random_of_degree(ring, rng, rng.randrange(130))
+        assert alpha.apply(p) == _horner(alpha, p)
+    for alpha in subs:                        # none was corrupted by the others
+        p = _random_of_degree(ring, rng, 120)
+        assert alpha.apply(p) == _horner(alpha, p)
+
+
 def test_laurent_auto_group_is_c2():
     flip = LaurentFlip(F5L)
     sub = PolySub(F3T, 2, 1)
