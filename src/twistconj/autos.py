@@ -402,10 +402,13 @@ class CenterScale(Automorphism):
 
 
 def _tf_monomial_exponent(ring, u):
-    tor, exps = ring.unit_decompose(u)
-    if tor != ring.one():
-        raise GroupError("diagonal entry has a torsion factor; not in the '+' group")
-    return exps[0]
+    """k for a diagonal entry u = t^k; a unit c*t^k with c != 1 has the
+    torsion factor c and is refused."""
+    if len(u.terms) == 1:
+        (k, c), = u.terms.items()
+        if c == ring.base.one():
+            return k
+    raise GroupError("diagonal entry has a torsion factor; not in the '+' group")
 
 
 class AffineReflect(Automorphism):

@@ -86,26 +86,34 @@ class TriMat:
         return TriMat(ring, self.n, diag, upper)
 
     def inv(self):
+        """Back substitution by rows, from the last row up: the strictly
+        upper part of row i of the inverse is -d_i^-1 times the sum of
+        a(i,k) * (row k of the inverse) over the stored entries a(i,k)
+        only, row k carrying its diagonal d_k^-1."""
         ring = self.ring
-        n = self.n
+        mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
         dinv = tuple(ring.inv(u) for u in self.diag)
-        x = {}
-
-        def xval(i, j):
-            if i == j:
-                return dinv[i - 1]
-            return x.get((i, j), ring.zero())
-
-        for j in range(1, n + 1):
-            for i in range(j - 1, 0, -1):
-                acc = ring.zero()
-                for k in range(i + 1, j + 1):
-                    a = self.upper.get((i, k))
-                    if a is not None:
-                        acc = ring.add(acc, ring.mul(a, xval(k, j)))
-                if not ring.is_zero(acc):
-                    x[(i, j)] = ring.neg(ring.mul(dinv[i - 1], acc))
-        return TriMat(ring, n, dinv, x)
+        a_rows = {}  # row i of self.upper as (k, a) pairs
+        for (i, k), a in self.upper.items():
+            a_rows.setdefault(i, []).append((k, a))
+        x_rows = {}  # row k of the inverse as (j, value) pairs, diagonal first
+        upper = {}
+        for i in range(self.n, 0, -1):
+            acc = {}
+            for k, a in a_rows.get(i, ()):
+                for j, w in x_rows[k]:
+                    c = mul(a, w)
+                    prev = acc.get(j)
+                    acc[j] = c if prev is None else add(prev, c)
+            row = [(i, dinv[i - 1])]
+            if acc:
+                nd = neg(dinv[i - 1])
+                for j, s in acc.items():
+                    if not is_zero(s):
+                        v = upper[(i, j)] = mul(nd, s)
+                        row.append((j, v))
+            x_rows[i] = row
+        return TriMat(ring, self.n, dinv, upper)
 
     def commutator(self, o):
         return self * o * self.inv() * o.inv()
@@ -217,21 +225,49 @@ def normal_form(m: TriMat) -> NormalForm:
     elementaries e(i,i+1)...e(1,n); unitriangular input only."""
     if not m.is_unitriangular():
         raise GroupError("normal form needs a unitriangular matrix")
-    ring, n = m.ring, m.n
+    return NormalForm(m.ring, m.n, _peel(m.ring, m.n, m.upper))
+
+
+def _peel(ring, n, upper):
+    """The normal form coefficients of the unitriangular matrix with
+    strictly upper entries `upper`, peeled by row operations on a private
+    {row: {col: value}} copy: for each superdiagonal d and i = 1..n-d,
+    c = v(i,i+d) is the coefficient and row_i -= c * row_{i+d}.  Row i+d
+    is untouched within its layer and holds only its diagonal 1 and
+    entries at distance > d, so the operation clears (i,i+d) and adds
+    entries only further out; each entry is read off exactly once."""
+    mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
+    rows = {}
+    for (i, j), v in upper.items():
+        rows.setdefault(i, {})[j] = v
+    zero = ring.zero()
     coeffs = []
-    v = m
     for d in range(1, n):
-        layer = []
-        block = identity(ring, n)
         for i in range(1, n - d + 1):
-            r = v.entry(i, i + d)
-            layer.append(r)
-            block = block * elementary(ring, n, i, i + d, r)
-        coeffs.extend(layer)
-        v = block.inv() * v
-    if not v.is_identity():
+            row = rows.get(i)
+            c = row.pop(i + d, None) if row else None
+            if c is None:
+                coeffs.append(zero)
+                continue
+            coeffs.append(c)
+            below = rows.get(i + d)
+            if not below:
+                continue
+            nc = neg(c)
+            for j, w in below.items():
+                t = mul(nc, w)
+                prev = row.get(j)
+                if prev is None:
+                    row[j] = t
+                else:
+                    t = add(prev, t)
+                    if is_zero(t):
+                        del row[j]
+                    else:
+                        row[j] = t
+    if any(rows.values()):
         raise AssertionError("normal form peel did not terminate")
-    return NormalForm(ring, n, tuple(coeffs))
+    return tuple(coeffs)
 
 
 def recompose(nf: NormalForm) -> TriMat:
@@ -776,16 +812,22 @@ def center_bruteforce(group: Group, full_pairs: bool = False):
 # printing and parsing
 
 def element_word(m: TriMat) -> str:
-    """The ordered word e(i,j;r)... d(i;u)... of a triangular matrix."""
+    """The ordered word e(i,j;r)... d(i;u)... of a triangular matrix: the
+    normal form of m * diag(m)^-1, whose entry (i,j) is a(i,j) * d_j^-1."""
     ring, n = m.ring, m.n
-    d = diag_matrix(ring, n, m.diag)
-    x = m * d.inv()
+    for u in m.diag:
+        if not ring.is_unit(u):
+            raise GroupError(f"{ring.to_str(u)} is not a unit of {ring.tag}")
+    dinv = [ring.inv(u) for u in m.diag]
+    coeffs = _peel(ring, n, {(i, j): ring.mul(v, dinv[j - 1])
+                             for (i, j), v in m.upper.items()})
     parts = []
-    for (i, j), r in normal_form(x).factors():
+    for (i, j), r in zip(nf_positions(n), coeffs):
         if not ring.is_zero(r):
             parts.append(f"e({i},{j};{ring.to_str(r)})")
+    one = ring.one()
     for i, u in enumerate(m.diag, start=1):
-        if u != ring.one():
+        if u != one:
             parts.append(f"d({i};{ring.to_str(u)})")
     return " ".join(parts) if parts else "1"
 

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from twistconj.autos import (
-    AugScale, AugShift, BlockCompanion, Central, CenterScale, Compose, Flip,
-    HalfSquare, IdentityMap, Inner, MulBy, PairSwap, Phi0, RingMap,
-    SigmaFirst, SigmaLast, WindowLinear, parse_auto, verify_homomorphism,
+    AffineReflect, AugScale, AugShift, BlockCompanion, Central, CenterScale,
+    Compose, Flip, HalfSquare, IdentityMap, Inner, MulBy, PairSwap, Phi0,
+    RingMap, SigmaFirst, SigmaLast, TriangularReflect, WindowLinear,
+    parse_auto, verify_homomorphism,
 )
 from twistconj.experiments import RING_TAGS
 from twistconj.groups import (
-    Additive, AffElem, Affine, Borel, GroupError, ProjElem, Unitriangular,
-    elementary, diag_elem, identity, nf_positions, normal_form, superdiagonal,
+    Additive, AffElem, Affine, Borel, GroupError, ProjElem, TriMat,
+    Unitriangular, elementary, diag_elem, identity, nf_positions, normal_form,
+    superdiagonal,
 )
 from twistconj.poly import PolySub, parse_ring
 from twistconj.rings import RingError, field, localized
@@ -105,6 +107,20 @@ def test_reflection_examples():
         phi.apply(bad)                             # torsion factor on the diagonal
     with pytest.raises(GroupError):
         phi.apply(F5L.one())                       # not a matrix
+
+
+def test_reflections_refuse_a_torsion_diagonal():
+    P = F4L.parse
+    phiB, phiA = TriangularReflect(F4L, 1), AffineReflect(F4L, 1)
+    corner = {(1, 2): P("t+w")}
+    img = phiB.apply(TriMat(F4L, 2, (P("t^-1"), P("t^2")), corner))
+    assert img.diag == (P("t"), P("t^-2"))
+    assert phiA.apply(AffElem(F4L, P("t^3"), P("w"))).u == P("t^-3")
+    for diag in ((P("w*t"), P("t")), (P("t"), P("(w+1)*t^-2")), (P("w"), F4L.one())):
+        with pytest.raises(GroupError, match="torsion"):
+            phiB.apply(TriMat(F4L, 2, diag, corner))
+    with pytest.raises(GroupError, match="torsion"):
+        phiA.apply(AffElem(F4L, P("w*t^3"), P("w")))
 
 
 def test_catalog_homomorphisms_quick():

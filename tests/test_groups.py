@@ -5,11 +5,11 @@ import pytest
 from twistconj import experiments, groups
 from twistconj.groups import (
     AffElem, Affine, Borel, CornerDiag, CornerDiagGroup, GroupError,
-    ProjElem, ProjBorel, Unitriangular, center_bruteforce, diag_elem,
+    ProjElem, ProjBorel, TriMat, Unitriangular, center_bruteforce, diag_elem,
     diag_matrix, element_word, elementary, from_rows, gamma_member, identity,
     normal_form, parse_element, recompose, superdiagonal, to_affine,
 )
-from twistconj.autos import Flip
+from twistconj.autos import Flip, Inner
 from twistconj.cli import main
 from twistconj.experiments import RING_TAGS, relations_suite
 from twistconj.poly import parse_ring
@@ -110,6 +110,86 @@ def test_recompose_matches_product_of_elementaries(tag):
             m, ref = recompose(nf), _recompose_by_products(nf)
             assert m == ref and hash(m) == hash(ref)
             assert normal_form(m) == nf
+
+
+def _inv_by_columns(m):
+    # the definition: entry (i,j) of the inverse from the column walk over
+    # every k in i+1..j, an absent entry of the inverse read as zero
+    ring, n = m.ring, m.n
+    dinv = tuple(ring.inv(u) for u in m.diag)
+    x = {}
+    for j in range(1, n + 1):
+        for i in range(j - 1, 0, -1):
+            acc = ring.zero()
+            for k in range(i + 1, j + 1):
+                a = m.upper.get((i, k))
+                if a is not None:
+                    xkj = dinv[k - 1] if k == j else x.get((k, j), ring.zero())
+                    acc = ring.add(acc, ring.mul(a, xkj))
+            if not ring.is_zero(acc):
+                x[(i, j)] = ring.neg(ring.mul(dinv[i - 1], acc))
+    return TriMat(ring, n, dinv, x)
+
+
+def _normal_form_by_products(m):
+    # the definition: peel each superdiagonal with the inverse of its block,
+    # the ordered product of that layer's elementaries
+    ring, n = m.ring, m.n
+    coeffs = []
+    v = m
+    for d in range(1, n):
+        block = identity(ring, n)
+        for i in range(1, n - d + 1):
+            r = v.entry(i, i + d)
+            coeffs.append(r)
+            block = block * elementary(ring, n, i, i + d, r)
+        v = _inv_by_columns(block) * v
+    assert v.is_identity()
+    return groups.NormalForm(ring, n, tuple(coeffs))
+
+
+def _element_word_by_products(m):
+    # the definition: the normal form of m * diag(m)^-1, then the diagonal
+    ring, n = m.ring, m.n
+    nf = _normal_form_by_products(m * _inv_by_columns(diag_matrix(ring, n, m.diag)))
+    parts = [f"e({i},{j};{ring.to_str(r)})" for (i, j), r in nf.factors()
+             if not ring.is_zero(r)]
+    parts += [f"d({i};{ring.to_str(u)})" for i, u in enumerate(m.diag, start=1)
+              if u != ring.one()]
+    return " ".join(parts) if parts else "1"
+
+
+@pytest.mark.parametrize("tag", RING_TAGS + ("gf(2)[t]",))
+def test_core_routines_match_product_definitions(tag):
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    for n in range(2, 7):
+        positions = groups.nf_positions(n)
+        for _ in range(20):
+            # about a third of the entries zero, as in sparse elements
+            upper = {}
+            for pos in positions:
+                r = ring.zero() if rng.random() < 0.3 else ring.random(rng)
+                if not ring.is_zero(r):
+                    upper[pos] = r
+            nf = groups.NormalForm(ring, n, tuple(
+                ring.zero() if rng.random() < 0.3 else ring.random(rng)
+                for _ in positions))
+            d = diag_matrix(ring, n, [ring.random_unit(rng) for _ in range(n)])
+            # a product of elementaries in normal-form order has an inverse
+            # whose column walk cancels, so recompose(nf) covers that case
+            u, c = TriMat(ring, n, (ring.one(),) * n, upper), recompose(nf)
+            for m in (u, c, u * d, c * d, d * u):
+                inv, ref = m.inv(), _inv_by_columns(m)
+                assert inv == ref and hash(inv) == hash(ref)
+                assert _mat_is_canonical(inv)
+                assert element_word(m) == _element_word_by_products(m)
+            for m in (u, c):
+                assert normal_form(m) == _normal_form_by_products(m)
+    # (I + E12 + E23 + E13)^-1 = I - E12 - E23: the (1,3) sum cancels
+    m = elementary(ring, 3, 1, 2, ring.one()) * elementary(ring, 3, 2, 3, ring.one())
+    assert (1, 3) in m.upper and (1, 3) not in m.inv().upper
+    assert m.inv() == _inv_by_columns(m)
 
 
 def _poly_is_canonical(p):
@@ -307,6 +387,41 @@ def test_element_word_round_trip():
         elementary(F4, 2, 1, 2, 2) * diag_elem(F4, 2, 2, 3)
     with pytest.raises(GroupError):
         parse_element("nonsense", F4, 2)
+
+
+def test_element_words_keep_their_bytes():
+    # exact text, so a change in the printed words fails here and not only
+    # in a benchmark digest
+    P, O = F4L.parse, F4L.zero()
+    m = from_rows(F4L, [[P("w*t"), P("t^-1+w"), P("(w+1)*t^2")],
+                        [O, P("t^-2"), P("w*t+1")],
+                        [O, O, P("w+1")]])
+    assert element_word(m) == ("e(1,2;t + w*t^2) e(2,3;w + (w+1)*t) "
+                               "e(1,3;w*t + t^2 + t^3) d(1;w*t) d(2;t^-2) d(3;(w+1))")
+    assert Inner(m).word() == f"inner({element_word(m)})"
+    m4 = from_rows(F4L, [[F4L.one(), P("t"), O, P("w")],
+                         [O, P("w*t^-1"), P("t+1"), O],
+                         [O, O, F4L.one(), P("t^2")],
+                         [O, O, O, P("t^3")]])
+    assert element_word(m4) == (
+        "e(1,2;(w+1)*t^2) e(2,3;1 + t) e(3,4;t^-1) e(1,3;(w+1)*t^2 + (w+1)*t^3) "
+        "e(2,4;t^-1 + 1) e(1,4;w*t^-3) d(2;w*t^-1) d(4;t^3)")
+    Z6 = localized(6)
+    Q = Z6.parse
+    z = from_rows(Z6, [[Q("-2"), Q("1/3"), Q("5")],
+                       [Z6.zero(), Q("3"), Q("-7/2")],
+                       [Z6.zero(), Z6.zero(), Q("1/6")]])
+    assert element_word(z) == "e(1,2;1/9) e(2,3;-21) e(1,3;97/3) d(1;-2) d(2;3) d(3;1/6)"
+    assert repr(ProjElem(z)) == "[e(1,2;1/9) e(2,3;-21) e(1,3;97/3) d(2;-3/2) d(3;-1/12)]"
+
+
+def test_element_word_refuses_a_non_unit_diagonal():
+    # a GroupError naming the entry, not the ring's RingError from inverting it
+    t = F5T.gen()
+    with pytest.raises(GroupError, match="not a unit"):
+        element_word(TriMat(F5T, 2, (t, F5T.one()), {(1, 2): t}))
+    with pytest.raises(GroupError, match="not a unit"):
+        element_word(TriMat(ZZ, 3, (1, 2, 1), {}))
 
 
 def test_enumeration_sizes_and_order():
