@@ -24,7 +24,7 @@ from . import groups, poly, rings
 from .groups import (
     Additive, AdditivePairs, Affine, AffElem, Borel, CornerDiag,
     CornerDiagGroup, GroupError, ProjBorel, ProjElem, TriMat, Unitriangular,
-    diag_matrix, elementary,
+    elementary,
 )
 from .poly import (
     Poly, PolyRing, RingAutoDesc, augmentation, is_irreducible,
@@ -214,9 +214,10 @@ class Central(Automorphism):
         return f"central({self.i},{self.lam.word()})"
 
 
-def _check_sigma_pair(ring, lam, a):
-    rng = random.Random(0)
-    for _ in range(1000):
+def check_sigma_pair(ring, lam, a, rng, samples):
+    """The first of `samples` random pairs (r, s) that breaks the Sigma
+    condition lambda(r+s) = a*r*s + lambda(r) + lambda(s), or None."""
+    for _ in range(samples):
         r, s = ring.random(rng), ring.random(rng)
         lhs = lam.apply(ring.add(r, s))
         rhs = ring.add(ring.mul(a, ring.mul(r, s)),
@@ -234,7 +235,7 @@ class _Sigma(Automorphism):
         if group.n < 3:
             raise GroupError("type-Sigma automorphisms need n >= 3")
         if not unchecked:
-            bad = _check_sigma_pair(group.ring, lam, a)
+            bad = check_sigma_pair(group.ring, lam, a, random.Random(0), 1000)
             if bad is not None:
                 raise GroupError(f"(lambda, a) violates the Sigma condition at {bad}")
         self.domain = group
@@ -301,7 +302,7 @@ class Flip(Automorphism):
         n1 = m.n + 1
         upper = {(n1 - j, n1 - i): neg(r) if (i + j) % 2 else r
                  for (i, j), r in inv.upper.items()}
-        return TriMat(m.ring, m.n, m.diag, upper)
+        return TriMat._of(m.ring, m.n, m.diag, upper)
 
     def word(self):
         return "flip"
@@ -318,8 +319,8 @@ class RingMap(Automorphism):
     def apply(self, x):
         a = self.alpha
         if isinstance(x, TriMat):
-            return TriMat(x.ring, x.n, tuple(a.apply(u) for u in x.diag),
-                          {k: a.apply(v) for k, v in x.upper.items()})
+            return TriMat._of(x.ring, x.n, tuple(a.apply(u) for u in x.diag),
+                              {k: a.apply(v) for k, v in x.upper.items()})
         if isinstance(x, AffElem):
             return AffElem(x.ring, a.apply(x.u), a.apply(x.r))
         if isinstance(x, Poly):
@@ -401,7 +402,7 @@ class CenterScale(Automorphism):
         return f"mul({self.ring.to_str(self.a)})"
 
 
-def _tf_monomial_exponent(ring, u):
+def tf_monomial_exponent(ring, u):
     """k for a diagonal entry u = t^k; a unit c*t^k with c != 1 has the
     torsion factor c and is refused."""
     if len(u.terms) == 1:
@@ -427,9 +428,10 @@ class AffineReflect(Automorphism):
     def apply(self, x: AffElem):
         if not isinstance(x, AffElem) or x.ring is not self.ring:
             raise GroupError("reflection acts on the affine group over its ring")
-        _tf_monomial_exponent(self.ring, x.u)
+        ring = self.ring
+        k = tf_monomial_exponent(ring, x.u)
         r = x.r.reversed_var().scale(self.a)
-        return AffElem(self.ring, self.ring.inv(x.u), r)
+        return AffElem(ring, ring.monomial(ring.base.one(), -k), r)
 
     def word(self):
         return f"phiA({self.ring.base.to_str(self.a)})"
@@ -451,13 +453,13 @@ class TriangularReflect(Automorphism):
     def apply(self, m: TriMat):
         if not (isinstance(m, TriMat) and m.n == 2 and m.ring is self.ring):
             raise GroupError("reflection acts on 2x2 triangular matrices over its ring")
-        for u in m.diag:
-            _tf_monomial_exponent(self.ring, u)
         ring = self.ring
-        diag = tuple(ring.inv(u) for u in m.diag)
-        corner = m.entry(1, 2).reversed_var().scale(self.a)
-        upper = {} if corner.is_zero() else {(1, 2): corner}
-        return TriMat(ring, 2, diag, upper)
+        one = ring.base.one()
+        diag = tuple(ring.monomial(one, -tf_monomial_exponent(ring, u)) for u in m.diag)
+        # reversal and scaling by the unit a keep a corner nonzero
+        h = m.upper.get((1, 2))
+        upper = {} if h is None else {(1, 2): h.reversed_var().scale(self.a)}
+        return TriMat._of(ring, 2, diag, upper)
 
     def word(self):
         return f"phiB({self.ring.base.to_str(self.a)})"
@@ -585,7 +587,7 @@ def _split_parts(group, g):
     if isinstance(group, Borel):
         if group.n != 2:
             raise GroupError("the unipotent kernel is non-abelian for n > 2")
-        d = diag_matrix(ring, 2, g.diag)
+        d = TriMat(ring, 2, g.diag, {})
         return g * d.inv(), d
     if isinstance(group, Affine):
         return (AffElem(ring, ring.one(), g.r),

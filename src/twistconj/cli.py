@@ -20,9 +20,9 @@ import random
 import sys
 import tempfile
 
-from . import experiments, groups, rings, twisted
+from . import experiments, rings, twisted
 from .autos import AffineReflect, TriangularReflect, parse_auto
-from .groups import Additive, Affine, Borel, GroupError, element_word
+from .groups import Additive, Affine, Borel, GroupError
 from .poly import parse_ring, parse_ring_auto, poly_ring
 from .rings import RingError, field, localized, solve_unit_equation
 from .twisted import (
@@ -101,12 +101,6 @@ def _write_json(path, data):
 def _emit(args, report):
     if getattr(args, "json", None):
         _write_json(args.json, report)
-
-
-def _elem_str(x):
-    if isinstance(x, groups.TriMat):
-        return element_word(x)
-    return repr(x)
 
 
 # ---------------------------------------------------------------------------
@@ -193,14 +187,14 @@ def cmd_reidemeister(args):
         classes = experiments.classify_universe(universe, phi)
         count = len(classes)
         stabilized = True
-        class_list = [{"rep": _elem_str(rep), "witnessed_members": m}
+        class_list = [{"rep": repr(rep), "witnessed_members": m}
                       for rep, m in classes.values()]
         print(f"count={count} (constructive witnesses for {len(universe)} elements)")
     else:
         part = brute_force_partition(universe, phi, group, universe_name=uname)
         count = part.count
         stabilized = part.complete
-        class_list = [{"rep": _elem_str(rep), "witnessed_members": size}
+        class_list = [{"rep": repr(rep), "witnessed_members": size}
                       for rep, size in part.classes]
         print(f"count={count} complete={part.complete} (raw truncation count)")
     report = twisted.partition_report(spec.name, ring.tag, phi.word(),

@@ -17,12 +17,12 @@ from .autos import (
     AffineReflect, AugScale, AugShift, BlockCompanion, Central, CenterScale,
     Compose, Flip, HalfSquare, IdentityMap, Inner, MulBy, PairSwap, RingMap,
     Phi0, SigmaFirst, SigmaLast, TriangularReflect, WindowLinear, ZeroEndo,
-    verify_homomorphism,
+    check_sigma_pair, verify_homomorphism,
 )
 from .groups import (
     Additive, Affine, AffElem, Borel, CornerDiagGroup, GroupError, ProjBorel,
-    ProjElem, Unitriangular, center_bruteforce, diag_elem, diag_matrix,
-    elementary, from_rows, identity, normal_form, recompose, to_affine,
+    ProjElem, TriMat, Unitriangular, center_bruteforce, diag_elem, elementary,
+    identity, normal_form, recompose, to_affine,
 )
 from .linalg import gf_det
 from .poly import (
@@ -96,7 +96,7 @@ def relations_suite(ring, n, samples, rng):
                 diag_elem(ring, n, dj, v) * diag_elem(ring, n, di, u):
             return False, checked, ("dcomm", di, dj, u, v)
         units = [ring.random_unit(rng) for _ in range(n)]
-        d = diag_matrix(ring, n, units)
+        d = TriMat(ring, n, units, {})
         ratio = ring.mul(units[i - 1], ring.inv(units[j - 1]))
         if d * eij * d.inv() != elementary(ring, n, i, j, ring.mul(ratio, r)):
             return False, checked, ("conj", i, j, units, r)
@@ -113,48 +113,49 @@ RING_TAGS = ("gf(4)", "gf(5)[t]", "gf(5)[t,t^-1]", "z", "z[1/6]", "z[t]", "z[t,t
 # ---------------------------------------------------------------------------
 # truncated universes for the reflection counts
 
-def truncated_b2plus(ring, diag_bound, exp_bound, rng=None, dense=0):
-    """All (t^i, c t^m; t^j) with |i|,|j| <= diag_bound and monomial (or
-    zero) corner with |m| <= exp_bound, plus optionally sampled dense
-    corners inside the same exponent window."""
-    F = ring.base
-    zero, one = ring.zero(), F.one()
+def _monomial_corners(ring, exp_bound):
+    """Zero, then every c t^m with c a unit and |m| <= exp_bound."""
     corners = [ring.zero()]
     for m in range(-exp_bound, exp_bound + 1):
-        for c in F.units():
+        for c in ring.base.units():
             corners.append(ring.monomial(c, m))
+    return corners
+
+
+def truncated_b2plus(ring, diag_bound, exp_bound, rng, dense):
+    """All (t^i, c t^m; t^j) with |i|,|j| <= diag_bound and monomial (or
+    zero) corner with |m| <= exp_bound, then `dense` sampled dense corners
+    inside the same exponent window."""
+    one = ring.base.one()
+    corners = _monomial_corners(ring, exp_bound)
     out = []
     for i in range(-diag_bound, diag_bound + 1):
         for j in range(-diag_bound, diag_bound + 1):
+            diag = (ring.monomial(one, i), ring.monomial(one, j))
             for h in corners:
-                out.append(from_rows(ring, [[ring.monomial(one, i), h],
-                                            [zero, ring.monomial(one, j)]]))
-    if rng is not None and dense:
-        win = LinearWindow(ring, -exp_bound, exp_bound)
-        for _ in range(dense):
-            i = rng.randint(-diag_bound, diag_bound)
-            j = rng.randint(-diag_bound, diag_bound)
-            out.append(from_rows(ring, [[ring.monomial(one, i), win.random(rng)],
-                                        [zero, ring.monomial(one, j)]]))
+                out.append(TriMat(ring, 2, diag, {(1, 2): h}))
+    win = LinearWindow(ring, -exp_bound, exp_bound)
+    for _ in range(dense):
+        i = rng.randint(-diag_bound, diag_bound)
+        j = rng.randint(-diag_bound, diag_bound)
+        out.append(TriMat(ring, 2, (ring.monomial(one, i), ring.monomial(one, j)),
+                          {(1, 2): win.random(rng)}))
     return _dedupe(out)
 
 
-def truncated_affplus(ring, diag_bound, exp_bound, rng=None, dense=0):
-    F = ring.base
-    one = F.one()
-    corners = [ring.zero()]
-    for m in range(-exp_bound, exp_bound + 1):
-        for c in F.units():
-            corners.append(ring.monomial(c, m))
+def truncated_affplus(ring, diag_bound, exp_bound, rng, dense):
+    """The affine analogue: (t^i, h) with |i| <= diag_bound, the same
+    corners and `dense` sampled ones."""
+    one = ring.base.one()
+    corners = _monomial_corners(ring, exp_bound)
     out = []
     for i in range(-diag_bound, diag_bound + 1):
         for h in corners:
             out.append(AffElem(ring, ring.monomial(one, i), h))
-    if rng is not None and dense:
-        win = LinearWindow(ring, -exp_bound, exp_bound)
-        for _ in range(dense):
-            out.append(AffElem(ring, ring.monomial(one, rng.randint(-diag_bound, diag_bound)),
-                               win.random(rng)))
+    win = LinearWindow(ring, -exp_bound, exp_bound)
+    for _ in range(dense):
+        out.append(AffElem(ring, ring.monomial(one, rng.randint(-diag_bound, diag_bound)),
+                           win.random(rng)))
     return _dedupe(out)
 
 
@@ -682,12 +683,8 @@ def criterion_properties(seed=0, samples=1000):
     for ring in (localized(2), poly_ring(field(5), laurent=False)):
         a = ring.from_int(3)
         lam = HalfSquare(ring, a)
-        for _ in range(samples):
-            r, s = ring.random(rng), ring.random(rng)
-            lhs = lam.apply(ring.add(r, s))
-            rhs = ring.add(ring.mul(a, ring.mul(r, s)), ring.add(lam.apply(r), lam.apply(s)))
-            if lhs != rhs:
-                return _result("properties", False, "half-square identity broke", t0)
+        if check_sigma_pair(ring, lam, a, rng, samples) is not None:
+            return _result("properties", False, "half-square identity broke", t0)
     # factor-preserving normalisation contract
     F5 = field(5)
     aff = Affine(F5)

@@ -5,9 +5,9 @@ finite enumeration, shared by the centers here and the partition oracle
 of the twisted module.
 
 A TriMat keeps the diagonal as a tuple of units and the strictly upper
-part as a sparse {(i,j): value} map (1-based, i < j).  Everything is
-immutable and hashable, so elements can live in sets, union-find tables
-and dict-keyed partitions.
+part as a sparse {(i,j): nonzero value} map (1-based, i < j).  Everything
+is immutable and hashable, so elements can live in sets, union-find
+tables and dict-keyed partitions.
 
 Element word form (printer/parser round-trip):
 
@@ -29,14 +29,38 @@ class GroupError(ValueError):
 # triangular matrices
 
 class TriMat:
+    """An upper triangular matrix in canonical form: a unit diagonal and
+    no stored zero, so equal matrices compare and hash equal.
+
+    The constructor checks its arguments and drops zero entries.  The
+    library's own arithmetic, whose results are canonical by
+    construction, builds through _of, which checks and copies nothing."""
+
     __slots__ = ("ring", "n", "diag", "upper", "_h")
 
     def __init__(self, ring, n, diag, upper):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "diag", tuple(diag))
-        object.__setattr__(self, "upper", dict(upper))
-        object.__setattr__(self, "_h", None)
+        diag = tuple(diag)
+        if len(diag) != n:
+            raise GroupError("diagonal length mismatch")
+        for u in diag:
+            if not ring.is_unit(u):
+                raise GroupError(f"{ring.to_str(u)} is not a unit of {ring.tag}")
+        kept = {}
+        for (i, j), v in upper.items():
+            if not 1 <= i < j <= n:
+                raise GroupError(f"entry ({i},{j}) is off the strict upper triangle")
+            if not ring.is_zero(v):
+                kept[(i, j)] = v
+        _fill(self, ring, n, diag, kept)
+
+    @classmethod
+    def _of(cls, ring, n, diag, upper):
+        """The matrix with diagonal tuple `diag` and entry map `upper`,
+        both taken over as they are: the caller guarantees the canonical
+        form."""
+        m = object.__new__(cls)
+        _fill(m, ring, n, diag, upper)
+        return m
 
     def __setattr__(self, *a):
         raise AttributeError("TriMat is immutable")
@@ -48,10 +72,6 @@ class TriMat:
         if i > j:
             return self.ring.zero()
         return self.upper.get((i, j), self.ring.zero())
-
-    def rows(self):
-        return [[self.entry(i, j) for j in range(1, self.n + 1)]
-                for i in range(1, self.n + 1)]
 
     def is_unitriangular(self):
         one = self.ring.one()
@@ -83,7 +103,7 @@ class TriMat:
                 prev = upper.get(key)
                 upper[key] = c if prev is None else add(prev, c)
         upper = {k: v for k, v in upper.items() if not ring.is_zero(v)}
-        return TriMat(ring, self.n, diag, upper)
+        return TriMat._of(ring, self.n, diag, upper)
 
     def inv(self):
         """Back substitution by rows, from the last row up: the strictly
@@ -113,7 +133,7 @@ class TriMat:
                         v = upper[(i, j)] = mul(nd, s)
                         row.append((j, v))
             x_rows[i] = row
-        return TriMat(ring, self.n, dinv, upper)
+        return TriMat._of(ring, self.n, dinv, upper)
 
     def commutator(self, o):
         return self * o * self.inv() * o.inv()
@@ -121,7 +141,7 @@ class TriMat:
     def scaled(self, u):
         """The product (u * identity) * self for a unit u."""
         ring = self.ring
-        return TriMat(
+        return TriMat._of(
             ring, self.n,
             tuple(ring.mul(u, d) for d in self.diag),
             {k: ring.mul(u, v) for k, v in self.upper.items()},
@@ -139,19 +159,29 @@ class TriMat:
 
     def __hash__(self):
         if self._h is None:
-            object.__setattr__(
-                self, "_h",
-                hash((self.ring.tag, self.n, self.diag,
-                      tuple(sorted(self.upper.items(), key=lambda kv: kv[0])))),
-            )
+            _set_h(self, hash((self.ring.tag, self.n, self.diag,
+                               tuple(sorted(self.upper.items(), key=lambda kv: kv[0])))))
         return self._h
 
     def __repr__(self):
         return element_word(self)
 
 
+_set_ring, _set_n, _set_diag, _set_upper, _set_h = (
+    TriMat.__dict__[slot].__set__ for slot in TriMat.__slots__)
+
+
+def _fill(m, ring, n, diag, upper):
+    # the slot descriptors themselves: TriMat.__setattr__ refuses writes
+    _set_ring(m, ring)
+    _set_n(m, n)
+    _set_diag(m, diag)
+    _set_upper(m, upper)
+    _set_h(m, None)
+
+
 def identity(ring, n) -> TriMat:
-    return TriMat(ring, n, (ring.one(),) * n, {})
+    return TriMat._of(ring, n, (ring.one(),) * n, {})
 
 
 def elementary(ring, n, i, j, r) -> TriMat:
@@ -159,48 +189,16 @@ def elementary(ring, n, i, j, r) -> TriMat:
     if not 1 <= i < j <= n:
         raise GroupError(f"elementary position ({i},{j}) needs i < j <= n")
     upper = {} if ring.is_zero(r) else {(i, j): r}
-    return TriMat(ring, n, (ring.one(),) * n, upper)
+    return TriMat._of(ring, n, (ring.one(),) * n, upper)
 
 
 def diag_elem(ring, n, i, u) -> TriMat:
     """d_i(u) for a unit u."""
     if not 1 <= i <= n:
         raise GroupError(f"diagonal index {i} out of range")
-    if not ring.is_unit(u):
-        raise GroupError(f"{ring.to_str(u)} is not a unit of {ring.tag}")
     diag = [ring.one()] * n
     diag[i - 1] = u
     return TriMat(ring, n, diag, {})
-
-
-def diag_matrix(ring, n, units) -> TriMat:
-    units = tuple(units)
-    if len(units) != n:
-        raise GroupError("diagonal length mismatch")
-    for u in units:
-        if not ring.is_unit(u):
-            raise GroupError(f"{ring.to_str(u)} is not a unit of {ring.tag}")
-    return TriMat(ring, n, units, {})
-
-
-def from_rows(ring, rows) -> TriMat:
-    n = len(rows)
-    diag = []
-    upper = {}
-    for i, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise GroupError("ragged matrix")
-        for j, v in enumerate(row, start=1):
-            if i > j:
-                if not ring.is_zero(v):
-                    raise GroupError("nonzero entry below the diagonal")
-            elif i == j:
-                if not ring.is_unit(v):
-                    raise GroupError("diagonal entries must be units")
-                diag.append(v)
-            elif not ring.is_zero(v):
-                upper[(i, j)] = v
-    return TriMat(ring, n, diag, upper)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +292,7 @@ def recompose(nf: NormalForm) -> TriMat:
                     continue
             col_j[k] = v
     upper = {(k, j): v for j, col in cols.items() for k, v in col.items()}
-    return TriMat(ring, n, (ring.one(),) * n, upper)
+    return TriMat._of(ring, n, (ring.one(),) * n, upper)
 
 
 def gamma_member(m: TriMat, k: int) -> bool:
@@ -488,9 +486,6 @@ class Group:
     def random(self, rng):
         raise NotImplementedError
 
-    def contains(self, x) -> bool:
-        raise NotImplementedError
-
     def elements(self):
         raise NotImplementedError("not a finite enumeration")
 
@@ -538,9 +533,6 @@ class Additive(Group):
     def random(self, rng):
         return self.ring.random(rng)
 
-    def contains(self, x):
-        return True
-
 
 class AdditivePairs(Group):
     """R x R as an additive group; elements are pairs."""
@@ -560,9 +552,6 @@ class AdditivePairs(Group):
 
     def random(self, rng):
         return (self.ring.random(rng), self.ring.random(rng))
-
-    def contains(self, x):
-        return isinstance(x, tuple) and len(x) == 2
 
 
 class Unitriangular(Group):
@@ -602,17 +591,9 @@ class Borel(Group):
 
     def random(self, rng):
         u = Unitriangular(self.ring, self.n).random(rng)
-        d = diag_matrix(self.ring, self.n,
-                        [_random_unit(self.ring, self.plus, rng) for _ in range(self.n)])
+        d = TriMat(self.ring, self.n,
+                   [_random_unit(self.ring, self.plus, rng) for _ in range(self.n)], {})
         return u * d
-
-    def contains(self, x):
-        if not (isinstance(x, TriMat) and x.n == self.n and x.ring is self.ring):
-            return False
-        if not self.plus:
-            return True
-        one = self.ring.one()
-        return all(self.ring.unit_decompose(u)[0] == one for u in x.diag)
 
     def elements(self):
         """Lexicographic in (normal-form coefficients, diagonal exponents
@@ -621,9 +602,10 @@ class Borel(Group):
         units = _field_units_in_exp_order(F)
         if self.plus:
             units = [F.one()]
+        diags = [TriMat(F, self.n, d, {}) for d in product(units, repeat=self.n)]
         for u in Unitriangular(F, self.n).elements():
-            for d in product(units, repeat=self.n):
-                yield u * diag_matrix(F, self.n, d)
+            for d in diags:
+                yield u * d
 
 
 class ProjBorel(Group):
@@ -638,17 +620,15 @@ class ProjBorel(Group):
     def random(self, rng):
         return ProjElem(self._borel.random(rng))
 
-    def contains(self, x):
-        return isinstance(x, ProjElem) and x.n == self.n and \
-            x.ring is self.ring and self._borel.contains(x.mat)
-
     def elements(self):
         F = self.ring
         units = [F.one()] if self.plus else _field_units_in_exp_order(F)
+        # first diagonal entry pinned to 1: classes modulo scalars
+        diags = [TriMat(F, self.n, (F.one(),) + d, {})
+                 for d in product(units, repeat=self.n - 1)]
         for u in Unitriangular(F, self.n).elements():
-            # first diagonal entry pinned to 1: classes modulo scalars
-            for d in product(units, repeat=self.n - 1):
-                yield ProjElem(u * diag_matrix(F, self.n, (F.one(),) + d))
+            for d in diags:
+                yield ProjElem(u * d)
 
 
 class Affine(Group):
@@ -662,13 +642,6 @@ class Affine(Group):
     def random(self, rng):
         return AffElem(self.ring, _random_unit(self.ring, self.plus, rng),
                        self.ring.random(rng))
-
-    def contains(self, x):
-        if not (isinstance(x, AffElem) and x.ring is self.ring):
-            return False
-        if not self.plus:
-            return True
-        return self.ring.unit_decompose(x.u)[0] == self.ring.one()
 
     def elements(self):
         F = self.ring
@@ -691,9 +664,6 @@ class CornerDiagGroup(Group):
     def random(self, rng):
         units = [self.ring.one()] + [self.ring.random_unit(rng) for _ in range(self.n - 1)]
         return CornerDiag(self.ring, self.n, self.ring.random(rng), units)
-
-    def contains(self, x):
-        return isinstance(x, CornerDiag) and x.n == self.n and x.ring is self.ring
 
     def elements(self):
         """Corner coordinate first, then diagonal exponents."""
@@ -815,9 +785,6 @@ def element_word(m: TriMat) -> str:
     """The ordered word e(i,j;r)... d(i;u)... of a triangular matrix: the
     normal form of m * diag(m)^-1, whose entry (i,j) is a(i,j) * d_j^-1."""
     ring, n = m.ring, m.n
-    for u in m.diag:
-        if not ring.is_unit(u):
-            raise GroupError(f"{ring.to_str(u)} is not a unit of {ring.tag}")
     dinv = [ring.inv(u) for u in m.diag]
     coeffs = _peel(ring, n, {(i, j): ring.mul(v, dinv[j - 1])
                              for (i, j), v in m.upper.items()})

@@ -476,9 +476,6 @@ class LocalizedInt:
     def __add__(self, o):
         return LocalizedInt(self.num * o.den + o.num * self.den, self.den * o.den)
 
-    def __sub__(self, o):
-        return LocalizedInt(self.num * o.den - o.num * self.den, self.den * o.den)
-
     def __mul__(self, o):
         return LocalizedInt(self.num * o.num, self.den * o.den)
 
@@ -608,10 +605,6 @@ class UnitEquationResult(NamedTuple):
     identity_forced: bool
     det_one_minus: int
     violations: tuple[int, ...]           # indices j where image_j != p_j
-
-    def summary(self):
-        status = "identity (eigenvalue 1)" if self.identity_forced else "non-identity"
-        return f"primes={list(self.primes)} matrix={ [list(r) for r in self.matrix] } {status}"
 
 
 def solve_unit_equation(ring: LocalizedIntegers, images=None) -> UnitEquationResult:

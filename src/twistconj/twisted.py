@@ -24,10 +24,8 @@ from itertools import product
 from typing import NamedTuple
 
 from . import linalg, rings
-from .autos import Automorphism, PairSwap
-from .groups import (
-    Additive, AdditivePairs, AffElem, GroupError, TriMat, from_rows, generating_set,
-)
+from .autos import Automorphism, PairSwap, tf_monomial_exponent
+from .groups import Additive, AdditivePairs, AffElem, GroupError, TriMat, generating_set
 from .linalg import det_one_minus
 from .poly import Poly, PolyRing, poly_ring
 from .rings import RingError
@@ -496,16 +494,18 @@ def classify_reflection(g, phi) -> ReflectionClass:
     """Send an element of the torsion-free triangular or affine group over
     gf(q)[t,t^-1] to its class representative under the reflection
     automorphism, with an exactly verified witness.  The representative
-    is determined by the diagonal exponent parities alone."""
+    is determined by the diagonal exponent parities alone.  A diagonal
+    entry with a torsion factor puts g outside the torsion-free group and
+    raises GroupError."""
     ring = phi.ring
     a = phi.a
     if isinstance(g, AffElem):
-        _, (i,) = ring.unit_decompose(g.u)
+        i = tf_monomial_exponent(ring, g.u)
         j = 0
         h = g.r
     elif isinstance(g, TriMat) and g.n == 2:
-        _, (i,) = ring.unit_decompose(g.diag[0])
-        _, (j,) = ring.unit_decompose(g.diag[1])
+        i = tf_monomial_exponent(ring, g.diag[0])
+        j = tf_monomial_exponent(ring, g.diag[1])
         h = g.entry(1, 2)
     else:
         raise GroupError("classification needs a 2x2 triangular or affine element")
@@ -517,10 +517,9 @@ def classify_reflection(g, phi) -> ReflectionClass:
         rep = AffElem(ring, ring.monomial(one, x), ring.zero())
         wit = AffElem(ring, ring.monomial(one, k), f)
     else:
-        rep = from_rows(ring, [[ring.monomial(one, x), ring.zero()],
-                               [ring.zero(), ring.monomial(one, y)]])
-        wit = from_rows(ring, [[ring.monomial(one, k), f],
-                               [ring.zero(), ring.monomial(one, l)]])
+        rep = TriMat._of(ring, 2, (ring.monomial(one, x), ring.monomial(one, y)), {})
+        wit = TriMat._of(ring, 2, (ring.monomial(one, k), ring.monomial(one, l)),
+                         {} if f.is_zero() else {(1, 2): f})
     if twist(phi, wit, rep) != g:
         raise AssertionError("classification witness failed re-verification")
     return ReflectionClass(representative=rep, witness=wit, parity=(x, y))

@@ -97,12 +97,11 @@ def test_reflection_examples():
     phiB = TriangularReflect = None
     from twistconj.autos import TriangularReflect
     phi = TriangularReflect(F5L, 2)
-    from twistconj.groups import from_rows
-    m = from_rows(F5L, [[F5L.gen(), F5L.parse("t^2")], [F5L.zero(), F5L.one()]])
+    m = TriMat(F5L, 2, (F5L.gen(), F5L.one()), {(1, 2): F5L.parse("t^2")})
     img = phi.apply(m)
     assert img.diag == (F5L.parse("t^-1"), F5L.one())
     assert img.entry(1, 2) == F5L.parse("2*t^-2")
-    bad = from_rows(F5L, [[F5L.parse("2*t"), F5L.zero()], [F5L.zero(), F5L.one()]])
+    bad = TriMat(F5L, 2, (F5L.parse("2*t"), F5L.one()), {})
     with pytest.raises(GroupError):
         phi.apply(bad)                             # torsion factor on the diagonal
     with pytest.raises(GroupError):

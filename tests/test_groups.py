@@ -6,8 +6,8 @@ from twistconj import experiments, groups
 from twistconj.groups import (
     AffElem, Affine, Borel, CornerDiag, CornerDiagGroup, GroupError,
     ProjElem, ProjBorel, TriMat, Unitriangular, center_bruteforce, diag_elem,
-    diag_matrix, element_word, elementary, from_rows, gamma_member, identity,
-    normal_form, parse_element, recompose, superdiagonal, to_affine,
+    element_word, elementary, gamma_member, identity, normal_form,
+    parse_element, recompose, superdiagonal, to_affine,
 )
 from twistconj.autos import Flip, Inner
 from twistconj.cli import main
@@ -25,11 +25,18 @@ F5L = parse_ring("gf(5)[t,t^-1]")
 F4L = parse_ring("gf(4)[t,t^-1]")
 
 
+def _from_rows(ring, rows):
+    # dense rows, read as the diagonal and the entries above it
+    n = len(rows)
+    return TriMat(ring, n, [rows[i][i] for i in range(n)],
+                  {(i + 1, j + 1): rows[i][j] for i in range(n) for j in range(i + 1, n)})
+
+
 def test_elementary_examples():
     e = elementary(ZZ, 2, 1, 2, 2)
-    assert e.rows() == [[1, 2], [0, 1]]
+    assert e == TriMat(ZZ, 2, (1, 1), {(1, 2): 2})
     d = diag_elem(ZZ, 2, 2, -1)
-    assert d.rows() == [[1, 0], [0, -1]]
+    assert d == TriMat(ZZ, 2, (1, -1), {})
     assert elementary(ZZ, 2, 1, 2, 0).is_identity()
     with pytest.raises(GroupError):
         elementary(ZZ, 3, 2, 2, 1)
@@ -66,8 +73,41 @@ def test_relations_sampled(tag):
         assert checked == 60
 
 
+def test_constructor_keeps_the_canonical_form():
+    # a zero entry is dropped, so the value equals and hashes like the one
+    # without it
+    for tag in ("gf(4)", "z", "z[1/6]", "gf(5)[t,t^-1]"):
+        ring = parse_ring(tag)
+        one, zero = ring.one(), ring.zero()
+        m = TriMat(ring, 2, (one, one), {(1, 2): zero})
+        assert m == identity(ring, 2) and hash(m) == hash(identity(ring, 2))
+        assert m.upper == {} and repr(m) == "1"
+        m = TriMat(ring, 3, [one] * 3, {(1, 3): zero, (2, 3): one})
+        e = elementary(ring, 3, 2, 3, one)
+        assert m == e and hash(m) == hash(e)
+
+
+def test_constructor_refuses_a_non_canonical_matrix():
+    with pytest.raises(GroupError, match="2 is not a unit of z"):
+        TriMat(ZZ, 2, (1, 2), {})
+    with pytest.raises(GroupError, match="not a unit"):
+        TriMat(F5T, 2, (F5T.one(), F5T.gen()), {})
+    with pytest.raises(GroupError, match="not a unit"):
+        TriMat(F3, 2, (1, 0), {})
+    with pytest.raises(GroupError, match="length"):
+        TriMat(ZZ, 2, (1, 1, 1), {})
+    with pytest.raises(GroupError, match="length"):
+        TriMat(ZZ, 3, (1, 1), {})
+    for key in ((2, 1), (1, 1), (1, 3), (0, 2)):
+        with pytest.raises(GroupError, match="off the strict upper triangle"):
+            TriMat(ZZ, 2, (1, 1), {key: 1})
+    # refused even with a zero value, which would otherwise be dropped
+    with pytest.raises(GroupError, match="off the strict upper triangle"):
+        TriMat(ZZ, 2, (1, 1), {(2, 1): 0})
+
+
 def test_normal_form_example():
-    m = from_rows(F2, [[1, 1, 1], [0, 1, 1], [0, 0, 1]])
+    m = TriMat(F2, 3, (1, 1, 1), {(1, 2): 1, (1, 3): 1, (2, 3): 1})
     assert normal_form(m).coeffs == (1, 1, 0)
     assert normal_form(identity(F2, 3)).coeffs == (0, 0, 0)
     r = F5T.parse("t+2")
@@ -151,7 +191,7 @@ def _normal_form_by_products(m):
 def _element_word_by_products(m):
     # the definition: the normal form of m * diag(m)^-1, then the diagonal
     ring, n = m.ring, m.n
-    nf = _normal_form_by_products(m * _inv_by_columns(diag_matrix(ring, n, m.diag)))
+    nf = _normal_form_by_products(m * _inv_by_columns(TriMat(ring, n, m.diag, {})))
     parts = [f"e({i},{j};{ring.to_str(r)})" for (i, j), r in nf.factors()
              if not ring.is_zero(r)]
     parts += [f"d({i};{ring.to_str(u)})" for i, u in enumerate(m.diag, start=1)
@@ -175,7 +215,7 @@ def test_core_routines_match_product_definitions(tag):
             nf = groups.NormalForm(ring, n, tuple(
                 ring.zero() if rng.random() < 0.3 else ring.random(rng)
                 for _ in positions))
-            d = diag_matrix(ring, n, [ring.random_unit(rng) for _ in range(n)])
+            d = TriMat(ring, n, [ring.random_unit(rng) for _ in range(n)], {})
             # a product of elementaries in normal-form order has an inverse
             # whose column walk cancels, so recompose(nf) covers that case
             u, c = TriMat(ring, n, (ring.one(),) * n, upper), recompose(nf)
@@ -393,30 +433,31 @@ def test_element_words_keep_their_bytes():
     # exact text, so a change in the printed words fails here and not only
     # in a benchmark digest
     P, O = F4L.parse, F4L.zero()
-    m = from_rows(F4L, [[P("w*t"), P("t^-1+w"), P("(w+1)*t^2")],
-                        [O, P("t^-2"), P("w*t+1")],
-                        [O, O, P("w+1")]])
+    m = _from_rows(F4L, [[P("w*t"), P("t^-1+w"), P("(w+1)*t^2")],
+                         [O, P("t^-2"), P("w*t+1")],
+                         [O, O, P("w+1")]])
     assert element_word(m) == ("e(1,2;t + w*t^2) e(2,3;w + (w+1)*t) "
                                "e(1,3;w*t + t^2 + t^3) d(1;w*t) d(2;t^-2) d(3;(w+1))")
     assert Inner(m).word() == f"inner({element_word(m)})"
-    m4 = from_rows(F4L, [[F4L.one(), P("t"), O, P("w")],
-                         [O, P("w*t^-1"), P("t+1"), O],
-                         [O, O, F4L.one(), P("t^2")],
-                         [O, O, O, P("t^3")]])
+    m4 = _from_rows(F4L, [[F4L.one(), P("t"), O, P("w")],
+                          [O, P("w*t^-1"), P("t+1"), O],
+                          [O, O, F4L.one(), P("t^2")],
+                          [O, O, O, P("t^3")]])
     assert element_word(m4) == (
         "e(1,2;(w+1)*t^2) e(2,3;1 + t) e(3,4;t^-1) e(1,3;(w+1)*t^2 + (w+1)*t^3) "
         "e(2,4;t^-1 + 1) e(1,4;w*t^-3) d(2;w*t^-1) d(4;t^3)")
     Z6 = localized(6)
     Q = Z6.parse
-    z = from_rows(Z6, [[Q("-2"), Q("1/3"), Q("5")],
-                       [Z6.zero(), Q("3"), Q("-7/2")],
-                       [Z6.zero(), Z6.zero(), Q("1/6")]])
+    z = _from_rows(Z6, [[Q("-2"), Q("1/3"), Q("5")],
+                        [Z6.zero(), Q("3"), Q("-7/2")],
+                        [Z6.zero(), Z6.zero(), Q("1/6")]])
     assert element_word(z) == "e(1,2;1/9) e(2,3;-21) e(1,3;97/3) d(1;-2) d(2;3) d(3;1/6)"
     assert repr(ProjElem(z)) == "[e(1,2;1/9) e(2,3;-21) e(1,3;97/3) d(2;-3/2) d(3;-1/12)]"
 
 
 def test_element_word_refuses_a_non_unit_diagonal():
-    # a GroupError naming the entry, not the ring's RingError from inverting it
+    # a GroupError naming the entry, not the ring's RingError from inverting
+    # it; the constructor raises it, so no such matrix reaches element_word
     t = F5T.gen()
     with pytest.raises(GroupError, match="not a unit"):
         element_word(TriMat(F5T, 2, (t, F5T.one()), {(1, 2): t}))
@@ -449,9 +490,9 @@ def test_enumeration_order_matches_nested_loops():
         [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
     U2 = list(Unitriangular(F5, 2).elements())
     assert list(Borel(F5, 2).elements()) == \
-        [u * diag_matrix(F5, 2, (x, y)) for u in U2 for x in units for y in units]
+        [u * TriMat(F5, 2, (x, y), {}) for u in U2 for x in units for y in units]
     assert list(ProjBorel(F5, 2).elements()) == \
-        [ProjElem(u * diag_matrix(F5, 2, (1, y))) for u in U2 for y in units]
+        [ProjElem(u * TriMat(F5, 2, (1, y), {})) for u in U2 for y in units]
     assert list(CornerDiagGroup(F5, 3).elements()) == \
         [CornerDiag(F5, 3, r, (1, x, y)) for r in range(5) for x in units for y in units]
     W = list(win.elements())

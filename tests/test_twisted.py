@@ -9,8 +9,8 @@ from twistconj.autos import (
     RingMap, TriangularReflect,
 )
 from twistconj.groups import (
-    Additive, AffElem, Borel, GroupError, ProjBorel, Unitriangular,
-    elementary, from_rows, generating_set, identity,
+    Additive, AffElem, Borel, GroupError, ProjBorel, TriMat, Unitriangular,
+    elementary, generating_set, identity,
 )
 from twistconj.linalg import bareiss_det, det_one_minus
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
@@ -176,18 +176,15 @@ def test_classify_examples():
     phi = TriangularReflect(F4L, a4)
     one = F4L.one()
 
-    g = from_rows(F4L, [[F4L.parse("t^2"), F4L.parse("t+1")],
-                        [F4L.zero(), F4L.parse("t")]])
+    g = TriMat(F4L, 2, (F4L.parse("t^2"), F4L.parse("t")), {(1, 2): F4L.parse("t+1")})
     res = classify_reflection(g, phi)
     assert res.parity == (0, 1)
-    assert res.representative == from_rows(
-        F4L, [[one, F4L.zero()], [F4L.zero(), F4L.gen()]])
+    assert res.representative == TriMat(F4L, 2, (one, F4L.gen()), {})
 
     res = classify_reflection(identity(F4L, 2), phi)
     assert res.parity == (0, 0) and res.witness == identity(F4L, 2)
 
-    g = from_rows(F4L, [[F4L.parse("t^3"), F4L.parse("t^-2+1")],
-                        [F4L.zero(), F4L.parse("t^5")]])
+    g = TriMat(F4L, 2, (F4L.parse("t^3"), F4L.parse("t^5")), {(1, 2): F4L.parse("t^-2+1")})
     res = classify_reflection(g, phi)
     assert res.parity == (1, 1)
     assert twist(phi, res.witness, res.representative) == g
@@ -197,6 +194,19 @@ def test_classify_examples():
     res = classify_reflection(g, phiA)
     assert res.parity == (0, 0)
     assert twist(phiA, res.witness, res.representative) == g
+
+
+def test_classify_refuses_an_element_with_a_torsion_factor():
+    # a diagonal entry c*t^k with c != 1 lies outside the torsion-free group:
+    # bad input (GroupError), not a failed witness (AssertionError)
+    a4 = reflection_unit(F4)
+    P = F4L.parse
+    g = TriMat(F4L, 2, (P("w*t"), F4L.one()), {(1, 2): P("t+1")})
+    with pytest.raises(GroupError, match="torsion"):
+        classify_reflection(g, TriangularReflect(F4L, a4))
+    g = AffElem(F4L, P("(w+1)*t^2"), P("t^-1"))
+    with pytest.raises(GroupError, match="torsion"):
+        classify_reflection(g, AffineReflect(F4L, a4))
 
 
 def test_brute_force_examples():
@@ -259,8 +269,7 @@ def test_partition_flags_escape():
     B = Borel(ring, 2, plus=True)
     phi = TriangularReflect(ring, reflection_unit(F4))
     one = ring.base.one()
-    universe = [from_rows(ring, [[ring.monomial(one, i), ring.zero()],
-                                 [ring.zero(), ring.monomial(one, j)]])
+    universe = [TriMat(ring, 2, (ring.monomial(one, i), ring.monomial(one, j)), {})
                 for i in (-1, 0, 1) for j in (-1, 0, 1)]
     part = brute_force_partition(universe, phi, B)
     assert not part.complete
