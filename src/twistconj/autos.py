@@ -231,13 +231,12 @@ class _Sigma(Automorphism):
     """A type-Sigma automorphism of U_n, n >= 3, given by an endomorphism
     lambda and a scalar a that satisfy the Sigma condition."""
 
-    def __init__(self, group: Unitriangular, lam, a, unchecked=False):
+    def __init__(self, group: Unitriangular, lam, a):
         if group.n < 3:
             raise GroupError("type-Sigma automorphisms need n >= 3")
-        if not unchecked:
-            bad = check_sigma_pair(group.ring, lam, a, random.Random(0), 1000)
-            if bad is not None:
-                raise GroupError(f"(lambda, a) violates the Sigma condition at {bad}")
+        bad = check_sigma_pair(group.ring, lam, a, random.Random(0), 1000)
+        if bad is not None:
+            raise GroupError(f"(lambda, a) violates the Sigma condition at {bad}")
         self.domain = group
         self.lam = lam
         self.a = a

@@ -89,10 +89,6 @@ def gf_rref(F, rows):
     return [row for row in a[:r]], pivots
 
 
-def gf_rank(F, rows) -> int:
-    return len(gf_rref(F, rows)[0])
-
-
 def gf_solve(F, rows, rhs):
     """One solution x of A x = b over gf, or None.  A given as row lists."""
     nrows = len(rows)

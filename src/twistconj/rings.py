@@ -183,16 +183,15 @@ _MODULI = {
 _FIELD_CACHE: dict = {}
 
 
-def field(q: int, modulus=None) -> "GaloisField":
+def field(q: int) -> "GaloisField":
     """Arithmetic context for gf(q); contexts are cached and shared."""
-    key = (q, tuple(modulus) if modulus is not None else None)
-    if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = GaloisField(q, modulus)
-    return _FIELD_CACHE[key]
+    if q not in _FIELD_CACHE:
+        _FIELD_CACHE[q] = GaloisField(q)
+    return _FIELD_CACHE[q]
 
 
 class GaloisField(Ring):
-    def __init__(self, q, modulus=None):
+    def __init__(self, q):
         ps = prime_factors(q) if q >= 2 else []
         if len(ps) != 1:
             raise RingError(f"unsupported field size {q}")
@@ -204,16 +203,11 @@ class GaloisField(Ring):
             k += 1
         if p ** k != q:
             raise RingError(f"unsupported field size {q}")
-        if k == 1:
-            modulus = None
-        else:
-            if modulus is None:
-                modulus = _MODULI.get(q)
+        modulus = None
+        if k > 1:
+            modulus = _MODULI.get(q)
             if modulus is None:
                 raise RingError(f"no built-in modulus for gf({q})")
-            modulus = tuple(c % p for c in modulus)
-            if len(modulus) != k + 1 or modulus[-1] != 1:
-                raise RingError("modulus must be monic of the right degree")
         self.q, self.p, self.k = q, p, k
         self.modulus = modulus
         self.tag = f"gf({q})"

@@ -7,15 +7,17 @@ exponent-tuple case search for diagonal substitutions.
 
 The additive computations run over windows: a window fixes a finite range
 of monomial exponents and treats the corresponding coefficient space as a
-vector space over gf(q); a pair window does the same for R x R.  Deciding
-membership of r in the image of (id - phi) grows the solving window
-round by round.  Each round is one elimination of the images of the
-solving basis, with the coordinates outside the target window ordered
-first and the target window's last: r is a member when it reduces to zero
-there, and otherwise the reduced rows that start inside the target window
-are the canonical basis of the image intersected with it.  The growth
-stops when that basis stays the same twice in a row; "undecided" is an
-explicit outcome, never silently converted into an answer.
+vector space over gf(q); a pair window does the same for R x R.  One
+routine, _images, computes (id - phi)(S) for a source window S against a
+target window W: the images of S's basis, each built once per call of
+a solver, eliminated with the coordinates outside W ordered first and
+W's last.  Deciding membership of r in the image grows S round by round:
+r is a member when it reduces to zero against the rows, and otherwise
+the reduced rows that start inside W are the canonical basis of the
+image intersected with W.  The growth stops when that basis stays the
+same twice in a row; "undecided" is an explicit outcome, never silently
+converted into an answer.  A class count takes S = W, which must be
+invariant, and reads the cokernel off the number of pivots.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ class _Window:
 
     def positions(self):
         return self._positions
-
-    def basis(self):
-        one = self.field.one()
-        return [self.make({k: one}) for k in self._positions]
 
     def contains(self, x) -> bool:
         return self._keys.issuperset(self.terms(x))
@@ -165,17 +163,15 @@ MAX_ROUNDS = 8
 def additive_membership(r, phi: Automorphism, window, growth=None) -> MembershipVerdict:
     """Decide r in Im(id - phi) against a target window W.
 
-    Each round does one elimination: the images b - phi(b) of the solving
-    window's basis are the rows, over the ambient coordinates ordered with
-    the positions outside W first (sorted) and W's positions last (in
-    window order), and gf_rref brings them to reduced form.  r is a member
-    exactly when it reduces to zero against those rows; only then does
-    gf_solve find the witness h, which is re-verified as r = h - phi(h).
-    Otherwise the rows whose pivot falls in the W block, cut to W, are the
-    canonical basis of the intersection of Im(id - phi) with W.  The
-    solving window grows by `growth` (default twice the window span) until
-    that basis is unchanged twice in a row, or MAX_ROUNDS growths leave
-    the verdict undecided.
+    Each round is one call of _images on the solving window: r is a
+    member exactly when it reduces to zero against the reduced images;
+    only then does gf_solve find the witness h, which is re-verified as
+    r = h - phi(h).  Otherwise the reduced rows whose pivot falls in the
+    W block, cut to W, are the canonical basis of the intersection of
+    Im(id - phi) with W.  The solving window grows by `growth` (default
+    twice the window span) until that basis is unchanged twice in a row,
+    or MAX_ROUNDS growths leave the verdict undecided.  The rounds share
+    one image cache, so each basis image is built once.
     """
     pairs = isinstance(window, PairWindow)
     dom = phi.domain
@@ -187,18 +183,14 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
         raise RingError("target vector leaves the window")
     F = window.field
     step = growth if growth is not None else 2 * window.span
-    target = window.positions()
+    cache = {}
     tried = []
     prev_canon = None
     stable = 0
     source = window
     for _ in range(MAX_ROUNDS + 1):
         tried.append(source.bounds)
-        images = [window.terms(_sub_vec(dom, b, phi.apply(b))) for b in source.basis()]
-        outside = sorted({k for img in images for k in img} - set(target))
-        index = {k: i for i, k in enumerate(outside + list(target))}
-        rows = [_dense(img, index) for img in images]
-        red, pivots = linalg.gf_rref(F, rows)
+        rows, red, pivots, cut, index = _images(phi, source, window, cache)
         rhs = _dense(window.terms(r), index)
         rest = rhs
         for row, c in zip(red, pivots):
@@ -209,7 +201,6 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
             if _sub_vec(dom, h, phi.apply(h)) != r:
                 raise AssertionError("membership witness failed re-verification")
             return MembershipVerdict(True, True, h, tuple(tried))
-        cut = len(outside)
         canon = tuple(tuple(row[cut:]) for row, c in zip(red, pivots) if c >= cut)
         if canon == prev_canon:
             stable += 1
@@ -220,6 +211,34 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
         prev_canon = canon
         source = source.grow(step)
     return MembershipVerdict(False, False, None, tuple(tried))
+
+
+def _images(phi, source, window, cache):
+    """(id - phi)(S) for S = `source`, eliminated in block order:
+    (rows, rref, pivots, cut, index).
+
+    The rows are the images b - phi(b) of S's basis, in S's order, as
+    dense vectors over the ambient coordinates: the `cut` coordinates
+    outside the target window W (sorted) first and W's positions last (in
+    window order); `index` maps a coordinate key to its column.  An image
+    depends on phi and the basis position alone, so `cache` maps a
+    position to its image terms and is shared by every window of one
+    computation."""
+    dom = phi.domain
+    one = window.field.one()
+    images = []
+    for k in source.positions():
+        img = cache.get(k)
+        if img is None:
+            b = source.make({k: one})
+            img = cache[k] = window.terms(_sub_vec(dom, b, phi.apply(b)))
+        images.append(img)
+    target = window.positions()
+    outside = sorted({k for img in images for k in img} - set(target))
+    index = {k: i for i, k in enumerate(outside + list(target))}
+    rows = [_dense(img, index) for img in images]
+    red, pivots = linalg.gf_rref(window.field, rows)
+    return rows, red, pivots, len(outside), index
 
 
 def _dense(terms, index):
@@ -246,38 +265,24 @@ class ClassCount(NamedTuple):
 
 
 def additive_class_count(phi: Automorphism, window, rounds=2) -> ClassCount:
-    """q ** dim(coker(id - phi)) on a phi-invariant window.  The window is
-    regrown `rounds` times; the count is flagged stable when it does not
-    move, and a growing count is evidence of an infinite class set."""
-    counts = []
-    first = None
+    """q ** dim(coker(id - phi)) on a phi-invariant window: _images of the
+    window onto itself, whose rank is its number of pivots.  The window
+    is regrown `rounds` times, sharing one image cache; the count is
+    flagged stable when it does not move, and a growing count is
+    evidence of an infinite class set."""
+    cache = {}
+    tried = []
     src = window
-    block = phi.block_size
-    for k in range(rounds + 1):
-        dim, rank = _window_rank(phi, src)
-        counts.append(window.field.q ** (dim - rank))
-        if first is None:
-            first = (dim, rank, counts[0])
-        src = src.grow(block * max(1, src.span // 2))
-    return ClassCount(
-        count=counts[0],
-        stabilized=all(c == counts[0] for c in counts),
-        dim=first[0],
-        rank=first[1],
-        counts_tried=tuple(counts),
-    )
-
-
-def _window_rank(phi, window):
-    F = window.field
-    dom = phi.domain
-    cols = []
-    for b in window.basis():
-        img = _sub_vec(dom, b, phi.apply(b))
-        if not window.contains(img):
-            raise GroupError(f"{window!r} is not invariant under {phi.word()}")
-        cols.append(window.coords(img))
-    return window.dim, linalg.gf_rank(F, cols)
+    for _ in range(rounds + 1):
+        _, _, pivots, cut, _ = _images(phi, src, src, cache)
+        if cut:
+            raise GroupError(f"{src!r} is not invariant under {phi.word()}")
+        tried.append((src.dim, len(pivots)))
+        src = src.grow(phi.block_size * max(1, src.span // 2))
+    counts = tuple(window.field.q ** (dim - rank) for dim, rank in tried)
+    dim, rank = tried[0]
+    return ClassCount(count=counts[0], stabilized=all(c == counts[0] for c in counts),
+                      dim=dim, rank=rank, counts_tried=counts)
 
 
 # ---------------------------------------------------------------------------

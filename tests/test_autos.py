@@ -134,7 +134,8 @@ def test_corrupted_sigma_fails_with_witness():
     lam = MulBy(F5T, F5T.from_int(2))              # additive, so it violates
     with pytest.raises(GroupError):
         SigmaFirst(U5, lam, F5T.from_int(2))       # the pair condition
-    bad = SigmaFirst(U5, lam, F5T.from_int(2), unchecked=True)
+    bad = object.__new__(SigmaFirst)               # skips that check
+    bad.domain, bad.lam, bad.a = U5, lam, F5T.from_int(2)
     rep = verify_homomorphism(bad, samples=400, rng=random.Random(6))
     assert not rep.passed
     assert rep.counterexample is not None
@@ -300,6 +301,8 @@ def test_word_grammar():
         parse_auto("flip", ring=F2T)               # needs a group
     with pytest.raises(GroupError):
         parse_auto("flip*phiB(w)", ring=F4L, group=Unitriangular(F4L, 5))
+    with pytest.raises(RingError):
+        parse_auto("ring(t->t+1)", ring=F5L)       # t^-1 would have no image
 
 
 def test_compose_order_is_right_to_left():

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from twistconj.poly import parse_ring
+from twistconj.poly import is_irreducible, parse_ring, poly_ring
 from twistconj.rings import (
-    LocalizedInt, RingError, ZZ, field, localized, solve_unit_equation,
+    _MODULI, LocalizedInt, RingError, ZZ, field, localized, solve_unit_equation,
 )
 
 ALL_TAGS = ["gf(4)", "gf(5)[t]", "gf(5)[t,t^-1]", "z", "z[1/6]", "z[t]", "z[t,t^-1]"]
@@ -50,13 +50,15 @@ def test_unsupported_fields():
         field(6)
     with pytest.raises(RingError):
         field(32)  # no built-in modulus
-    with pytest.raises(RingError):
-        field(4, modulus=(0, 0, 1))  # x^2 is reducible
-    with pytest.raises(RingError):
-        field(4, modulus=(1, 0, 1))  # x^2 + 1 = (x + 1)^2 over gf(2)
-    with pytest.raises(RingError):
-        # (x^2 + x + 1)^2: reducible, yet without a root in gf(2)
-        field(16, modulus=(1, 0, 1, 0, 1))
+
+
+def test_builtin_moduli_are_monic_irreducible():
+    for q, modulus in _MODULI.items():
+        F = field(q)
+        ring = poly_ring(field(F.p), laurent=False)
+        f = ring.make(dict(enumerate(modulus)))
+        assert f.degree == F.k and f.coeff(F.k) == 1, q
+        assert is_irreducible(f), q
 
 
 def test_multiplicative_order_exhaustive():

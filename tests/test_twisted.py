@@ -5,8 +5,8 @@ import pytest
 
 from twistconj import experiments
 from twistconj.autos import (
-    AffineReflect, BlockCompanion, CenterScale, Compose, IdentityMap, Inner,
-    RingMap, TriangularReflect,
+    AffineReflect, Automorphism, BlockCompanion, CenterScale, Compose,
+    IdentityMap, Inner, RingMap, TriangularReflect,
 )
 from twistconj.groups import (
     Additive, AffElem, Borel, GroupError, ProjBorel, TriMat, Unitriangular,
@@ -149,6 +149,37 @@ def test_additive_class_count_examples():
 
     with pytest.raises(GroupError):
         additive_class_count(BlockCompanion(P), LinearWindow(F2T, 0, 2))
+
+
+class _CountingAuto(Automorphism):
+    """phi, counting the calls of its apply."""
+
+    def __init__(self, phi):
+        self.phi, self.calls = phi, 0
+        self.domain, self.block_size = phi.domain, phi.block_size
+
+    def apply(self, x):
+        self.calls += 1
+        return self.phi.apply(x)
+
+    def word(self):
+        return self.phi.word()
+
+
+def test_window_solvers_build_each_image_once():
+    # criterion 6's t^8 vs t^2: windows [0, 8], [0, 20], [0, 32] share
+    # their images, so 33 applies where a rebuild per round makes 9 + 21 + 33
+    phi = _CountingAuto(RingMap(PolySub(F3T, 1, 1), Additive(F3T)))
+    v = additive_membership(F3T.parse("t^8-t^2"), phi, LinearWindow(F3T, 0, 8),
+                            growth=12)
+    assert v == (True, False, None, ((0, 8), (0, 20), (0, 32)))
+    assert phi.calls == 33
+    # the regrowths [0, 23], [0, 47], [0, 95] of a class count: 96, not 168
+    P = F2T.parse("t^2+t+1")
+    phi = _CountingAuto(Compose([CenterScale(F2T, F2T.one()), BlockCompanion(P)]))
+    cc = additive_class_count(phi, LinearWindow(F2T, 0, 23))
+    assert cc == (1, True, 24, 24, (1, 1, 1))
+    assert phi.calls == 96
 
 
 def test_solve_reflection_corner():
