@@ -1,12 +1,13 @@
-"""Exact linear algebra: fraction-free integer determinants and dense
+"""Exact linear algebra: fraction-free integer determinants and sparse
 Gaussian elimination over the finite fields of the rings module.
 
-Matrices are plain lists of row lists.  Field entries are gf codes, so a
-field context must accompany every gf routine.  Every gf elimination step
-is one row_sub, which reads x - f*y off the field's addition table through
-a q-entry table of -f*v built once per row, so a cell costs table
-lookups and no field call.  Everything here is pure; the dimensions in
-this package stay below a few hundred.
+Integer matrices are plain lists of row lists.  A gf row is a dict
+{column: code} that holds only its nonzero entries, and the columns are
+ordered by their keys.  A field context must accompany every gf routine.
+Every gf elimination step is one _sub, which computes x - f*y over the
+union of the two supports through the field's tables, so a cell costs
+table lookups and no field call.  Everything here is pure; the
+dimensions in this package stay below a few hundred.
 """
 
 from __future__ import annotations
@@ -48,71 +49,68 @@ def det_one_minus(rows) -> int:
 # ---------------------------------------------------------------------------
 # gf(q) routines; `F` is a GaloisField context, entries are codes
 
-def row_sub(F, x, f, y, start=0):
-    """The row x - f*y of codes.  The columns before `start` are copied
-    from x, which is exact when y is zero there."""
-    neg = F.neg_table
-    negf = [neg[v] for v in F.mul_table[f]]
-    add = F.add_table
-    return x[:start] + [add[u][negf[v]] for u, v in zip(x[start:], y[start:])]
+def _sub(F, x, f, y):
+    """The sparse row x - f*y; neither x nor y is mutated."""
+    out = dict(x)
+    if f:
+        add, neg, mul = F.add_table, F.neg_table, F.mul_table[f]
+        for c, v in y.items():
+            w = add[out.get(c, 0)][neg[mul[v]]]
+            if w:
+                out[c] = w
+            else:
+                del out[c]
+    return out
+
+
+def gf_reduce(F, x, basis):
+    """x reduced by a reduced basis {pivot: row}.  A basis row is zero at
+    every other pivot, so x's coefficients at the pivots are read once."""
+    for c, f in [(c, f) for c, f in x.items() if c in basis]:
+        x = _sub(F, x, f, basis[c])
+    return x
 
 
 def gf_rref(F, rows):
-    """(rref, pivot columns).  Input rows are not mutated."""
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+    """(rref, pivot columns) of sparse rows, the reduced rows in pivot
+    order.  Each row is reduced by the basis built so far, normalised at
+    its least column, and that column is cleared from the basis.  Input
+    rows are not mutated."""
+    basis = {}
+    for row in rows:
+        x = gf_reduce(F, row, basis)
+        if not x:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        s = F.inv(a[r][c])
-        if s != 1:
-            scale = F.mul_table[s]
-            a[r] = [scale[x] for x in a[r]]
-        # rows from r on are zero before column c, the pivot row among them
-        piv = a[r]
-        for i, row in enumerate(a):
-            if row[c] != 0 and i != r:
-                a[i] = row_sub(F, row, row[c], piv, c)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [row for row in a[:r]], pivots
+        p = min(x)
+        scale = F.mul_table[F.inv(x[p])]
+        x = {c: scale[v] for c, v in x.items()}
+        for c, b in basis.items():
+            if p in b:
+                basis[c] = _sub(F, b, b[p], x)
+        basis[p] = x
+    pivots = sorted(basis)
+    return [basis[c] for c in pivots], pivots
 
 
-def gf_solve(F, rows, rhs):
-    """One solution x of A x = b over gf, or None.  A given as row lists."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    red, pivots = gf_rref(F, aug)
+def gf_solve(F, rows, ncols):
+    """One solution x of A x = b over gf, or None.  Each sparse row holds a
+    row of A over the columns 0 .. ncols-1 and its entry of b at ncols."""
+    red, pivots = gf_rref(F, rows)
+    if pivots and pivots[-1] == ncols:
+        return None  # pivot in the constant column: inconsistent
     x = [0] * ncols
     for row, c in zip(red, pivots):
-        if c == ncols:
-            return None  # pivot in the constant column: inconsistent
-        x[c] = row[-1]
+        x[c] = row.get(ncols, 0)
     return x
 
 
 def gf_det(F, rows):
-    a = [list(r) for r in rows]
+    """The determinant of a square matrix of codes, given as row lists."""
+    a = [{c: v for c, v in enumerate(r) if v} for r in rows]
     n = len(a)
     det = F.one()
     for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(c, n) if c in a[i]), None)
         if pr is None:
             return F.zero()
         if pr != c:
@@ -121,7 +119,6 @@ def gf_det(F, rows):
         det = F.mul(det, a[c][c])
         s = F.inv(a[c][c])
         for i in range(c + 1, n):
-            if a[i][c] != 0:
-                a[i] = row_sub(F, a[i], F.mul(a[i][c], s), a[c], c)
+            if c in a[i]:
+                a[i] = _sub(F, a[i], F.mul(a[i][c], s), a[c])
     return det
-

@@ -89,10 +89,16 @@ class PolyRing(Ring):
         return e == 0 or self.laurent
 
     def inv(self, a):
-        if not self.is_unit(a):
-            raise RingError(f"{self.to_str(a)} is not a unit of {self.tag}")
-        (e, c), = a.terms.items()
+        e, c = self._unit_term(a)
         return self.monomial(self.base.inv(c), -e)
+
+    def _unit_term(self, a):
+        """(exponent, coefficient) of the single term of the unit a."""
+        if len(a.terms) == 1:
+            (e, c), = a.terms.items()
+            if self.base.is_unit(c) and (e == 0 or self.laurent):
+                return e, c
+        raise RingError(f"{self.to_str(a)} is not a unit of {self.tag}")
 
     def to_str(self, a):
         return str(a)
@@ -116,11 +122,8 @@ class PolyRing(Ring):
         return (self.gen(),) if self.laurent else ()
 
     def unit_decompose(self, u):
-        if not self.is_unit(u):
-            raise RingError(f"{self.to_str(u)} is not a unit of {self.tag}")
-        (e, c), = u.terms.items()
-        exps = (e,) if self.laurent else ()
-        return self.constant(c), exps
+        e, c = self._unit_term(u)
+        return self.constant(c), ((e,) if self.laurent else ())
 
 
 class Poly:

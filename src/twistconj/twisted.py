@@ -10,14 +10,15 @@ of monomial exponents and treats the corresponding coefficient space as a
 vector space over gf(q); a pair window does the same for R x R.  One
 routine, _images, computes (id - phi)(S) for a source window S against a
 target window W: the images of S's basis, each built once per call of
-a solver, eliminated with the coordinates outside W ordered first and
-W's last.  Deciding membership of r in the image grows S round by round:
-r is a member when it reduces to zero against the rows, and otherwise
-the reduced rows that start inside W are the canonical basis of the
-image intersected with W.  The growth stops when that basis stays the
-same twice in a row; "undecided" is an explicit outcome, never silently
-converted into an answer.  A class count takes S = W, which must be
-invariant, and reads the cokernel off the number of pivots.
+a solver, as sparse rows eliminated with the coordinates outside W
+ordered first and W's last.  Deciding membership of r in the image grows
+S round by round: r is a member when it reduces to zero against the
+rows, and otherwise the reduced rows that start inside W are the
+canonical basis of the image intersected with W.  The growth stops when
+that basis stays the same twice in a row; "undecided" is an explicit
+outcome, never silently converted into an answer.  A class count takes
+S = W, which must be invariant, and reads the cokernel off the number of
+pivots.
 """
 
 from __future__ import annotations
@@ -190,18 +191,20 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
     source = window
     for _ in range(MAX_ROUNDS + 1):
         tried.append(source.bounds)
-        rows, red, pivots, cut, index = _images(phi, source, window, cache)
-        rhs = _dense(window.terms(r), index)
-        rest = rhs
-        for row, c in zip(red, pivots):
-            if rest[c]:
-                rest = linalg.row_sub(F, rest, rest[c], row, c)
-        if not any(rest):
-            h = source.from_coords(linalg.gf_solve(F, list(zip(*rows)), rhs))
+        rows, basis, cut, index = _images(phi, source, window, cache)
+        rhs = {index[k]: c for k, c in window.terms(r).items()}
+        if not linalg.gf_reduce(F, rhs, basis):
+            # the witness system: the images as columns, r as the constants
+            system = [{} for _ in index]
+            for j, row in enumerate(rows + [rhs]):
+                for c, v in row.items():
+                    system[c][j] = v
+            h = source.from_coords(linalg.gf_solve(F, system, len(rows)))
             if _sub_vec(dom, h, phi.apply(h)) != r:
                 raise AssertionError("membership witness failed re-verification")
             return MembershipVerdict(True, True, h, tuple(tried))
-        canon = tuple(tuple(row[cut:]) for row, c in zip(red, pivots) if c >= cut)
+        canon = tuple({c - cut: v for c, v in row.items()}
+                      for p, row in basis.items() if p >= cut)
         if canon == prev_canon:
             stable += 1
             if stable >= 2:
@@ -215,15 +218,16 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
 
 def _images(phi, source, window, cache):
     """(id - phi)(S) for S = `source`, eliminated in block order:
-    (rows, rref, pivots, cut, index).
+    (rows, basis, cut, index).
 
     The rows are the images b - phi(b) of S's basis, in S's order, as
-    dense vectors over the ambient coordinates: the `cut` coordinates
+    sparse rows over the ambient coordinates: the `cut` coordinates
     outside the target window W (sorted) first and W's positions last (in
-    window order); `index` maps a coordinate key to its column.  An image
-    depends on phi and the basis position alone, so `cache` maps a
-    position to its image terms and is shared by every window of one
-    computation."""
+    window order); `index` maps a coordinate key to its column.  `basis`
+    maps each pivot of their reduced row echelon form to its row, in
+    pivot order.  An image depends on phi and the basis position alone,
+    so `cache` maps a position to its image terms and is shared by every
+    window of one computation."""
     dom = phi.domain
     one = window.field.one()
     images = []
@@ -236,17 +240,9 @@ def _images(phi, source, window, cache):
     target = window.positions()
     outside = sorted({k for img in images for k in img} - set(target))
     index = {k: i for i, k in enumerate(outside + list(target))}
-    rows = [_dense(img, index) for img in images]
+    rows = [{index[k]: c for k, c in img.items()} for img in images]
     red, pivots = linalg.gf_rref(window.field, rows)
-    return rows, red, pivots, len(outside), index
-
-
-def _dense(terms, index):
-    """The coordinate vector, in the order of `index`, of {key: coefficient}."""
-    out = [0] * len(index)
-    for k, c in terms.items():
-        out[index[k]] = c
-    return out
+    return rows, dict(zip(pivots, red)), len(outside), index
 
 
 def _sub_vec(dom, a, b):
@@ -274,10 +270,10 @@ def additive_class_count(phi: Automorphism, window, rounds=2) -> ClassCount:
     tried = []
     src = window
     for _ in range(rounds + 1):
-        _, _, pivots, cut, _ = _images(phi, src, src, cache)
+        _, basis, cut, _ = _images(phi, src, src, cache)
         if cut:
             raise GroupError(f"{src!r} is not invariant under {phi.word()}")
-        tried.append((src.dim, len(pivots)))
+        tried.append((src.dim, len(basis)))
         src = src.grow(phi.block_size * max(1, src.span // 2))
     counts = tuple(window.field.q ** (dim - rank) for dim, rank in tried)
     dim, rank = tried[0]

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from twistconj.linalg import gf_det, gf_rref, gf_solve, row_sub
+from twistconj.linalg import _sub, gf_det, gf_reduce, gf_rref, gf_solve
 from twistconj.rings import field
 
 QS = (2, 3, 4, 5, 8, 9)
@@ -67,7 +67,15 @@ def _ref_det(F, rows):
 
 
 # ---------------------------------------------------------------------------
-# seeded matrices
+# seeded matrices, given dense; the routines under test take sparse rows
+
+def _sparse(row):
+    return {c: v for c, v in enumerate(row) if v}
+
+
+def _dense(row, ncols):
+    return [row.get(c, 0) for c in range(ncols)]
+
 
 def _random(F, rng, nrows, ncols):
     return [[rng.randrange(F.q) for _ in range(ncols)] for _ in range(nrows)]
@@ -84,7 +92,8 @@ def _product(F, a, b):
 
 
 def _matrices(F, rng):
-    """Square, tall, wide, rank-deficient and all-zero cases."""
+    """Square, tall, wide, rank-deficient and all-zero cases, zero and
+    duplicate rows, and rows whose pivots arrive out of order."""
     yield _random(F, rng, 6, 6)
     yield _random(F, rng, 9, 4)
     yield _random(F, rng, 4, 11)
@@ -94,18 +103,34 @@ def _matrices(F, rng):
     yield [[0] * 3 for _ in range(6)]
     # one nonzero column after zero ones: pivots that skip columns
     yield [[0, 0, rng.randrange(1, F.q), rng.randrange(F.q)] for _ in range(4)]
+    # zero rows between random ones
+    yield [[0] * 7, *_random(F, rng, 2, 7), [0] * 7, *_random(F, rng, 2, 7), [0] * 7]
+    # duplicate rows, and a multiple of one
+    row, other = _random(F, rng, 2, 6)
+    f = rng.randrange(1, F.q)
+    yield [row, other, row, [F.mul(f, v) for v in row], other]
+    # leading columns that fall: the last column first, the first last
+    yield [[0] * k + [rng.randrange(1, F.q)] + [rng.randrange(F.q) for _ in range(6 - k)]
+           for k in range(6, -1, -1)]
+    # a sparse band, one or two nonzeros a row, in shuffled order
+    band = [[0] * 9 for _ in range(9)]
+    for i in range(9):
+        band[i][i] = rng.randrange(1, F.q)
+        band[i][(3 * i + 1) % 9] = rng.randrange(F.q)
+    rng.shuffle(band)
+    yield band
 
 
 def _assert_reduced(F, red, pivots, ncols):
     assert pivots == sorted(set(pivots))
     assert all(0 <= c < ncols for c in pivots)
     for i, (row, c) in enumerate(zip(red, pivots)):
-        assert len(row) == ncols
+        assert 0 not in row.values()
+        assert min(row) == c and max(row) < ncols
         assert row[c] == 1
-        assert not any(row[:c])
         for k, other in enumerate(red):
             if k != i:
-                assert other[c] == 0
+                assert c not in other
 
 
 @pytest.mark.parametrize("q", QS)
@@ -115,22 +140,32 @@ def test_elimination_matches_per_cell_reference(q):
     for _ in range(6):
         for a in _matrices(F, rng):
             ncols = len(a[0])
-            before = [list(r) for r in a]
-            red, pivots = gf_rref(F, a)
-            assert a == before                     # the input is not mutated
-            assert (red, pivots) == _ref_rref(F, a)
+            rows = [_sparse(r) for r in a]
+            before = [dict(r) for r in rows]
+            red, pivots = gf_rref(F, rows)
+            assert rows == before                  # the input is not mutated
+            assert ([_dense(r, ncols) for r in red], pivots) == _ref_rref(F, a)
             _assert_reduced(F, red, pivots, ncols)
+            basis = dict(zip(pivots, red))
+            for row in rows:
+                assert gf_reduce(F, row, basis) == {}
+            assert rows == before
             # a right-hand side in the column space, and an arbitrary one
             x0 = [rng.randrange(q) for _ in range(ncols)]
             inside = [col[0] for col in _product(F, a, [[v] for v in x0])]
             for rhs in (inside, [rng.randrange(q) for _ in a]):
-                x = gf_solve(F, a, rhs)
+                aug = [_sparse(r + [v]) for r, v in zip(a, rhs)]
+                before = [dict(r) for r in aug]
+                x = gf_solve(F, aug, ncols)
+                assert aug == before
                 assert x == _ref_solve(F, a, rhs)
                 if x is not None:
                     assert [col[0] for col in _product(F, a, [[v] for v in x])] == rhs
-            assert gf_solve(F, a, inside) is not None
+            assert gf_solve(F, [_sparse(r + [v]) for r, v in zip(a, inside)], ncols) is not None
             if len(a) == ncols:
+                before = [list(r) for r in a]
                 d = gf_det(F, a)
+                assert a == before
                 assert d == _ref_det(F, a)
                 assert (d != 0) == (len(pivots) == ncols)
 
@@ -138,19 +173,34 @@ def test_elimination_matches_per_cell_reference(q):
 def test_empty_matrix():
     F = field(5)
     assert gf_rref(F, []) == ([], [])
+    assert gf_rref(F, [{}, {}]) == ([], [])
+    assert gf_solve(F, [], 0) == []
+    assert gf_solve(F, [{}, {3: 2}], 3) is None
     assert gf_det(F, []) == 1
 
 
 @pytest.mark.parametrize("q", QS)
-def test_row_sub_matches_cells_and_skips_leading_zeros(q):
+def test_sub_matches_cells_over_the_union_of_supports(q):
     F = field(q)
-    rng = random.Random(f"row-sub-{q}")
+    rng = random.Random(f"sub-{q}")
+
+    def cells(x, f, y, n):
+        return _sparse([F.sub(u, F.mul(f, v)) for u, v in zip(_dense(x, n), _dense(y, n))])
+
     for _ in range(50):
         n = rng.randrange(1, 12)
-        start = rng.randrange(n + 1)
-        x = [rng.randrange(q) for _ in range(n)]
-        y = [0] * start + [rng.randrange(q) for _ in range(n - start)]
+        x = _sparse([rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(n)])
+        y = _sparse([rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(n)])
         f = rng.randrange(q)
-        full = row_sub(F, x, f, y)
-        assert full == [F.sub(u, F.mul(f, v)) for u, v in zip(x, y)]
-        assert row_sub(F, x, f, y, start) == full
+        xs, ys = dict(x), dict(y)
+        assert _sub(F, x, f, y) == cells(x, f, y, n)
+        assert (x, y) == (xs, ys)                  # neither input is mutated
+        assert _sub(F, x, 0, y) == x and _sub(F, x, 0, y) is not x
+        # disjoint supports: x's entries kept, -f*y's added
+        z = {c + n: v for c, v in y.items()}
+        assert _sub(F, x, f, z) == cells(x, f, z, 2 * n)
+        # full cancellation: x - f*(x/f) leaves nothing
+        if f:
+            fy = {c: F.mul(F.inv(f), v) for c, v in x.items()}
+            assert _sub(F, x, f, fy) == {}
+        assert _sub(F, x, 1, x) == {}

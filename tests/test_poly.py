@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -11,6 +12,7 @@ from twistconj.rings import IntegerRing, RingError, field
 
 F2T = parse_ring("gf(2)[t]")
 F3T = parse_ring("gf(3)[t]")
+F5T = parse_ring("gf(5)[t]")
 F5L = parse_ring("gf(5)[t,t^-1]")
 ZT = parse_ring("z[t]")
 
@@ -58,6 +60,28 @@ def test_pow_and_units():
     assert F2T.is_unit(F2T.one()) and not F2T.is_unit(F2T.gen())
     with pytest.raises(RingError):
         F2T.inv(F2T.gen())
+
+
+@pytest.mark.parametrize("tag, text", [
+    ("gf(5)[t]", "t+1"), ("gf(5)[t]", "t"), ("gf(5)[t]", "3*t^4"), ("gf(5)[t]", "0"),
+    ("gf(5)[t,t^-1]", "t^-1+1"), ("gf(5)[t,t^-1]", "0"),
+    ("z[t]", "2"), ("z[t,t^-1]", "2*t"),
+])
+def test_non_units_are_refused(tag, text):
+    ring = parse_ring(tag)
+    a = ring.parse(text)
+    assert not ring.is_unit(a)
+    for routine in (ring.inv, ring.unit_decompose):
+        with pytest.raises(RingError, match=f"^{re.escape(f'{a} is not a unit of {tag}')}$"):
+            routine(a)
+
+
+def test_unit_decompose_examples():
+    u = F5L.parse("3*t^-4")
+    assert F5L.unit_decompose(u) == (F5L.from_int(3), (-4,))
+    assert F5L.inv(u) == F5L.parse("2*t^4")
+    c = F5T.from_int(2)
+    assert F5T.unit_decompose(c) == (c, ()) and F5T.inv(c) == F5T.from_int(3)
 
 
 @pytest.mark.parametrize("tag", ["gf(2)[t]", "gf(4)[t]", "gf(9)[t,t^-1]",

@@ -6,7 +6,7 @@ import pytest
 from twistconj import experiments
 from twistconj.autos import (
     AffineReflect, Automorphism, BlockCompanion, CenterScale, Compose,
-    IdentityMap, Inner, RingMap, TriangularReflect,
+    IdentityMap, Inner, PairSwap, RingMap, TriangularReflect,
 )
 from twistconj.groups import (
     Additive, AffElem, Borel, GroupError, ProjBorel, TriMat, Unitriangular,
@@ -15,8 +15,9 @@ from twistconj.groups import (
 from twistconj.linalg import bareiss_det, det_one_minus
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
 from twistconj.rings import ZZ, RingError, field
+from test_linalg import _ref_rref
 from twistconj.twisted import (
-    LinearWindow, PairWindow, _all_pairs_partition, _index_of,
+    LinearWindow, PairWindow, _all_pairs_partition, _images, _index_of,
     additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
     pair_distinctness, reflection_unit,
@@ -180,6 +181,38 @@ def test_window_solvers_build_each_image_once():
     cc = additive_class_count(phi, LinearWindow(F2T, 0, 23))
     assert cc == (1, True, 24, 24, (1, 1, 1))
     assert phi.calls == 96
+
+
+def test_images_basis_matches_the_dense_reference():
+    """_images' reduced basis, and so its canonical W-block basis, equals
+    the per-cell reference RREF of the dense block-ordered image matrix:
+    the coordinates outside W sorted first, W's own last."""
+    cases = (
+        (RingMap(PolySub(F5T, 2, 1), Additive(F5T)), LinearWindow(F5T, 0, 6)),
+        (RingMap(LaurentFlip(F3L), Additive(F3L)), LinearWindow(F3L, -2, 5)),
+        (PairSwap(LaurentFlip(F3L), F3L), PairWindow(LinearWindow(F3L, -2, 3))),
+    )
+    for phi, window in cases:
+        dom, F = phi.domain, window.field
+        for source in (window, window.grow(3)):
+            images = []
+            for k in source.positions():
+                b = source.make({k: F.one()})
+                images.append(window.terms(dom.mul(b, dom.inv(phi.apply(b)))))
+            target = list(window.positions())
+            outside = sorted({k for img in images for k in img} - set(target))
+            dense = [[img.get(k, 0) for k in outside + target] for img in images]
+            red, pivots = _ref_rref(F, dense)
+            cut = len(outside)
+            canon = [row[cut:] for row, c in zip(red, pivots) if c >= cut]
+            assert canon
+
+            _, basis, got_cut, index = _images(phi, source, window, {})
+            assert got_cut == cut and list(index) == outside + target
+            assert list(basis) == pivots
+            assert [[row.get(c, 0) for c in range(len(index))] for row in basis.values()] == red
+            assert [[row.get(index[k], 0) for k in target]
+                    for c, row in basis.items() if c >= cut] == canon
 
 
 def test_solve_reflection_corner():
