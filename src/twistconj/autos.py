@@ -430,7 +430,7 @@ class AffineReflect(Automorphism):
         ring = self.ring
         k = tf_monomial_exponent(ring, x.u)
         r = x.r.reversed_var().scale(self.a)
-        return AffElem(ring, ring.monomial(ring.base.one(), -k), r)
+        return AffElem._of(ring, ring.monomial(ring.base.one(), -k), r)
 
     def word(self):
         return f"phiA({self.ring.base.to_str(self.a)})"

@@ -86,7 +86,7 @@ class TriMat:
             raise GroupError("incompatible matrices")
         ring = self.ring
         mul, add = ring.mul, ring.add
-        diag = tuple(mul(a, b) for a, b in zip(self.diag, o.diag))
+        diag = tuple(map(mul, self.diag, o.diag))
         upper = {}
         o_rows = {}  # row k of o.upper as (j, w) pairs
         for (k, j), w in o.upper.items():
@@ -112,7 +112,7 @@ class TriMat:
         only, row k carrying its diagonal d_k^-1."""
         ring = self.ring
         mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
-        dinv = tuple(ring.inv(u) for u in self.diag)
+        dinv = tuple(map(ring.inv, self.diag))
         a_rows = {}  # row i of self.upper as (k, a) pairs
         for (i, k), a in self.upper.items():
             a_rows.setdefault(i, []).append((k, a))
@@ -323,7 +323,7 @@ class ProjElem:
         u1 = mat.diag[0]
         if u1 != mat.ring.one():
             mat = mat.scaled(mat.ring.inv(u1))
-        object.__setattr__(self, "mat", mat)
+        _set_proj_mat(self, mat)
 
     def __setattr__(self, *a):
         raise AttributeError("ProjElem is immutable")
@@ -362,33 +362,49 @@ class ProjElem:
         return f"[{element_word(self.mat)}]"
 
 
+_set_proj_mat = ProjElem.__dict__["mat"].__set__
+
+
 # ---------------------------------------------------------------------------
 # affine elements
 
 class AffElem:
-    """(u, r) acting as x -> u*x + r; the matrix ((u, r), (0, 1))."""
+    """(u, r) acting as x -> u*x + r; the matrix ((u, r), (0, 1)).
+
+    The constructor checks that u is a unit.  Products and inverses, whose
+    u is a product or an inverse of units, build through _of, which
+    checks nothing."""
 
     __slots__ = ("ring", "u", "r")
 
     def __init__(self, ring, u, r):
         if not ring.is_unit(u):
             raise GroupError(f"{ring.to_str(u)} is not a unit of {ring.tag}")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "r", r)
+        _set_aff_ring(self, ring)
+        _set_aff_u(self, u)
+        _set_aff_r(self, r)
+
+    @classmethod
+    def _of(cls, ring, u, r):
+        """(u, r) taken over as it is: the caller guarantees a unit u."""
+        a = object.__new__(cls)
+        _set_aff_ring(a, ring)
+        _set_aff_u(a, u)
+        _set_aff_r(a, r)
+        return a
 
     def __setattr__(self, *a):
         raise AttributeError("AffElem is immutable")
 
     def __mul__(self, o):
         ring = self.ring
-        return AffElem(ring, ring.mul(self.u, o.u),
-                       ring.add(self.r, ring.mul(self.u, o.r)))
+        return AffElem._of(ring, ring.mul(self.u, o.u),
+                           ring.add(self.r, ring.mul(self.u, o.r)))
 
     def inv(self):
         ring = self.ring
         ui = ring.inv(self.u)
-        return AffElem(ring, ui, ring.neg(ring.mul(ui, self.r)))
+        return AffElem._of(ring, ui, ring.neg(ring.mul(ui, self.r)))
 
     def is_identity(self):
         return self.u == self.ring.one() and self.ring.is_zero(self.r)
@@ -402,6 +418,10 @@ class AffElem:
 
     def __repr__(self):
         return f"aff({self.ring.to_str(self.u)}; {self.ring.to_str(self.r)})"
+
+
+_set_aff_ring, _set_aff_u, _set_aff_r = (
+    AffElem.__dict__[slot].__set__ for slot in AffElem.__slots__)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +441,10 @@ class CornerDiag:
         if u1 != ring.one():
             ui = ring.inv(u1)
             dunits = tuple(ring.mul(ui, u) for u in dunits)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "dunits", dunits)
+        _set_cd_ring(self, ring)
+        _set_cd_n(self, n)
+        _set_cd_r(self, r)
+        _set_cd_dunits(self, dunits)
 
     def __setattr__(self, *a):
         raise AttributeError("CornerDiag is immutable")
@@ -460,6 +480,10 @@ class CornerDiag:
                       if u != ring.one())
         rs = f"e(1,{self.n};{ring.to_str(self.r)})" if not ring.is_zero(self.r) else ""
         return " ".join(x for x in (rs, ds) if x) or "1"
+
+
+_set_cd_ring, _set_cd_n, _set_cd_r, _set_cd_dunits = (
+    CornerDiag.__dict__[slot].__set__ for slot in CornerDiag.__slots__)
 
 
 def to_affine(w: CornerDiag) -> AffElem:

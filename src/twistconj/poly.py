@@ -16,6 +16,7 @@ in parentheses when compound:  (w+1)*t^2 + w.
 from __future__ import annotations
 
 import math
+import operator
 import re
 
 from . import rings
@@ -38,6 +39,9 @@ class PolyRing(Ring):
         self.base = base
         self.laurent = laurent
         self.tag = base.tag + ("[t,t^-1]" if laurent else "[t]")
+        # values are immutable, so every zero() and one() can be the same
+        self._zero = Poly(self, {})
+        self._one = Poly(self, {0: base.one()})
 
     # construction ----------------------------------------------------------
     def make(self, terms: dict) -> "Poly":
@@ -50,29 +54,31 @@ class PolyRing(Ring):
         return Poly(self, clean)
 
     def monomial(self, c, e: int) -> "Poly":
-        return self.make({e: c})
+        """c*t^e, with make's checks."""
+        if e < 0 and not self.laurent:
+            raise RingError(f"negative exponent in {self.tag}")
+        if self.base.is_zero(c):
+            return self._zero
+        return Poly(self, {e: c})
 
     def gen(self) -> "Poly":
         return self.monomial(self.base.one(), 1)
 
     def constant(self, c) -> "Poly":
-        return self.make({0: c})
+        return self.monomial(c, 0)
 
     # protocol ----------------------------------------------------------------
     def zero(self):
-        return Poly(self, {})
+        return self._zero
 
     def one(self):
-        return self.constant(self.base.one())
+        return self._one
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
+    # the Poly operators themselves, with no frame of the ring's own; they
+    # refuse operands of different rings
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    mul = staticmethod(operator.mul)
 
     def from_int(self, k):
         return self.constant(self.base.from_int(k))
@@ -90,7 +96,7 @@ class PolyRing(Ring):
 
     def inv(self, a):
         e, c = self._unit_term(a)
-        return self.monomial(self.base.inv(c), -e)
+        return Poly(self, {-e: self.base.inv(c)})
 
     def _unit_term(self, a):
         """(exponent, coefficient) of the single term of the unit a."""
@@ -127,12 +133,21 @@ class PolyRing(Ring):
 
 
 class Poly:
+    """A polynomial of `ring`, stored as `terms`, a map {exponent ->
+    nonzero coefficient} that no one mutates.
+
+    Poly(ring, terms) is the raw builder: it takes `terms` over as it is,
+    for results of the library's own arithmetic, which are canonical by
+    construction.  PolyRing.make is the checking path: it drops zero
+    coefficients and refuses a negative exponent outside a Laurent ring."""
+
     __slots__ = ("ring", "terms", "_h")
 
     def __init__(self, ring, terms):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_h", None)
+        # the slot descriptors themselves: __setattr__ refuses writes
+        _set_ring(self, ring)
+        _set_terms(self, terms)
+        _set_h(self, None)
 
     def __setattr__(self, *a):
         raise AttributeError("Poly is immutable")
@@ -239,9 +254,7 @@ class Poly:
 
     def __hash__(self):
         if self._h is None:
-            object.__setattr__(
-                self, "_h", hash((self.ring.tag, frozenset(self.terms.items())))
-            )
+            _set_h(self, hash((self.ring.tag, frozenset(self.terms.items()))))
         return self._h
 
     def __str__(self):
@@ -249,6 +262,9 @@ class Poly:
 
     def __repr__(self):
         return f"<{self.ring.tag}: {poly_to_str(self)}>"
+
+
+_set_ring, _set_terms, _set_h = (Poly.__dict__[slot].__set__ for slot in Poly.__slots__)
 
 
 # ---------------------------------------------------------------------------

@@ -461,8 +461,9 @@ class LocalizedInt:
         if g > 1:
             num //= g
             den //= g
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        # the slot descriptors themselves: __setattr__ refuses writes
+        _set_num(self, num)
+        _set_den(self, den)
 
     def __setattr__(self, *a):
         raise AttributeError("LocalizedInt is immutable")
@@ -486,6 +487,9 @@ class LocalizedInt:
         return f"{self.num}" if self.den == 1 else f"{self.num}/{self.den}"
 
 
+_set_num, _set_den = (LocalizedInt.__dict__[slot].__set__ for slot in LocalizedInt.__slots__)
+_ZERO, _ONE = LocalizedInt(0), LocalizedInt(1)
+
 _LOCAL_CACHE: dict = {}
 
 
@@ -506,10 +510,10 @@ class LocalizedIntegers(Ring):
         self.tag = f"z[1/{self.w}]"
 
     def zero(self):
-        return LocalizedInt(0)
+        return _ZERO
 
     def one(self):
-        return LocalizedInt(1)
+        return _ONE
 
     def add(self, a, b):
         return a + b

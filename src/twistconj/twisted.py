@@ -515,8 +515,8 @@ def classify_reflection(g, phi) -> ReflectionClass:
     f = solve_reflection_corner(h, a, k, l, x, y)
     one = ring.base.one()
     if isinstance(g, AffElem):
-        rep = AffElem(ring, ring.monomial(one, x), ring.zero())
-        wit = AffElem(ring, ring.monomial(one, k), f)
+        rep = AffElem._of(ring, ring.monomial(one, x), ring.zero())
+        wit = AffElem._of(ring, ring.monomial(one, k), f)
     else:
         rep = TriMat._of(ring, 2, (ring.monomial(one, x), ring.monomial(one, y)), {})
         wit = TriMat._of(ring, 2, (ring.monomial(one, k), ring.monomial(one, l)),

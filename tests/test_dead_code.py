@@ -109,3 +109,15 @@ def test_every_import_is_used():
                 if bound not in used:
                     unused.append(f"{path.name}:{bound}")
     assert not unused, f"imported but unused: {unused}"
+
+
+def test_values_fill_their_slots_through_the_descriptors():
+    # the immutable values of the library fill their slots through the
+    # slot descriptors in one idiom; no object.__setattr__ remains
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Attribute) and node.attr == "__setattr__" \
+                    and isinstance(node.value, ast.Name) and node.value.id == "object":
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"object.__setattr__ in: {calls}"

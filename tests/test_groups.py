@@ -12,8 +12,8 @@ from twistconj.groups import (
 from twistconj.autos import Flip, Inner
 from twistconj.cli import main
 from twistconj.experiments import RING_TAGS, relations_suite
-from twistconj.poly import parse_ring
-from twistconj.rings import ZZ, field, localized
+from twistconj.poly import LaurentFlip, Poly, PolyRing, PolySub, parse_ring
+from twistconj.rings import LocalizedInt, ZZ, field, localized
 from twistconj.twisted import LinearWindow, PairWindow
 
 F2 = field(2)
@@ -265,6 +265,118 @@ def test_arithmetic_keeps_no_zero_entries():
                           fl.apply(u), fl.apply(u * fl.apply(u))):
                     assert _mat_is_canonical(m)
                 assert u * u.inv() == identity(ring, n)
+
+
+def test_values_refuse_attribute_writes():
+    m = Borel(F5L, 3).random(random.Random(5))
+    values = {
+        m: ("ring", "n", "diag", "upper", "_h"),
+        AffElem(F5L, F5L.gen(), F5L.one()): ("ring", "u", "r"),
+        ProjElem(m): ("mat",),
+        CornerDiag(F5L, 3, F5L.one(), (F5L.one(), F5L.gen(), F5L.one())):
+            ("ring", "n", "r", "dunits"),
+    }
+    for x, slots in values.items():
+        before = repr(x)
+        for attr in slots + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(x, attr, None)
+        assert repr(x) == before
+
+
+@pytest.mark.parametrize("tag", RING_TAGS)
+def test_affine_products_match_the_checking_constructor(tag):
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    A = Affine(ring)
+    for _ in range(40):
+        a, b = A.random(rng), A.random(rng)
+        for x in (a * b, a.inv(), b * a.inv()):
+            rebuilt = AffElem(ring, x.u, x.r)
+            assert x == rebuilt and hash(x) == hash(rebuilt)
+        assert (a * a.inv()).is_identity()
+
+
+def test_affine_constructor_refuses_a_non_unit():
+    for ring, u in ((ZZ, 2), (F3, 0), (F5T, F5T.gen()), (F5L, F5L.parse("t+1")),
+                    (localized(6), LocalizedInt(5))):
+        with pytest.raises(GroupError, match="is not a unit of"):
+            AffElem(ring, u, ring.one())
+
+
+def _state(x):
+    """Everything a value stores, down to the coefficients, as plain data."""
+    if isinstance(x, Poly):
+        return ("poly", tuple(sorted(x.terms.items())))
+    if isinstance(x, LocalizedInt):
+        return ("frac", x.num, x.den)
+    if isinstance(x, TriMat):
+        return ("mat", tuple(map(_state, x.diag)),
+                tuple(sorted((k, _state(v)) for k, v in x.upper.items())))
+    if isinstance(x, AffElem):
+        return ("aff", _state(x.u), _state(x.r))
+    return x
+
+
+def _ring_autos(ring):
+    if not isinstance(ring, PolyRing):
+        return []
+    a = ring.base.from_int(-1 if ring.base is ZZ else 2)
+    if ring.laurent:
+        return [LaurentFlip(ring), PolySub(ring, a, ring.base.zero())]
+    return [PolySub(ring, a, ring.base.one())]
+
+
+@pytest.mark.parametrize("tag", RING_TAGS)
+def test_arithmetic_leaves_shared_values_and_operands_intact(tag):
+    # zero() and one() are shared values, and the routines hand back
+    # operands: a routine that wrote to a value it was given would change
+    # every later zero, one or operand
+    ring = parse_ring(tag)
+    zero, one = ring.zero(), ring.one()
+    rng = random.Random(tag)
+    scalars = [zero, one, ring.neg(one)] + [ring.random(rng) for _ in range(16)]
+    mats = [Borel(ring, n).random(rng) for n in (2, 3, 4) for _ in range(4)]
+    unis = [Unitriangular(ring, n).random(rng) for n in (2, 3, 4) for _ in range(4)]
+    affs = [Affine(ring).random(rng) for _ in range(8)]
+    operands = scalars + mats + unis + affs
+    before = [_state(x) for x in operands]
+    for a, b in zip(scalars, scalars[1:] + scalars[:1]):
+        assert ring.sub(ring.add(a, b), b) == a
+        assert ring.mul(a, b) == ring.mul(b, a)
+        assert ring.add(a, ring.neg(a)) == zero
+        if ring.is_unit(a):
+            assert ring.mul(a, ring.inv(a)) == one
+            assert ring.pow_unit(a, -2) == ring.inv(ring.mul(a, a))
+        if isinstance(a, Poly):
+            a.scale(ring.base.one())
+            a.shift(1)
+            if ring.laurent:
+                a.reversed_var()
+    for g, h in zip(mats, mats[1:] + mats[:1]):
+        if g.n == h.n:
+            assert (g * h) * h.inv() == g
+        element_word(g)
+        g.scaled(one)
+    for u in unis:
+        assert recompose(normal_form(u)) == u
+        assert parse_element(element_word(u), ring, u.n) == u
+    for a, b in zip(affs, affs[1:] + affs[:1]):
+        assert (a * b) * b.inv() == a
+    for alpha in _ring_autos(ring):
+        for p in scalars:
+            alpha.apply(p)
+        for g in mats:
+            for u in g.diag:
+                alpha.apply(u)
+            for v in g.upper.values():
+                alpha.apply(v)
+    assert [_state(x) for x in operands] == before
+    assert ring.zero() is zero and ring.one() is one
+    if isinstance(ring, PolyRing):
+        assert zero.terms == {} and one.terms == {0: ring.base.one()}
+    else:
+        assert ring.is_zero(zero) and _state(one) == _state(ring.from_int(1))
 
 
 def test_series_membership():

@@ -27,6 +27,44 @@ def test_arithmetic_examples():
         F2T.one() + F3T.one()
 
 
+def test_poly_refuses_attribute_writes():
+    p = F5T.parse("t+1")
+    for attr in ("ring", "terms", "_h", "other"):
+        with pytest.raises(AttributeError):
+            setattr(p, attr, None)
+    assert p == F5T.parse("t+1")
+
+
+@pytest.mark.parametrize("tag", ["gf(5)[t]", "gf(4)[t,t^-1]", "z[t]", "z[t,t^-1]"])
+def test_zero_monomials_are_the_zero_polynomial(tag):
+    ring = parse_ring(tag)
+    zero = ring.base.zero()
+    built = [ring.monomial(zero, 2), ring.constant(zero), ring.from_int(0)]
+    if ring.laurent:
+        built.append(ring.monomial(zero, -3))
+    for p in built:
+        assert p == ring.zero() and hash(p) == hash(ring.zero()) and p.terms == {}
+    one = ring.base.one()
+    assert ring.constant(one) == ring.one() and hash(ring.constant(one)) == hash(ring.one())
+    assert ring.monomial(one, 2) == ring.make({2: one, 0: zero})
+
+
+def test_monomial_keeps_the_exponent_check():
+    for c in (1, 0):
+        with pytest.raises(RingError, match="negative exponent"):
+            F5T.monomial(c, -1)
+    assert F5L.monomial(1, -1) == F5L.parse("t^-1")
+
+
+def test_ring_operators_refuse_mixed_rings():
+    for ring, other in ((F5T, F5L), (F5T, F3T), (ZT, parse_ring("z[t,t^-1]"))):
+        for op in (ring.add, ring.mul, ring.sub):
+            with pytest.raises(RingError, match="mixed rings"):
+                op(ring.one(), other.one())
+            with pytest.raises(RingError, match="mixed rings"):
+                op(other.gen(), ring.gen())
+
+
 def _schoolbook(a, b):
     base = a.ring.base
     out = {}

@@ -105,6 +105,22 @@ def test_localized_canonical_form():
         LocalizedInt(1, 0)
 
 
+def test_localized_refuses_attribute_writes():
+    x = LocalizedInt(3, 2)
+    for attr in ("num", "den", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, attr, 1)
+    assert (x.num, x.den) == (3, 2)
+
+
+def test_localized_zero_and_one_are_shared():
+    for ring in (localized(6), localized(10)):
+        assert ring.zero() is localized(2).zero() and ring.one() is localized(2).one()
+        assert ring.zero() == LocalizedInt(0) and ring.one() == LocalizedInt(1)
+        assert (ring.zero().num, ring.zero().den) == (0, 1)
+        assert (ring.one().num, ring.one().den) == (1, 1)
+
+
 def test_localized_matches_fraction_oracle():
     ring = localized(6)
     rng = random.Random(17)
