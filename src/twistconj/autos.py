@@ -192,9 +192,14 @@ class Inner(Automorphism):
 
 
 class Central(Automorphism):
-    """Multiplies by e_{1,n}(lambda(a_{i,i+1})); touches only the corner."""
+    """Multiplies by e_{1,n}(lambda(a_{i,i+1})), n >= 3; touches only the
+    corner."""
 
     def __init__(self, group: Unitriangular, i: int, lam: EndoDesc):
+        if group.n < 3:
+            # for n = 2 the entry (1, 2) is the corner itself, so the map is
+            # r -> r + lambda(r), which need not be a bijection
+            raise GroupError("central automorphisms need n >= 3")
         if not 1 <= i <= group.n - 1:
             raise GroupError("central automorphism index out of range")
         if not lam.is_additive():

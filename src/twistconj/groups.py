@@ -75,7 +75,7 @@ class TriMat:
 
     def is_unitriangular(self):
         one = self.ring.one()
-        return all(u == one for u in self.diag)
+        return all(u is one or u == one for u in self.diag)
 
     def is_identity(self):
         return self.is_unitriangular() and not self.upper
@@ -85,24 +85,35 @@ class TriMat:
         if not isinstance(o, TriMat) or o.ring is not self.ring or o.n != self.n:
             raise GroupError("incompatible matrices")
         ring = self.ring
-        mul, add = ring.mul, ring.add
-        diag = tuple(map(mul, self.diag, o.diag))
+        mul, add, is_zero, one = ring.mul, ring.add, ring.is_zero, ring.one()
+        sd, od = self.diag, o.diag
+        # the diagonal products go through mul, which returns at once for the
+        # shared one(): a per-entry test here measured slower on 2x2 matrices
+        diag = tuple(map(mul, sd, od))
         upper = {}
-        o_rows = {}  # row k of o.upper as (j, w) pairs
+        o_rows = {}  # row k of o as (j, w) pairs, diagonal first
         for (k, j), w in o.upper.items():
-            upper[(k, j)] = mul(self.diag[k - 1], w)
-            o_rows.setdefault(k, []).append((j, w))
+            d = sd[k - 1]
+            upper[(k, j)] = w if d is one else mul(d, w)
+            row = o_rows.get(k)
+            if row is None:
+                row = o_rows[k] = [(k, od[k - 1])]
+            row.append((j, w))
+        # entries are nonzero and the rings are integral domains, so only a
+        # sum can be zero, and it leaves the map at once
         for (i, k), v in self.upper.items():
-            key = (i, k)
-            c = mul(v, o.diag[k - 1])
-            prev = upper.get(key)
-            upper[key] = c if prev is None else add(prev, c)
-            for j, w in o_rows.get(k, ()):
+            for j, w in o_rows.get(k) or ((k, od[k - 1]),):
                 key = (i, j)
-                c = mul(v, w)
+                c = v if w is one else mul(v, w)
                 prev = upper.get(key)
-                upper[key] = c if prev is None else add(prev, c)
-        upper = {k: v for k, v in upper.items() if not ring.is_zero(v)}
+                if prev is None:
+                    upper[key] = c
+                else:
+                    c = add(prev, c)
+                    if is_zero(c):
+                        del upper[key]
+                    else:
+                        upper[key] = c
         return TriMat._of(ring, self.n, diag, upper)
 
     def inv(self):
@@ -112,7 +123,8 @@ class TriMat:
         only, row k carrying its diagonal d_k^-1."""
         ring = self.ring
         mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
-        dinv = tuple(map(ring.inv, self.diag))
+        inv, one = ring.inv, ring.one()
+        dinv = tuple([d if d is one else inv(d) for d in self.diag])
         a_rows = {}  # row i of self.upper as (k, a) pairs
         for (i, k), a in self.upper.items():
             a_rows.setdefault(i, []).append((k, a))
@@ -125,12 +137,13 @@ class TriMat:
                     c = mul(a, w)
                     prev = acc.get(j)
                     acc[j] = c if prev is None else add(prev, c)
-            row = [(i, dinv[i - 1])]
+            di = dinv[i - 1]
+            row = [(i, di)]
             if acc:
-                nd = neg(dinv[i - 1])
+                nd = None if di is one else neg(di)
                 for j, s in acc.items():
                     if not is_zero(s):
-                        v = upper[(i, j)] = mul(nd, s)
+                        v = upper[(i, j)] = neg(s) if nd is None else mul(nd, s)
                         row.append((j, v))
             x_rows[i] = row
         return TriMat._of(ring, self.n, dinv, upper)
@@ -407,7 +420,8 @@ class AffElem:
         return AffElem._of(ring, ui, ring.neg(ring.mul(ui, self.r)))
 
     def is_identity(self):
-        return self.u == self.ring.one() and self.ring.is_zero(self.r)
+        u, one = self.u, self.ring.one()
+        return (u is one or u == one) and self.ring.is_zero(self.r)
 
     def __eq__(self, o):
         return isinstance(o, AffElem) and self.ring is o.ring and \

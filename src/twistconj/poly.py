@@ -11,6 +11,14 @@ Text form (round-trip exact):  term (('+'|'-') term)*  with
 term = coeff ['*' 't' ['^' int]], e.g.  3*t^-2 + 1 + 2*t^5.
 Extension-field coefficients print with the generator w and are wrapped
 in parentheses when compound:  (w+1)*t^2 + w.
+
+Shared unit: each PolyRing hands out one zero() and one one() object, and
+its arithmetic returns that one() whenever it produces the unit (monomial,
+constant and from_int of 1, inv of a unit, a monomial times its inverse).
+A product with the shared one() returns the other operand before any other
+work, so most of the products of the matrix layers cost nothing.  Identity
+is only a fast path: equality stays the truth, and a value equal to one()
+that is another object takes the general path to the same result.
 """
 
 from __future__ import annotations
@@ -40,8 +48,9 @@ class PolyRing(Ring):
         self.laurent = laurent
         self.tag = base.tag + ("[t,t^-1]" if laurent else "[t]")
         # values are immutable, so every zero() and one() can be the same
+        self._base_one = base.one()
         self._zero = Poly(self, {})
-        self._one = Poly(self, {0: base.one()})
+        self._one = Poly(self, {0: self._base_one})
 
     # construction ----------------------------------------------------------
     def make(self, terms: dict) -> "Poly":
@@ -54,11 +63,13 @@ class PolyRing(Ring):
         return Poly(self, clean)
 
     def monomial(self, c, e: int) -> "Poly":
-        """c*t^e, with make's checks."""
+        """c*t^e, with make's checks; the unit is the shared one()."""
         if e < 0 and not self.laurent:
             raise RingError(f"negative exponent in {self.tag}")
         if self.base.is_zero(c):
             return self._zero
+        if e == 0 and c == self._base_one:
+            return self._one
         return Poly(self, {e: c})
 
     def gen(self) -> "Poly":
@@ -95,8 +106,13 @@ class PolyRing(Ring):
         return e == 0 or self.laurent
 
     def inv(self, a):
+        if a is self._one:
+            return a
         e, c = self._unit_term(a)
-        return Poly(self, {-e: self.base.inv(c)})
+        c = self.base.inv(c)
+        if e == 0 and c == self._base_one:
+            return self._one
+        return Poly(self, {-e: c})
 
     def _unit_term(self, a):
         """(exponent, coefficient) of the single term of the unit a."""
@@ -173,16 +189,29 @@ class Poly:
             raise RingError(f"mixed rings {self.ring.tag} / {o.ring.tag}")
 
     def __add__(self, o):
-        self._check(o)
-        base = self.ring.base
+        ring = self.ring
+        if o.ring is not ring:
+            self._check(o)
+        # values are immutable, so a zero summand hands back the other one
+        if not o.terms:
+            return self
+        if not self.terms:
+            return o
+        base = ring.base
+        add, is_zero = base.add, base.is_zero
         out = dict(self.terms)
         for e, c in o.terms.items():
-            s = base.add(out.get(e, base.zero()), c)
-            if base.is_zero(s):
-                out.pop(e, None)
+            prev = out.get(e)
+            if prev is None:
+                # an exponent self lacks: the sum is c, which is not zero
+                out[e] = c
             else:
-                out[e] = s
-        return Poly(self.ring, out)
+                s = add(prev, c)
+                if is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
+        return Poly(ring, out)
 
     def __neg__(self):
         base = self.ring.base
@@ -195,8 +224,15 @@ class Poly:
         # PolyRing admits only gf(q) and z coefficients, both integral
         # domains, so a product of nonzero coefficients is never zero: only
         # a sum of products needs a zero test
-        self._check(o)
-        base = self.ring.base
+        ring = self.ring
+        if o.ring is not ring:
+            self._check(o)
+        # the shared one() is the ring's unit, and values are immutable
+        if o is ring._one:
+            return self
+        if self is ring._one:
+            return o
+        base = ring.base
         if len(o.terms) <= 1:
             short, other = o, self
         elif len(self.terms) <= 1:
@@ -214,16 +250,24 @@ class Poly:
                             del out[e]
                             continue
                     out[e] = c
-            return Poly(self.ring, out)
-        # values are immutable, so a zero or a one factor hands back an operand
+            return Poly(ring, out)
+        # a zero factor, or a one that is not the shared one(), hands back an
+        # operand
         if not short.terms:
             return short
         (e1, c1), = short.terms.items()
-        if e1 == 0 and c1 == base.one():
-            return other
         # one term c1*t^e1: distinct e2 give distinct e1+e2, so no collision
-        mul = base.mul
-        return Poly(self.ring, {e1 + e2: mul(c1, c2) for e2, c2 in other.terms.items()})
+        if c1 == ring._base_one:
+            if e1 == 0:
+                return other
+            # t^e1 shifts the exponents and multiplies no coefficient
+            out = {e1 + e2: c2 for e2, c2 in other.terms.items()}
+        else:
+            mul = base.mul
+            out = {e1 + e2: mul(c1, c2) for e2, c2 in other.terms.items()}
+        if len(out) == 1 and out.get(0) == ring._base_one:
+            return ring._one      # a unit times its inverse
+        return Poly(ring, out)
 
     def __pow__(self, k):
         return self.ring.pow_unit(self, k)

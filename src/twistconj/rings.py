@@ -472,6 +472,11 @@ class LocalizedInt:
         return LocalizedInt(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __mul__(self, o):
+        # the shared _ONE is the unit, and values are immutable
+        if o is _ONE:
+            return self
+        if self is _ONE:
+            return o
         return LocalizedInt(self.num * o.num, self.den * o.den)
 
     def __neg__(self):
@@ -545,6 +550,8 @@ class LocalizedIntegers(Ring):
         return rest == 1
 
     def inv(self, a):
+        if a is _ONE:
+            return a
         if not self.is_unit(a):
             raise RingError(f"{a} is not a unit of {self.tag}")
         return LocalizedInt(a.den, a.num)

@@ -175,6 +175,20 @@ def test_central_touches_only_corner():
         Central(U5, 5, MulBy(F5T, F5T.one()))      # index out of range
 
 
+def test_central_refuses_a_two_by_two_domain():
+    # for n = 2 the entry (1, 2) is the corner itself: with lambda = mul by
+    # 4 over gf(5)[t] the map r -> r + 4r = 5r sends e12(t) to the identity
+    U2 = Unitriangular(F5T, 2)
+    t = F5T.gen()
+    assert F5T.add(t, MulBy(F5T, F5T.from_int(4)).apply(t)) == F5T.zero()
+    with pytest.raises(GroupError, match="need n >= 3"):
+        Central(U2, 1, MulBy(F5T, F5T.from_int(4)))
+    with pytest.raises(GroupError, match="need n >= 3"):
+        parse_auto("central(1,mulby(4))", group=U2)
+    assert Central(Unitriangular(F5T, 3), 1, MulBy(F5T, F5T.from_int(4))).word() \
+        == "central(1,mulby(4))"
+
+
 def test_sigma_trivial_on_abelianization():
     U5 = Unitriangular(F5T, 5)
     sig = SigmaFirst(U5, HalfSquare(F5T, F5T.gen()), F5T.gen())

@@ -13,7 +13,7 @@ from twistconj.autos import Flip, Inner
 from twistconj.cli import main
 from twistconj.experiments import RING_TAGS, relations_suite
 from twistconj.poly import LaurentFlip, Poly, PolyRing, PolySub, parse_ring
-from twistconj.rings import LocalizedInt, ZZ, field, localized
+from twistconj.rings import LocalizedInt, LocalizedIntegers, ZZ, field, localized
 from twistconj.twisted import LinearWindow, PairWindow
 
 F2 = field(2)
@@ -230,6 +230,79 @@ def test_core_routines_match_product_definitions(tag):
     m = elementary(ring, 3, 1, 2, ring.one()) * elementary(ring, 3, 2, 3, ring.one())
     assert (1, 3) in m.upper and (1, 3) not in m.inv().upper
     assert m.inv() == _inv_by_columns(m)
+
+
+def _mul_by_entries(a, b):
+    # the definition: entry (i,j) of the product is the sum over k of
+    # a(i,k) * b(k,j), rebuilt through the checking constructor
+    ring, n = a.ring, a.n
+    cells = {}
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            acc = ring.zero()
+            for k in range(i, j + 1):
+                acc = ring.add(acc, ring.mul(a.entry(i, k), b.entry(k, j)))
+            cells[(i, j)] = acc
+    return TriMat(ring, n, [cells[(i, i)] for i in range(1, n + 1)],
+                  {(i, j): v for (i, j), v in cells.items() if i < j})
+
+
+def _equal_one(ring):
+    """A value equal to ring.one() that is not the shared object, where the
+    ring's values allow one (gf(q) and z codes are plain ints)."""
+    if isinstance(ring, PolyRing):
+        return ring.make({0: ring.base.one()})
+    if isinstance(ring, LocalizedIntegers):
+        return LocalizedInt(1)
+    return ring.one()
+
+
+@pytest.mark.parametrize("tag", RING_TAGS + ("gf(2)[t]",))
+def test_unit_fast_paths_match_the_references(tag):
+    # a factor or a diagonal entry that is the shared one() skips its
+    # products and its inverse; an equal one that is another object takes
+    # the general path; both must give the values of the reference
+    # definitions
+    ring = parse_ring(tag)
+    one, other_one = ring.one(), _equal_one(ring)
+    assert other_one == one and hash(other_one) == hash(one)
+    if isinstance(ring, (PolyRing, LocalizedIntegers)):
+        assert other_one is not one
+        # a product by the shared one hands back the other operand
+        x = ring.random_unit(random.Random(1))
+        assert ring.mul(one, x) is x and ring.mul(x, one) is x
+        assert ring.mul(one, other_one) is other_one
+    if isinstance(ring, PolyRing):
+        base = ring.base
+        assert ring.monomial(base.one(), 0) is one
+        assert ring.constant(base.one()) is one
+        assert ring.from_int(1) is one
+        assert ring.inv(other_one) is one
+    assert ring.inv(one) is one
+    rng = random.Random(tag)
+    for n in range(2, 7):
+        positions = groups.nf_positions(n)
+        mats = []
+        for _ in range(12):
+            diag = [rng.choice((one, one, other_one, ring.random_unit(rng)))
+                    for _ in range(n)]
+            upper = {pos: ring.random(rng) for pos in positions if rng.random() < 0.6}
+            mats.append(TriMat(ring, n, diag, upper))
+        mats.append(TriMat(ring, n, (other_one,) * n, {}))
+        before = [_state(m) for m in mats]
+        for a, b in zip(mats, mats[1:] + mats[:1]):
+            for x, ref in ((a * b, _mul_by_entries(a, b)),
+                           (a.inv(), _inv_by_columns(a)),
+                           (a * a.inv(), identity(ring, n))):
+                rebuilt = TriMat(ring, n, x.diag, x.upper)
+                assert x == ref and hash(x) == hash(ref)
+                assert x == rebuilt and hash(x) == hash(rebuilt)
+                assert _mat_is_canonical(x)
+            assert a.is_unitriangular() == all(u == one for u in a.diag)
+        assert mats[-1].is_identity()
+        assert [_state(m) for m in mats] == before
+    assert AffElem(ring, other_one, ring.zero()).is_identity()
+    assert ring.one() is one
 
 
 def _poly_is_canonical(p):

@@ -81,13 +81,53 @@ def test_mul_matches_schoolbook(tag):
     for R in (parse_ring(tag + "[t]"), parse_ring(tag + "[t,t^-1]")):
         base = R.base
         lo = -3 if R.laurent else 0
-        values = [R.zero(), R.one(), R.neg(R.one()), R.gen()]
+        # the shared one, a one that is not the shared object, and t^k
+        values = [R.zero(), R.one(), R.make({0: base.one()}), R.neg(R.one()), R.gen()]
+        values += [R.monomial(base.one(), rng.randint(lo, 3)) for _ in range(2)]
         values += [R.monomial(base.random_unit(rng), rng.randint(lo, 3)) for _ in range(4)]
         values += [R.random(rng, max_terms=5, span=3) for _ in range(12)]
         for a in values:
             for b in values:
                 prod, ref = a * b, _schoolbook(a, b)
                 assert prod == ref and hash(prod) == hash(ref)
+
+
+def _add_by_exponents(a, b):
+    # the definition: base.add at every exponent of either support, zero
+    # sums dropped
+    base = a.ring.base
+    out = {}
+    for e in set(a.terms) | set(b.terms):
+        s = base.add(a.terms.get(e, base.zero()), b.terms.get(e, base.zero()))
+        if not base.is_zero(s):
+            out[e] = s
+    return out
+
+
+@pytest.mark.parametrize("tag", ["gf(2)[t]", "gf(4)[t,t^-1]", "gf(5)[t]", "z[t]",
+                                 "z[t,t^-1]"])
+def test_add_matches_per_exponent_reference(tag):
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    zero = ring.zero()
+    for _ in range(150):
+        a = ring.random(rng, max_terms=5, span=3)
+        b = ring.random(rng, max_terms=5, span=3)
+        disjoint = ring.make({e: c for e, c in b.terms.items() if e not in a.terms})
+        pairs = [(a, b), (b, a), (a, disjoint), (disjoint, a), (a, a),
+                 (a, -a), (a, b - a), (a, zero), (zero, a), (zero, zero)]
+        before = [(dict(x.terms), dict(y.terms)) for x, y in pairs]
+        for x, y in pairs:
+            s = x + y
+            assert s.terms == _add_by_exponents(x, y)
+            assert s == ring.make(_add_by_exponents(x, y))
+            assert not any(ring.base.is_zero(c) for c in s.terms.values())
+        assert [(dict(x.terms), dict(y.terms)) for x, y in pairs] == before
+        assert (a + (-a)).terms == {}
+        assert a + zero is a
+        if a.terms:
+            assert zero + a is a
+    assert zero.terms == {} and ring.one().terms == {0: ring.base.one()}
 
 
 def test_pow_and_units():
