@@ -178,10 +178,13 @@ class Inner(Automorphism):
         if isinstance(g, ProjElem) and isinstance(x, TriMat):
             return g.conj(x)
         if isinstance(g, TriMat) and isinstance(x, ProjElem):
-            return ProjElem(g) * x * ProjElem(g).inv()
+            return ProjElem((g * x.mat).div(g))
         if type(g) is not type(x):
             raise GroupError("conjugation across incompatible element kinds")
-        return g * x * g.inv()
+        if isinstance(g, (TriMat, ProjElem)):
+            return (g * x).div(g)
+        group = self.domain  # affine and corner-diagonal elements
+        return group.div(group.mul(g, x), g)
 
     def word(self):
         if isinstance(self.g, TriMat):
@@ -592,7 +595,7 @@ def _split_parts(group, g):
         if group.n != 2:
             raise GroupError("the unipotent kernel is non-abelian for n > 2")
         d = TriMat(ring, 2, g.diag, {})
-        return g * d.inv(), d
+        return g.div(d), d
     if isinstance(group, Affine):
         return (AffElem(ring, ring.one(), g.r),
                 AffElem(ring, g.u, ring.zero()))

@@ -9,6 +9,14 @@ part as a sparse {(i,j): nonzero value} map (1-based, i < j).  Everything
 is immutable and hashable, so elements can live in sets, union-find
 tables and dict-keyed partitions.
 
+Right division a * b^-1 is one operation, TriMat.div, computed by forward
+substitution without forming b^-1.  Twists, conjugations and commutators
+go through it; Group.div gives every group context the same operation: a
+subtraction on the additive groups, and the product by the inverse on
+the affine and corner-diagonal ones.  TriMat.inv, by back substitution,
+serves where the inverse itself is wanted (the flip, projective
+inverses, the orbit closure's per-generator inverses).
+
 Element word form (printer/parser round-trip):
 
     e(1,2;t+1) e(2,3;2) d(1;t) d(3;w+1)       identity prints as "1"
@@ -148,8 +156,55 @@ class TriMat:
             x_rows[i] = row
         return TriMat._of(ring, self.n, dinv, upper)
 
+    def div(self, o):
+        """self * o^-1 without forming o^-1: forward substitution on
+        X * o = self, row by row.  X(i,i) = a(i,i) * o(i,i)^-1, and for
+        j > i, X(i,j) = (a(i,j) - sum over k < j of X(i,k) * o(k,j)) *
+        o(j,j)^-1, over the stored entries of o only.  Each row keeps an
+        accumulator of the columns still to solve; the least one is the
+        next entry of X, since its products reach only columns further
+        right."""
+        if not isinstance(o, TriMat) or o.ring is not self.ring or o.n != self.n:
+            raise GroupError("incompatible matrices")
+        ring = self.ring
+        mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
+        inv, one = ring.inv, ring.one()
+        dinv = [d if d is one else inv(d) for d in o.diag]
+        diag = tuple(map(mul, self.diag, dinv))
+        o_rows = {}  # row k of o, negated, as (j, -w) pairs
+        for (k, j), w in o.upper.items():
+            o_rows.setdefault(k, []).append((j, neg(w)))
+        acc_rows = {}  # row i of self.upper, a private copy to accumulate in
+        for (i, j), v in self.upper.items():
+            acc_rows.setdefault(i, {})[j] = v
+        upper = {}
+        for i in range(1, self.n):
+            acc = acc_rows.get(i) or {}
+            x, k = diag[i - 1], i
+            while True:
+                for j, w in o_rows.get(k, ()):
+                    c = w if x is one else mul(x, w)
+                    prev = acc.get(j)
+                    if prev is None:
+                        acc[j] = c
+                    else:
+                        # only a sum can be zero, and it leaves at once
+                        c = add(prev, c)
+                        if is_zero(c):
+                            del acc[j]
+                        else:
+                            acc[j] = c
+                if not acc:
+                    break
+                k = min(acc)
+                s = acc.pop(k)
+                d = dinv[k - 1]
+                x = upper[(i, k)] = s if d is one else mul(s, d)
+        return TriMat._of(ring, self.n, diag, upper)
+
     def commutator(self, o):
-        return self * o * self.inv() * o.inv()
+        """self o self^-1 o^-1 = (self o) (o self)^-1."""
+        return (self * o).div(o * self)
 
     def scaled(self, u):
         """The product (u * identity) * self for a unit u."""
@@ -357,13 +412,18 @@ class ProjElem:
     def inv(self):
         return ProjElem(self.mat.inv())
 
+    def div(self, o):
+        """self * o^-1; both representatives have (1,1) entry 1, and so has
+        their quotient."""
+        return ProjElem(self.mat.div(o.mat))
+
     def is_identity(self):
         return self.mat.is_identity()
 
     def conj(self, x: TriMat) -> TriMat:
         """Conjugate a unitriangular matrix by this class (well defined
         because scalars are central)."""
-        return self.mat * x * self.mat.inv()
+        return (self.mat * x).div(self.mat)
 
     def __eq__(self, o):
         return isinstance(o, ProjElem) and self.mat == o.mat
@@ -521,6 +581,10 @@ class Group:
     def inv(self, a):
         return a.inv()
 
+    def div(self, a, b):
+        """a * b^-1; the matrix groups divide without forming b^-1."""
+        return self.mul(a, self.inv(b))
+
     def random(self, rng):
         raise NotImplementedError
 
@@ -568,6 +632,9 @@ class Additive(Group):
     def inv(self, a):
         return self.ring.neg(a)
 
+    def div(self, a, b):
+        return self.ring.sub(a, b)
+
     def random(self, rng):
         return self.ring.random(rng)
 
@@ -588,6 +655,10 @@ class AdditivePairs(Group):
     def inv(self, a):
         return (self.ring.neg(a[0]), self.ring.neg(a[1]))
 
+    def div(self, a, b):
+        sub = self.ring.sub
+        return (sub(a[0], b[0]), sub(a[1], b[1]))
+
     def random(self, rng):
         return (self.ring.random(rng), self.ring.random(rng))
 
@@ -598,6 +669,8 @@ class Unitriangular(Group):
             raise GroupError("dimension must be >= 2")
         self.ring, self.n = ring, n
         self.name = f"u{n}({ring.tag})"
+
+    div = staticmethod(TriMat.div)
 
     def identity(self):
         return identity(self.ring, self.n)
@@ -623,6 +696,8 @@ class Borel(Group):
             raise GroupError("dimension must be >= 2")
         self.ring, self.n, self.plus = ring, n, plus
         self.name = f"b{n}{'plus' if plus else ''}({ring.tag})"
+
+    div = staticmethod(TriMat.div)
 
     def identity(self):
         return identity(self.ring, self.n)
@@ -651,6 +726,8 @@ class ProjBorel(Group):
         self.ring, self.n, self.plus = ring, n, plus
         self.name = f"pb{n}{'plus' if plus else ''}({ring.tag})"
         self._borel = Borel(ring, n, plus)
+
+    div = staticmethod(ProjElem.div)
 
     def identity(self):
         return ProjElem(identity(self.ring, self.n))

@@ -62,6 +62,13 @@ class PolyRing(Ring):
                 clean[e] = c
         return Poly(self, clean)
 
+    def _of(self, terms):
+        """Poly(self, terms) for canonical terms, or the shared one() when
+        they are the unit's."""
+        if len(terms) == 1 and terms.get(0) == self._base_one:
+            return self._one
+        return Poly(self, terms)
+
     def monomial(self, c, e: int) -> "Poly":
         """c*t^e, with make's checks; the unit is the shared one()."""
         if e < 0 and not self.laurent:
@@ -90,6 +97,7 @@ class PolyRing(Ring):
     add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)
     mul = staticmethod(operator.mul)
+    sub = staticmethod(operator.sub)
 
     def from_int(self, k):
         return self.constant(self.base.from_int(k))
@@ -218,7 +226,27 @@ class Poly:
         return Poly(self.ring, {e: base.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, o):
-        return self + (-o)
+        # one pass over o's terms, as in __add__, with no negated copy of o
+        ring = self.ring
+        if o.ring is not ring:
+            self._check(o)
+        if not o.terms:
+            return self
+        base = ring.base
+        add, neg, is_zero = base.add, base.neg, base.is_zero
+        out = dict(self.terms)
+        for e, c in o.terms.items():
+            prev = out.get(e)
+            if prev is None:
+                # an exponent self lacks: the difference is -c, not zero
+                out[e] = neg(c)
+            else:
+                s = add(prev, neg(c))
+                if is_zero(s):
+                    del out[e]
+                else:
+                    out[e] = s
+        return Poly(ring, out)
 
     def __mul__(self, o):
         # PolyRing admits only gf(q) and z coefficients, both integral
@@ -279,7 +307,7 @@ class Poly:
             s = base.mul(c, v)
             if not base.is_zero(s):
                 out[e] = s
-        return Poly(self.ring, out)
+        return self.ring._of(out)
 
     def shift(self, k):
         """Multiply by t^k (Laurent rings for k < 0)."""
@@ -449,8 +477,8 @@ class PolySub(RingAutoDesc):
         base = ring.base
         if base.is_zero(self.b):
             # t^e -> a^e t^e, valid for negative e as well
-            return Poly(ring, {e: base.mul(base.pow_unit(self.a, e), c)
-                               for e, c in p.terms.items()})
+            return ring._of({e: base.mul(base.pow_unit(self.a, e), c)
+                             for e, c in p.terms.items()})
         powers = self._powers
         out = ring.zero()
         for e in sorted(p.terms):

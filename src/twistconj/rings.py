@@ -255,6 +255,8 @@ class GaloisField(Ring):
                 # primitive search below would never return to 1
                 raise RingError(f"reducible modulus for gf({q})")
         self._inv = inv
+        # the text of every code, built once: printing reads it per value
+        self._strs = tuple(self._render(a) for a in range(q))
         self._primitive = None
         for g in range(1, q):
             x, order = g, 1
@@ -323,6 +325,9 @@ class GaloisField(Ring):
         return u, ()
 
     def to_str(self, a):
+        return self._strs[a]
+
+    def _render(self, a):
         if self.k == 1:
             return str(a)
         digits = self._digits(a)

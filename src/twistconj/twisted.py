@@ -139,9 +139,12 @@ class PairWindow(_Window):
 # the twist action
 
 def twist(phi: Automorphism, h, g, group=None):
-    """h g phi(h)^-1 (written additively on additive domains)."""
+    """h g phi(h)^-1 (written additively on additive domains), as the
+    right division of h g by phi(h): the matrix groups solve for it by
+    forward substitution without forming phi(h)^-1, and the additive
+    groups subtract."""
     group = group or phi.domain
-    return group.mul(group.mul(h, g), group.inv(phi.apply(h)))
+    return group.div(group.mul(h, g), phi.apply(h))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +203,7 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
                 for c, v in row.items():
                     system[c][j] = v
             h = source.from_coords(linalg.gf_solve(F, system, len(rows)))
-            if _sub_vec(dom, h, phi.apply(h)) != r:
+            if dom.div(h, phi.apply(h)) != r:
                 raise AssertionError("membership witness failed re-verification")
             return MembershipVerdict(True, True, h, tuple(tried))
         canon = tuple({c - cut: v for c, v in row.items()}
@@ -235,7 +238,7 @@ def _images(phi, source, window, cache):
         img = cache.get(k)
         if img is None:
             b = source.make({k: one})
-            img = cache[k] = window.terms(_sub_vec(dom, b, phi.apply(b)))
+            img = cache[k] = window.terms(dom.div(b, phi.apply(b)))
         images.append(img)
     target = window.positions()
     outside = sorted({k for img in images for k in img} - set(target))
@@ -243,10 +246,6 @@ def _images(phi, source, window, cache):
     rows = [{index[k]: c for k, c in img.items()} for img in images]
     red, pivots = linalg.gf_rref(window.field, rows)
     return rows, dict(zip(pivots, red)), len(outside), index
-
-
-def _sub_vec(dom, a, b):
-    return dom.mul(a, dom.inv(b))
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +630,7 @@ def pair_distinctness(alpha, pairs, window: PairWindow):
     dom = phi.domain
     out = []
     for A, B in pairs:
-        diff = _sub_vec(dom, A, B)
+        diff = dom.div(A, B)
         out.append(additive_membership(diff, phi, window))
     return out
 

@@ -189,6 +189,17 @@ def test_central_refuses_a_two_by_two_domain():
         == "central(1,mulby(4))"
 
 
+def test_ring_map_images_keep_the_shared_one():
+    # t -> 2t fixes the constants: the image of the identity keeps the
+    # shared one() on its diagonal, so products by it stay free
+    U5 = Unitriangular(F5T, 5)
+    img = RingMap(PolySub(F5T, 2, 0), U5).apply(identity(F5T, 5))
+    assert img == identity(F5T, 5)
+    assert all(u is F5T.one() for u in img.diag)
+    m = RingMap(PolySub(F5T, 2, 1), U5).apply(elementary(F5T, 5, 1, 2, F5T.gen()))
+    assert all(u is F5T.one() for u in m.diag)
+
+
 def test_sigma_trivial_on_abelianization():
     U5 = Unitriangular(F5T, 5)
     sig = SigmaFirst(U5, HalfSquare(F5T, F5T.gen()), F5T.gen())

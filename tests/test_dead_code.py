@@ -121,3 +121,17 @@ def test_values_fill_their_slots_through_the_descriptors():
                     and isinstance(node.value, ast.Name) and node.value.id == "object":
                 calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"object.__setattr__ in: {calls}"
+
+
+def test_library_arithmetic_divides_instead_of_multiplying_by_an_inverse():
+    # a * b.inv() builds b^-1 only to multiply it away: the group layers
+    # divide (a.div(b), group.div(a, b)) instead
+    found = []
+    for name in ("groups.py", "autos.py", "twisted.py"):
+        for node in ast.walk(_parse(SRC / name)):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) \
+                    and isinstance(node.right, ast.Call) \
+                    and isinstance(node.right.func, ast.Attribute) \
+                    and node.right.func.attr == "inv":
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"products by an inverse in: {found}"

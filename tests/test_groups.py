@@ -305,6 +305,68 @@ def test_unit_fast_paths_match_the_references(tag):
     assert ring.one() is one
 
 
+@pytest.mark.parametrize("tag", RING_TAGS + ("gf(2)[t]",))
+def test_division_matches_the_product_by_the_inverse(tag):
+    # a.div(b) solves X * b = a by forward substitution; its reference is
+    # a * b.inv(), and the conjugations and commutators built on it keep
+    # their inverse forms
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    for n in range(2, 7):
+        B, U, P = Borel(ring, n), Unitriangular(ring, n), ProjBorel(ring, n)
+        ones = TriMat(ring, n, (_equal_one(ring),) * n, {})
+        mats = [B.random(rng) for _ in range(5)] + [U.random(rng) for _ in range(5)]
+        mats += [identity(ring, n), ones]
+        before = [_state(m) for m in mats]
+        for a, b in zip(mats, mats[5:] + mats[:5]):
+            u = U.random(rng)
+            checks = [
+                (a.div(b), a * b.inv()),
+                (B.div(a, b), a * b.inv()),
+                (a.div(a), identity(ring, n)),
+                (a.div(identity(ring, n)), a),
+                (a.commutator(b), a * b * a.inv() * b.inv()),
+                (Inner(a).apply(b), a * b * a.inv()),
+                (ProjElem(a).conj(u), a * u * a.inv()),
+            ]
+            if a.is_unitriangular() and b.is_unitriangular():
+                checks.append((U.div(a, b), a * b.inv()))
+            for x, ref in checks:
+                rebuilt = TriMat(ring, n, x.diag, x.upper)
+                assert x == ref and hash(x) == hash(ref)
+                assert x == rebuilt and hash(x) == hash(rebuilt)
+                assert _mat_is_canonical(x)
+            pa, pb = ProjElem(a), ProjElem(b)
+            for x, ref in ((pa.div(pb), pa * pb.inv()), (P.div(pa, pb), pa * pb.inv()),
+                           (Inner(pa).apply(pb), pa * pb * pa.inv()),
+                           (Inner(a, P).apply(pb), pa * pb * pa.inv())):
+                assert x == ref and hash(x) == hash(ref)
+                assert x.mat.diag[0] == ring.one()
+        assert [_state(m) for m in mats] == before
+    # (I + E12 + E23 + E13) / (I + E23): the (1,3) sum cancels in the row
+    e = elementary(ring, 3, 1, 2, ring.one()) * elementary(ring, 3, 2, 3, ring.one())
+    d = elementary(ring, 3, 2, 3, ring.one())
+    assert (1, 3) in e.upper and e.div(d) == elementary(ring, 3, 1, 2, ring.one())
+    with pytest.raises(GroupError, match="incompatible"):
+        e.div(identity(ring, 2))
+
+
+def test_group_division_matches_mul_of_inv():
+    # the matrix groups solve, the additive ones subtract, and the rest
+    # multiply by the inverse; all agree with mul(a, inv(b))
+    rng = random.Random(97)
+    for ring in (F4, F5T, F4L, ZZ, localized(6)):
+        domains = [Borel(ring, 3), Unitriangular(ring, 3), ProjBorel(ring, 3),
+                   Affine(ring), CornerDiagGroup(ring, 3)]
+        if isinstance(ring, PolyRing):
+            domains += [groups.Additive(ring), groups.AdditivePairs(ring)]
+        for G in domains:
+            for _ in range(10):
+                a, b = G.random(rng), G.random(rng)
+                assert G.div(a, b) == G.mul(a, G.inv(b))
+                assert G.div(a, a) == G.identity()
+
+
 def _poly_is_canonical(p):
     return not any(p.ring.base.is_zero(c) for c in p.terms.values())
 

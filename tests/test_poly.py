@@ -130,6 +130,50 @@ def test_add_matches_per_exponent_reference(tag):
     assert zero.terms == {} and ring.one().terms == {0: ring.base.one()}
 
 
+@pytest.mark.parametrize("tag", ["gf(2)[t]", "gf(4)[t,t^-1]", "gf(5)[t]", "z[t]",
+                                 "z[t,t^-1]"])
+def test_sub_matches_add_of_neg(tag):
+    # the fused difference against the sum with the negation, and against
+    # the per-exponent definition
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    zero = ring.zero()
+    for _ in range(150):
+        a = ring.random(rng, max_terms=5, span=3)
+        b = ring.random(rng, max_terms=5, span=3)
+        disjoint = ring.make({e: c for e, c in b.terms.items() if e not in a.terms})
+        pairs = [(a, b), (b, a), (a, disjoint), (disjoint, a), (a, a), (a, -a),
+                 (a, a + b), (a, zero), (zero, a), (zero, zero), (ring.one(), a)]
+        before = [(dict(x.terms), dict(y.terms)) for x, y in pairs]
+        for x, y in pairs:
+            d, ref = x - y, x + (-y)
+            assert d == ref and hash(d) == hash(ref)
+            assert d.terms == _add_by_exponents(x, -y)
+            assert not any(ring.base.is_zero(c) for c in d.terms.values())
+            assert ring.sub(x, y) == ref
+        assert [(dict(x.terms), dict(y.terms)) for x, y in pairs] == before
+        assert a - a == zero and (a - a).terms == {}
+        assert a - zero is a
+    with pytest.raises(RingError, match="mixed rings"):
+        ring.gen() - F3T.gen()
+    assert zero.terms == {} and ring.one().terms == {0: ring.base.one()}
+
+
+def test_substitutions_and_scaling_hand_out_the_shared_one():
+    # an image equal to one is the shared one(), so the identity fast paths
+    # of the matrix layers see it
+    for ring, alpha in ((F5T, PolySub(F5T, 2, 0)), (F5L, PolySub(F5L, 3, 0)),
+                        (F5T, PolySub(F5T, 2, 1)), (ZT, PolySub(ZT, -1, 0))):
+        one, equal_one = ring.one(), ring.make({0: ring.base.one()})
+        assert equal_one == one and equal_one is not one
+        assert alpha.apply(one) is one and alpha.apply(equal_one) is one
+        assert one.scale(ring.base.one()) is one
+        assert ring.constant(ring.base.from_int(-1)).scale(ring.base.from_int(-1)) is one
+        t = ring.gen()
+        assert alpha.apply(t) == ring.monomial(alpha.a, 1) + ring.constant(alpha.b)
+        assert t.scale(ring.base.one()) == t
+
+
 def test_pow_and_units():
     t = F5L.gen()
     assert t ** -3 == F5L.parse("t^-3")

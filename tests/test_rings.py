@@ -176,6 +176,28 @@ def test_element_text_round_trip(tag):
         assert ring.parse(ring.to_str(a)) == a
 
 
+def _field_text_by_digits(F, code):
+    # the rendering from the base-p digits: highest power of w first
+    digits = [(code // F.p ** e) % F.p for e in range(F.k)]
+    parts = []
+    for e in range(F.k - 1, -1, -1):
+        c = digits[e]
+        if c:
+            w = "w" if e == 1 else f"w^{e}"
+            parts.append(str(c) if e == 0 else (w if c == 1 else f"{c}*{w}"))
+    return "+".join(parts) if parts else "0"
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 49])
+def test_field_text_of_every_code(q):
+    F = field(q)
+    for code in F.elements():
+        s = F.to_str(code)
+        assert s == _field_text_by_digits(F, code)
+        assert F.parse(s) == code
+    assert [F.to_str(c) for c in range(3)] == ["0", "1", "2" if F.p > 2 else "w"]
+
+
 def test_unit_equation_forced():
     for w, m in ((2, 1), (6, 2), (30, 3)):
         res = solve_unit_equation(localized(w))
