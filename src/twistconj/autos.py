@@ -352,6 +352,10 @@ class BlockCompanion(Automorphism):
         d = P.degree
         if P.coeff(d) != ring.base.one():
             raise GroupError("companion polynomial must be monic")
+        if ring.base.is_zero(P.coeff(0)):
+            # the only monic irreducible with zero constant term is t, whose
+            # companion [0] maps every polynomial to 0
+            raise GroupError("companion polynomial t gives the zero map")
         self.P = P
         self.d = d
         self.ring = ring
@@ -519,6 +523,9 @@ class PairSwap(Automorphism):
     """(r, s) -> (alpha(s), alpha(r)) on R x R."""
 
     def __init__(self, alpha: RingAutoDesc, ring):
+        # IdentityAuto has no ring and acts on any
+        if getattr(alpha, "ring", ring) is not ring:
+            raise GroupError(f"{alpha.word()} is over {alpha.ring.tag}, not {ring.tag}")
         self.alpha = alpha
         self.ring = ring
         self.domain = AdditivePairs(ring)

@@ -12,13 +12,19 @@ term = coeff ['*' 't' ['^' int]], e.g.  3*t^-2 + 1 + 2*t^5.
 Extension-field coefficients print with the generator w and are wrapped
 in parentheses when compound:  (w+1)*t^2 + w.
 
-Shared unit: each PolyRing hands out one zero() and one one() object, and
-its arithmetic returns that one() whenever it produces the unit (monomial,
-constant and from_int of 1, inv of a unit, a monomial times its inverse).
-A product with the shared one() returns the other operand before any other
-work, so most of the products of the matrix layers cost nothing.  Identity
-is only a fast path: equality stays the truth, and a value equal to one()
-that is another object takes the general path to the same result.
+Shared units: each PolyRing hands out one zero() object and keeps a table
+of its units c*t^e (c a unit of the base, e = 0 unless the ring is
+Laurent), one object per unit, seeded with one().  monomial (so gen,
+constant and from_int), inv and every product of two monomials hand out
+the table's object whenever they produce a unit; a non-unit monomial is
+built fresh and never stored.  make is the checking path and always
+builds a fresh value.  A product with the shared one() returns the other
+operand before any other work, so most of the products of the matrix
+layers cost nothing, and the diagonal units of the Borel and affine
+groups are shared across all the matrices that hold them.  Identity is
+only a fast path: equality and hashing stay the truth, and a value equal
+to a unit that is another object takes the general path to the same
+result.
 """
 
 from __future__ import annotations
@@ -51,6 +57,8 @@ class PolyRing(Ring):
         self._base_one = base.one()
         self._zero = Poly(self, {})
         self._one = Poly(self, {0: self._base_one})
+        # (exponent, coefficient) -> the one object of that unit
+        self._units = {(0, self._base_one): self._one}
 
     # construction ----------------------------------------------------------
     def make(self, terms: dict) -> "Poly":
@@ -69,15 +77,23 @@ class PolyRing(Ring):
             return self._one
         return Poly(self, terms)
 
+    def _unit(self, e, c):
+        """c*t^e for a nonzero c: the table's object when it is a unit,
+        which a miss stores, and a fresh Poly when it is not."""
+        u = self._units.get((e, c))
+        if u is None:
+            u = Poly(self, {e: c})
+            if self.base.is_unit(c) and (e == 0 or self.laurent):
+                self._units[e, c] = u
+        return u
+
     def monomial(self, c, e: int) -> "Poly":
-        """c*t^e, with make's checks; the unit is the shared one()."""
+        """c*t^e, with make's checks; a unit is the table's object."""
         if e < 0 and not self.laurent:
             raise RingError(f"negative exponent in {self.tag}")
         if self.base.is_zero(c):
             return self._zero
-        if e == 0 and c == self._base_one:
-            return self._one
-        return Poly(self, {e: c})
+        return self._unit(e, c)
 
     def gen(self) -> "Poly":
         return self.monomial(self.base.one(), 1)
@@ -117,10 +133,7 @@ class PolyRing(Ring):
         if a is self._one:
             return a
         e, c = self._unit_term(a)
-        c = self.base.inv(c)
-        if e == 0 and c == self._base_one:
-            return self._one
-        return Poly(self, {-e: c})
+        return self._unit(-e, self.base.inv(c))
 
     def _unit_term(self, a):
         """(exponent, coefficient) of the single term of the unit a."""
@@ -279,22 +292,31 @@ class Poly:
                             continue
                     out[e] = c
             return Poly(ring, out)
-        # a zero factor, or a one that is not the shared one(), hands back an
-        # operand
+        # a zero factor hands back an operand
         if not short.terms:
             return short
         (e1, c1), = short.terms.items()
+        base_one = ring._base_one
+        if len(other.terms) == 1:
+            # two monomials: the product may be a unit, which the table hands
+            # out; a coefficient equal to the base one multiplies nothing
+            (e2, c2), = other.terms.items()
+            if c1 == base_one:
+                c = c2
+            elif c2 == base_one:
+                c = c1
+            else:
+                c = base.mul(c1, c2)
+            return ring._unit(e1 + e2, c)
         # one term c1*t^e1: distinct e2 give distinct e1+e2, so no collision
-        if c1 == ring._base_one:
+        if c1 == base_one:
             if e1 == 0:
-                return other
+                return other      # a one that is not the shared one()
             # t^e1 shifts the exponents and multiplies no coefficient
             out = {e1 + e2: c2 for e2, c2 in other.terms.items()}
         else:
             mul = base.mul
             out = {e1 + e2: mul(c1, c2) for e2, c2 in other.terms.items()}
-        if len(out) == 1 and out.get(0) == ring._base_one:
-            return ring._one      # a unit times its inverse
         return Poly(ring, out)
 
     def __pow__(self, k):

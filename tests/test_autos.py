@@ -14,7 +14,7 @@ from twistconj.groups import (
     Unitriangular, elementary, diag_elem, identity, nf_positions, normal_form,
     superdiagonal,
 )
-from twistconj.poly import PolySub, parse_ring
+from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, is_irreducible, parse_ring
 from twistconj.rings import RingError, field, localized
 from twistconj.twisted import LinearWindow
 
@@ -91,6 +91,29 @@ def test_companion_examples():
     assert phi.apply(F2T.parse("t^2")) == F2T.parse("t^3")
     with pytest.raises(GroupError):
         BlockCompanion(F2T.parse("t^2+1"))        # (t+1)^2 is reducible
+
+
+def test_companion_of_t_is_refused():
+    # t is monic and irreducible, but its companion [0] is the zero map
+    for ring in (F2T, F5T):
+        t = ring.gen()
+        assert is_irreducible(t)
+        with pytest.raises(GroupError, match="zero map"):
+            BlockCompanion(t)
+        # a nonzero constant term keeps the companion invertible
+        assert BlockCompanion(ring.parse("t+1")).apply(ring.one()) != ring.zero()
+
+
+def test_pair_swap_refuses_an_alpha_over_another_ring():
+    with pytest.raises(GroupError, match=r"over gf\(4\)\[t,t\^-1\], not gf\(5\)"):
+        PairSwap(LaurentFlip(F4L), F5L)
+    with pytest.raises(GroupError):
+        PairSwap(PolySub(F2T, 1, 1), F5T)
+    # the identity has no ring and acts on any
+    phi = PairSwap(IdentityAuto(), F5L)
+    x = (F5L.gen(), F5L.one())
+    assert phi.apply(x) == (F5L.one(), F5L.gen())
+    assert PairSwap(LaurentFlip(F5L), F5L).apply(x) == (F5L.one(), F5L.parse("t^-1"))
 
 
 def test_reflection_examples():

@@ -51,6 +51,9 @@ def test_reidemeister_additive():
     assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
                  "--auto", "mul(1)", "--exp-window", "2",
                  "--expect", "8"]) == UNDECIDED
+    # t is monic and irreducible, but phiP(t) is the zero map
+    assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
+                 "--auto", "phiP(t)"]) == USAGE
     # windows live over gf(q)[t] and gf(q)[t,t^-1] only
     assert main(["reidemeister", "--ring", "z", "--group", "u2",
                  "--auto", "mul(1)"]) == USAGE

@@ -290,6 +290,7 @@ def test_unit_fast_paths_match_the_references(tag):
             mats.append(TriMat(ring, n, diag, upper))
         mats.append(TriMat(ring, n, (other_one,) * n, {}))
         before = [_state(m) for m in mats]
+        table = _table_state(ring)
         for a, b in zip(mats, mats[1:] + mats[:1]):
             for x, ref in ((a * b, _mul_by_entries(a, b)),
                            (a.inv(), _inv_by_columns(a)),
@@ -301,6 +302,7 @@ def test_unit_fast_paths_match_the_references(tag):
             assert a.is_unitriangular() == all(u == one for u in a.diag)
         assert mats[-1].is_identity()
         assert [_state(m) for m in mats] == before
+        assert _table_kept(ring, table)
     assert AffElem(ring, other_one, ring.zero()).is_identity()
     assert ring.one() is one
 
@@ -318,6 +320,7 @@ def test_division_matches_the_product_by_the_inverse(tag):
         mats = [B.random(rng) for _ in range(5)] + [U.random(rng) for _ in range(5)]
         mats += [identity(ring, n), ones]
         before = [_state(m) for m in mats]
+        table = _table_state(ring)
         for a, b in zip(mats, mats[5:] + mats[:5]):
             u = U.random(rng)
             checks = [
@@ -343,6 +346,7 @@ def test_division_matches_the_product_by_the_inverse(tag):
                 assert x == ref and hash(x) == hash(ref)
                 assert x.mat.diag[0] == ring.one()
         assert [_state(m) for m in mats] == before
+        assert _table_kept(ring, table)
     # (I + E12 + E23 + E13) / (I + E23): the (1,3) sum cancels in the row
     e = elementary(ring, 3, 1, 2, ring.one()) * elementary(ring, 3, 2, 3, ring.one())
     d = elementary(ring, 3, 2, 3, ring.one())
@@ -437,6 +441,19 @@ def test_affine_constructor_refuses_a_non_unit():
                     (localized(6), LocalizedInt(5))):
         with pytest.raises(GroupError, match="is not a unit of"):
             AffElem(ring, u, ring.one())
+
+
+def _table_state(ring):
+    """Every entry of a polynomial ring's unit table, by object, with what
+    it stores; empty for other rings."""
+    units = getattr(ring, "_units", {})
+    return {key: (id(u), _state(u)) for key, u in units.items()}
+
+
+def _table_kept(ring, before):
+    # the table only grows: no entry replaced, none mutated
+    after = _table_state(ring)
+    return all(after.get(key) == entry for key, entry in before.items())
 
 
 def _state(x):

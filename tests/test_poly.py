@@ -3,18 +3,22 @@ import re
 
 import pytest
 
+from twistconj.experiments import RING_TAGS
 from twistconj.poly import (
-    IdentityAuto, LaurentFlip, PolySub, augmentation,
+    IdentityAuto, LaurentFlip, Poly, PolyRing, PolySub, augmentation,
     divmod_poly, first_irreducible, is_irreducible, parse_ring,
     parse_ring_auto, poly_ring, sign_augmentation, twist_split,
 )
-from twistconj.rings import IntegerRing, RingError, field
+from twistconj.rings import GaloisField, IntegerRing, RingError, field
 
 F2T = parse_ring("gf(2)[t]")
 F3T = parse_ring("gf(3)[t]")
 F5T = parse_ring("gf(5)[t]")
 F5L = parse_ring("gf(5)[t,t^-1]")
 ZT = parse_ring("z[t]")
+ZL = parse_ring("z[t,t^-1]")
+POLY_TAGS = tuple(tag for tag in RING_TAGS + ("gf(2)[t]",)
+                  if isinstance(parse_ring(tag), PolyRing))
 
 
 def test_arithmetic_examples():
@@ -172,6 +176,89 @@ def test_substitutions_and_scaling_hand_out_the_shared_one():
         t = ring.gen()
         assert alpha.apply(t) == ring.monomial(alpha.a, 1) + ring.constant(alpha.b)
         assert t.scale(ring.base.one()) == t
+
+
+def _units(ring):
+    """The units c*t^e of ring, for |e| <= 3 in a Laurent ring."""
+    base = ring.base
+    cs = base.units() if isinstance(base, GaloisField) else (1, -1)
+    es = range(-3, 4) if ring.laurent else (0,)
+    return [ring.monomial(c, e) for e in es for c in cs]
+
+
+def _table_state(ring):
+    """Every entry of ring's unit table with the terms it stores."""
+    return {key: (u, dict(u.terms)) for key, u in ring._units.items()}
+
+
+def _assert_table_kept(ring, before):
+    # entries are never replaced or mutated, and each one is the unit of its
+    # key
+    for key, (u, terms) in before.items():
+        assert ring._units[key] is u and u.terms == terms
+    for (e, c), u in ring._units.items():
+        assert u.terms == {e: c} and ring.is_unit(u)
+
+
+@pytest.mark.parametrize("tag", POLY_TAGS)
+def test_unit_arithmetic_hands_out_the_table_objects(tag):
+    ring = parse_ring(tag)
+    base = ring.base
+    units = _units(ring)
+    assert len({id(u) for u in units}) == len(units)
+    assert ring.monomial(base.one(), 0) is ring.one()
+    for u in units:
+        (e, c), = u.terms.items()
+        assert ring.monomial(c, e) is u and ring._units[e, c] is u
+        assert ring.constant(c) is ring.monomial(c, 0)
+        assert ring.inv(ring.inv(u)) is u
+        assert ring.mul(u, ring.inv(u)) is ring.one()
+        assert ring.mul(ring.inv(u), u) is ring.one()
+        for v in units:
+            (e2, c2), = v.terms.items()
+            assert u * v is ring.monomial(base.mul(c, c2), e + e2)
+    # a non-Laurent ring holds only its constant units
+    if not ring.laurent:
+        assert all(e == 0 for e, _ in ring._units)
+        assert len(ring._units) <= (base.q - 1 if isinstance(base, GaloisField) else 2)
+
+
+def test_non_units_are_never_stored():
+    for ring, c, e in ((F5T, 1, 3), (F5T, 2, 1), (ZT, 2, 1), (ZL, 2, 1),
+                       (ZT, 2, 0), (ZL, 2, 0), (ZL, -3, -1)):
+        p = ring.monomial(c, e)
+        assert not ring.is_unit(p) and (e, c) not in ring._units
+        assert ring.monomial(c, e) is not p and ring.monomial(c, e) == p
+    t = F5T.gen()
+    assert t * t * t == F5T.monomial(1, 3) and (3, 1) not in F5T._units
+    two, two_t = ZT.constant(2), ZT.monomial(2, 1)
+    assert two * ZT.gen() == two_t and (1, 2) not in ZT._units
+    assert ZT.constant(-1) * ZT.constant(-1) is ZT.one()
+    assert set(ZT._units) <= {(0, 1), (0, -1)}
+
+
+@pytest.mark.parametrize("tag", POLY_TAGS)
+def test_units_rebuilt_raw_give_the_same_values(tag):
+    # identity is only a fast path: a unit built as another object takes
+    # the general path to equal products, inverses and hashes
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    others = [ring.random(rng, max_terms=4, span=3) for _ in range(6)] + [ring.zero()]
+    units = _units(ring)
+    before = _table_state(ring)
+    for u in units:
+        (e, c), = u.terms.items()
+        raw = Poly(ring, {e: c})
+        assert raw is not u and raw == u and hash(raw) == hash(u)
+        assert ring.inv(raw) is ring.inv(u)
+        prod = raw * ring.inv(raw)
+        assert prod == ring.one() and hash(prod) == hash(ring.one())
+        if u is not ring.one():
+            assert prod is ring.one()
+        for v in units + others:
+            for x, ref in ((raw * v, u * v), (v * raw, v * u)):
+                assert x == ref and hash(x) == hash(ref)
+    _assert_table_kept(ring, before)
 
 
 def test_pow_and_units():
