@@ -215,8 +215,19 @@ class Central(Automorphism):
         if not (isinstance(m, TriMat) and m.is_unitriangular()):
             raise GroupError("central automorphisms act on unitriangular matrices")
         g = self.domain
+        if m.ring is not g.ring or m.n != g.n:
+            raise GroupError("incompatible matrices")
+        # the product m * e_{1,n}(val) by a unitriangular m adds val to the
+        # corner (1,n) and changes nothing else
+        ring, n = g.ring, g.n
         val = self.lam.apply(m.entry(self.i, self.i + 1))
-        return m * elementary(g.ring, g.n, 1, g.n, val)
+        upper = dict(m.upper)
+        old = upper.pop((1, n), None)
+        if old is not None:
+            val = ring.add(val, old)
+        if not ring.is_zero(val):
+            upper[(1, n)] = val
+        return TriMat._of(ring, n, m.diag, upper)
 
     def word(self):
         return f"central({self.i},{self.lam.word()})"
@@ -441,7 +452,7 @@ class AffineReflect(Automorphism):
             raise GroupError("reflection acts on the affine group over its ring")
         ring = self.ring
         k = tf_monomial_exponent(ring, x.u)
-        r = x.r.reversed_var().scale(self.a)
+        r = x.r.reversed_scaled(self.a)
         return AffElem._of(ring, ring.monomial(ring.base.one(), -k), r)
 
     def word(self):
@@ -469,7 +480,7 @@ class TriangularReflect(Automorphism):
         diag = tuple(ring.monomial(one, -tf_monomial_exponent(ring, u)) for u in m.diag)
         # reversal and scaling by the unit a keep a corner nonzero
         h = m.upper.get((1, 2))
-        upper = {} if h is None else {(1, 2): h.reversed_var().scale(self.a)}
+        upper = {} if h is None else {(1, 2): h.reversed_scaled(self.a)}
         return TriMat._of(ring, 2, diag, upper)
 
     def word(self):

@@ -17,6 +17,17 @@ the affine and corner-diagonal ones.  TriMat.inv, by back substitution,
 serves where the inverse itself is wanted (the flip, projective
 inverses, the orbit closure's per-generator inverses).
 
+The paper reduces the Borel groups in type A to a metabelian subgroup of
+GL_2, so most of the work here is on 2x2 matrices: the reflection
+classifier, the B2 partitions and the b2plus Reidemeister counts.  For
+n = 2, TriMat's product, right division and inverse are closed forms,
+
+    [[a,x],[0,d]] * [[b,y],[0,e]]    = [[ab, ay + xe], [0, de]]
+    [[a,x],[0,d]] * [[b,y],[0,e]]^-1 = [[a/b, (x - (a/b)y)/e], [0, d/e]]
+    [[a,x],[0,d]]^-1                 = [[1/a, -x/(ad)], [0, 1/d]]
+
+with no row maps or accumulators; n >= 3 takes the general routines.
+
 Element word form (printer/parser round-trip):
 
     e(1,2;t+1) e(2,3;2) d(1;t) d(3;w+1)       identity prints as "1"
@@ -94,9 +105,29 @@ class TriMat:
             raise GroupError("incompatible matrices")
         ring = self.ring
         mul, add, is_zero, one = ring.mul, ring.add, ring.is_zero, ring.one()
+        if self.n == 2:
+            # [[a,x],[0,d]] * [[b,y],[0,e]] = [[ab, ay + xe],[0, de]]
+            (a, d), (b, e) = self.diag, o.diag
+            x, y = self.upper.get((1, 2)), o.upper.get((1, 2))
+            c = None if x is None else x if e is one else mul(x, e)
+            if y is not None:
+                ay = y if a is one else mul(a, y)
+                if c is None:
+                    c = ay
+                else:
+                    # the entries are nonzero and the ring a domain: only
+                    # this sum can be zero
+                    c = add(ay, c)
+                    if is_zero(c):
+                        c = None
+            upper = {} if c is None else {(1, 2): c}
+            # a diagonal factor that is the shared one() multiplies nothing
+            return TriMat._of(ring, 2, (b if a is one else a if b is one else mul(a, b),
+                                        e if d is one else d if e is one else mul(d, e)),
+                              upper)
         sd, od = self.diag, o.diag
         # the diagonal products go through mul, which returns at once for the
-        # shared one(): a per-entry test here measured slower on 2x2 matrices
+        # shared one()
         diag = tuple(map(mul, sd, od))
         upper = {}
         o_rows = {}  # row k of o as (j, w) pairs, diagonal first
@@ -132,6 +163,17 @@ class TriMat:
         ring = self.ring
         mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
         inv, one = ring.inv, ring.one()
+        if self.n == 2:
+            # [[a,x],[0,d]]^-1 = [[1/a, -x/(ad)],[0, 1/d]]
+            a, d = self.diag
+            ai = a if a is one else inv(a)
+            di = d if d is one else inv(d)
+            x = self.upper.get((1, 2))
+            if x is None:
+                return TriMat._of(ring, 2, (ai, di), {})
+            s = x if di is one else mul(x, di)
+            v = neg(s) if ai is one else mul(neg(ai), s)
+            return TriMat._of(ring, 2, (ai, di), {(1, 2): v})
         dinv = tuple([d if d is one else inv(d) for d in self.diag])
         a_rows = {}  # row i of self.upper as (k, a) pairs
         for (i, k), a in self.upper.items():
@@ -169,6 +211,24 @@ class TriMat:
         ring = self.ring
         mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
         inv, one = ring.inv, ring.one()
+        if self.n == 2:
+            # [[a,x],[0,d]] * [[b,y],[0,e]]^-1 = [[a/b, (x - (a/b)y)/e],[0, d/e]]
+            (a, d), (b, e) = self.diag, o.diag
+            bi = b if b is one else inv(b)
+            ei = e if e is one else inv(e)
+            q = bi if a is one else a if bi is one else mul(a, bi)
+            x, y = self.upper.get((1, 2)), o.upper.get((1, 2))
+            if y is None:
+                c = x
+            else:
+                c = neg(y) if q is one else mul(q, neg(y))
+                if x is not None:
+                    c = add(x, c)
+                    if is_zero(c):
+                        c = None
+            upper = {} if c is None else {(1, 2): c if ei is one else mul(c, ei)}
+            return TriMat._of(ring, 2, (q, ei if d is one else d if ei is one else mul(d, ei)),
+                              upper)
         dinv = [d if d is one else inv(d) for d in o.diag]
         diag = tuple(map(mul, self.diag, dinv))
         o_rows = {}  # row k of o, negated, as (j, -w) pairs
@@ -900,16 +960,17 @@ def element_word(m: TriMat) -> str:
     """The ordered word e(i,j;r)... d(i;u)... of a triangular matrix: the
     normal form of m * diag(m)^-1, whose entry (i,j) is a(i,j) * d_j^-1."""
     ring, n = m.ring, m.n
-    dinv = [ring.inv(u) for u in m.diag]
+    one = ring.one()
+    # a diagonal entry that is the shared one() needs no inverse and no print
+    dinv = [u if u is one else ring.inv(u) for u in m.diag]
     coeffs = _peel(ring, n, {(i, j): ring.mul(v, dinv[j - 1])
                              for (i, j), v in m.upper.items()})
     parts = []
     for (i, j), r in zip(nf_positions(n), coeffs):
         if not ring.is_zero(r):
             parts.append(f"e({i},{j};{ring.to_str(r)})")
-    one = ring.one()
     for i, u in enumerate(m.diag, start=1):
-        if u != one:
+        if u is not one and u != one:
             parts.append(f"d({i};{ring.to_str(u)})")
     return " ".join(parts) if parts else "1"
 

@@ -292,9 +292,9 @@ class Poly:
                             continue
                     out[e] = c
             return Poly(ring, out)
-        # a zero factor hands back an operand
-        if not short.terms:
-            return short
+        # a zero factor, in either order, gives the shared zero()
+        if not short.terms or not other.terms:
+            return ring._zero
         (e1, c1), = short.terms.items()
         base_one = ring._base_one
         if len(other.terms) == 1:
@@ -343,6 +343,22 @@ class Poly:
             raise RingError("t -> 1/t leaves the polynomial ring")
         return Poly(self.ring, {-e: c for e, c in self.terms.items()})
 
+    def reversed_scaled(self, a):
+        """a * f(1/t) for f = self and a base-ring value, in one pass:
+        the value of reversed_var().scale(a), under scale's rules (zero
+        products dropped, the shared one() for the unit)."""
+        ring = self.ring
+        if not ring.laurent and self.terms and max(self.terms) > 0:
+            raise RingError("t -> 1/t leaves the polynomial ring")
+        base = ring.base
+        mul, is_zero = base.mul, base.is_zero
+        out = {}
+        for e, c in self.terms.items():
+            s = mul(a, c)
+            if not is_zero(s):
+                out[-e] = s
+        return ring._of(out)
+
     def __eq__(self, o):
         return isinstance(o, Poly) and self.ring is o.ring and self.terms == o.terms
 
@@ -364,24 +380,22 @@ _set_ring, _set_terms, _set_h = (Poly.__dict__[slot].__set__ for slot in Poly.__
 # ---------------------------------------------------------------------------
 # text form
 
-def _coeff_str(base, c):
-    s = base.to_str(c)
-    if "+" in s[1:] or "-" in s[1:]:
-        return f"({s})"
-    return s
-
-
 def poly_to_str(p: Poly) -> str:
     if not p.terms:
         return "0"
     base = p.ring.base
+    # a field's coefficient texts, compound ones in parentheses, are built
+    # once with its tables; an integer prints its sign as the term's
+    texts = getattr(base, "coeff_texts", None)
     out = []
     for e in sorted(p.terms):
         c = p.terms[e]
-        neg = isinstance(base, rings.IntegerRing) and c < 0
-        if neg:
-            c = -c
-        cs = _coeff_str(base, c)
+        if texts is not None:
+            neg = False
+            cs = texts[c]
+        else:
+            neg = c < 0
+            cs = str(-c if neg else c)
         if e == 0:
             body = cs
         else:

@@ -257,6 +257,9 @@ class GaloisField(Ring):
         self._inv = inv
         # the text of every code, built once: printing reads it per value
         self._strs = tuple(self._render(a) for a in range(q))
+        # and as a polynomial coefficient: a compound text, a sum of powers
+        # of w, in parentheses
+        self.coeff_texts = tuple(f"({s})" if "+" in s else s for s in self._strs)
         self._primitive = None
         for g in range(1, q):
             x, order = g, 1

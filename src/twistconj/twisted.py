@@ -478,7 +478,7 @@ def solve_reflection_corner(h: Poly, a, k: int, l: int, x: int, y: int) -> Poly:
         if Y:
             fterms[mp - l - y] = Y
     f = ring.make(fterms)
-    check = f.shift(l + y) - f.reversed_var().scale(a).shift(2 * k + l + x)
+    check = f.shift(l + y) - f.reversed_scaled(a).shift(2 * k + l + x)
     if check != h:
         raise AssertionError("corner solve failed re-verification")
     return f

@@ -5,7 +5,7 @@ import pytest
 from twistconj.autos import (
     AffineReflect, AugScale, AugShift, BlockCompanion, Central, CenterScale,
     Compose, Flip, HalfSquare, IdentityMap, Inner, MulBy, PairSwap, Phi0,
-    RingMap, SigmaFirst, SigmaLast, TriangularReflect, WindowLinear,
+    RingMap, SigmaFirst, SigmaLast, TriangularReflect, WindowLinear, ZeroEndo,
     parse_auto, verify_homomorphism,
 )
 from twistconj.experiments import RING_TAGS
@@ -196,6 +196,43 @@ def test_central_touches_only_corner():
     assert verify_homomorphism(z, samples=300, rng=rng).passed
     with pytest.raises(GroupError):
         Central(U5, 5, MulBy(F5T, F5T.one()))      # index out of range
+
+
+@pytest.mark.parametrize("tag", RING_TAGS)
+def test_central_matches_the_product_by_the_corner_elementary(tag):
+    # apply adds lambda(a_{i,i+1}) to the corner; its definition is the
+    # product m * e_{1,n}(lambda(a_{i,i+1})), here with a zero lambda value
+    # and with a corner that cancels as well
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    for n in (3, 4, 5):
+        U = Unitriangular(ring, n)
+        for i in range(1, n):
+            for lam in (MulBy(ring, _random_nonzero(ring, rng)), MulBy(ring, ring.one()),
+                        ZeroEndo(ring)):
+                z = Central(U, i, lam)
+                mats = [U.random(rng) for _ in range(6)]
+                u = U.random(rng)
+                r = u.entry(i, i + 1)
+                if not ring.is_zero(lam.apply(r)):
+                    # the corner -lambda(r) cancels
+                    upper = dict(u.upper)
+                    upper[(1, n)] = ring.neg(lam.apply(r))
+                    mats.append(TriMat(ring, n, u.diag, upper))
+                for m in mats:
+                    before = (m.diag, dict(m.upper))
+                    img = z.apply(m)
+                    ref = m * elementary(ring, n, 1, n, lam.apply(m.entry(i, i + 1)))
+                    rebuilt = TriMat(ring, n, img.diag, img.upper)
+                    assert img == ref and hash(img) == hash(ref)
+                    assert img == rebuilt and hash(img) == hash(rebuilt)
+                    assert not any(ring.is_zero(v) for v in img.upper.values())
+                    assert (m.diag, dict(m.upper)) == before
+                if len(mats) > 6:
+                    assert (1, n) not in z.apply(mats[-1]).upper
+    U3 = Unitriangular(ring, 3)
+    with pytest.raises(GroupError, match="incompatible"):
+        Central(U3, 1, ZeroEndo(ring)).apply(identity(ring, 4))
 
 
 def test_central_refuses_a_two_by_two_domain():

@@ -257,6 +257,65 @@ def _equal_one(ring):
     return ring.one()
 
 
+def _two_by_two_cases(ring, rng):
+    """Inputs for the closed-form 2x2 kernels: over gf(4), all 36 elements of
+    B2(gf(4)) and all 1296 ordered pairs; over any other ring, seeded 2x2
+    matrices (diagonal entries the shared one, an equal one that is another
+    object, or a random unit), their consecutive pairs, and pairs built so
+    that the corner sum of the product (ay + xe = 0) or of the quotient
+    (x - (a/b)y = 0) cancels.  Returns (matrices, product pairs, quotient
+    pairs)."""
+    if ring is F4:
+        mats = list(Borel(ring, 2).elements())
+        pairs = [(a, b) for a in mats for b in mats]
+        return mats, pairs, pairs
+    one, other_one = ring.one(), _equal_one(ring)
+    mul, neg, inv = ring.mul, ring.neg, ring.inv
+    mats = []
+    for _ in range(24):
+        diag = [rng.choice((one, other_one, ring.random_unit(rng))) for _ in range(2)]
+        corner = ring.zero() if rng.random() < 0.25 else ring.random(rng)
+        mats.append(TriMat(ring, 2, diag, {(1, 2): corner}))
+    pairs = list(zip(mats, mats[1:] + mats[:1]))
+    mul_pairs, div_pairs = list(pairs), list(pairs)
+    for a in mats:
+        x = a.upper.get((1, 2))
+        if x is None:
+            continue
+        a1 = a.diag[0]
+        b1, e = ring.random_unit(rng), ring.random_unit(rng)
+        # y = -xe/a cancels ay + xe; y = xb/a cancels x - (a/b)y
+        mul_pairs.append((a, TriMat(ring, 2, (b1, e), {(1, 2): neg(mul(mul(x, e), inv(a1)))})))
+        div_pairs.append((a, TriMat(ring, 2, (b1, e), {(1, 2): mul(mul(x, b1), inv(a1))})))
+    # by the reference definitions, the built pairs do cancel
+    assert len(mul_pairs) > len(pairs)
+    assert not any(_mul_by_entries(a, b).upper for a, b in mul_pairs[len(pairs):])
+    assert not any(_mul_by_entries(a, _inv_by_columns(b)).upper
+                   for a, b in div_pairs[len(pairs):])
+    return mats, mul_pairs, div_pairs
+
+
+def _assert_kernel_result(x, ref, operands):
+    """x equals ref and its rebuild through the checking constructor, with
+    equal hashes, stores no zero, and a diagonal entry whose operand entries
+    are all the shared one is the shared one; over a polynomial ring, an
+    entry equal to one is the shared one unless an operand held an equal
+    one that is another object."""
+    ring = x.ring
+    one = ring.one()
+    rebuilt = TriMat(ring, x.n, x.diag, x.upper)
+    assert x == ref and hash(x) == hash(ref)
+    assert x == rebuilt and hash(x) == hash(rebuilt)
+    assert _mat_is_canonical(x)
+    for i, u in enumerate(x.diag):
+        given = [m.diag[i] for m in operands]
+        if all(v is one for v in given):
+            assert u is one
+        if isinstance(ring, PolyRing) and u == one and \
+                not any(v == one and v is not one for v in given):
+            assert u is one
+
+
 @pytest.mark.parametrize("tag", RING_TAGS + ("gf(2)[t]",))
 def test_unit_fast_paths_match_the_references(tag):
     # a factor or a diagonal entry that is the shared one() skips its
@@ -303,6 +362,17 @@ def test_unit_fast_paths_match_the_references(tag):
         assert mats[-1].is_identity()
         assert [_state(m) for m in mats] == before
         assert _table_kept(ring, table)
+    # the closed-form 2x2 product and inverse
+    mats, mul_pairs, _ = _two_by_two_cases(ring, rng)
+    operands = mats + [m for pair in mul_pairs for m in pair]
+    before = [_state(m) for m in operands]
+    table = _table_state(ring)
+    for a, b in mul_pairs:
+        _assert_kernel_result(a * b, _mul_by_entries(a, b), (a, b))
+    for a in mats:
+        _assert_kernel_result(a.inv(), _inv_by_columns(a), (a,))
+    assert [_state(m) for m in operands] == before
+    assert _table_kept(ring, table)
     assert AffElem(ring, other_one, ring.zero()).is_identity()
     assert ring.one() is one
 
@@ -347,6 +417,16 @@ def test_division_matches_the_product_by_the_inverse(tag):
                 assert x.mat.diag[0] == ring.one()
         assert [_state(m) for m in mats] == before
         assert _table_kept(ring, table)
+    # the closed-form 2x2 quotient, against the product by the reference
+    # inverse
+    _, _, div_pairs = _two_by_two_cases(ring, rng)
+    operands = [m for pair in div_pairs for m in pair]
+    before = [_state(m) for m in operands]
+    table = _table_state(ring)
+    for a, b in div_pairs:
+        _assert_kernel_result(a.div(b), _mul_by_entries(a, _inv_by_columns(b)), (a, b))
+    assert [_state(m) for m in operands] == before
+    assert _table_kept(ring, table)
     # (I + E12 + E23 + E13) / (I + E23): the (1,3) sum cancels in the row
     e = elementary(ring, 3, 1, 2, ring.one()) * elementary(ring, 3, 2, 3, ring.one())
     d = elementary(ring, 3, 2, 3, ring.one())

@@ -94,6 +94,28 @@ def test_mul_matches_schoolbook(tag):
             for b in values:
                 prod, ref = a * b, _schoolbook(a, b)
                 assert prod == ref and hash(prod) == hash(ref)
+                if a is R.zero() or b is R.zero():
+                    assert prod is R.zero()
+
+
+@pytest.mark.parametrize("tag", POLY_TAGS)
+def test_a_zero_factor_gives_the_shared_zero(tag):
+    # in either order, against a monomial, a unit and a multi-term factor,
+    # and for a zero that is another object as well, except that a product
+    # by the shared one() hands back the other operand
+    ring = parse_ring(tag)
+    zero, one, other_zero = ring.zero(), ring.one(), ring.make({})
+    assert other_zero == zero and other_zero is not zero
+    others = [ring.gen(), ring.make({0: ring.base.one()}),
+              ring.monomial(ring.base.from_int(2), 3), ring.parse("t^2+t+1"),
+              zero, other_zero]
+    for z in (zero, other_zero):
+        for x in others:
+            assert z * x is zero and x * z is zero
+            assert ring.mul(z, x) is zero and ring.mul(x, z) is zero
+        assert z * one is z and one * z is z
+    assert F5T.zero() * F5T.gen() is F5T.zero()
+    assert zero.terms == {} and other_zero.terms == {}
 
 
 def _add_by_exponents(a, b):
@@ -305,6 +327,37 @@ def test_text_round_trip(tag):
     s = "3*t^-2 + 1 + 2*t^5"
     if ring.laurent and isinstance(ring.base, IntegerRing):
         assert str(ring.parse(s)) == s
+
+
+@pytest.mark.parametrize("tag", ["gf(4)[t,t^-1]", "gf(9)[t,t^-1]", "z[t,t^-1]",
+                                 "gf(5)[t,t^-1]"])
+def test_reversed_scaled_matches_reverse_then_scale(tag):
+    ring = parse_ring(tag)
+    base = ring.base
+    rng = random.Random(tag)
+    scalars = [base.zero(), base.one()] + [base.random_unit(rng) for _ in range(4)]
+    values = [ring.zero(), ring.one(), ring.gen()]
+    values += [ring.random(rng, max_terms=5, span=4) for _ in range(40)]
+    for f in values:
+        before = dict(f.terms)
+        for a in scalars:
+            x, ref = f.reversed_scaled(a), f.reversed_var().scale(a)
+            assert x == ref and hash(x) == hash(ref)
+            assert list(x.terms.items()) == list(ref.terms.items())
+            assert not any(base.is_zero(c) for c in x.terms.values())
+        assert f.terms == before
+    # a product equal to one is the shared one(), as with scale
+    c = base.random_unit(rng)
+    while c == base.one():
+        c = base.random_unit(rng)
+    assert ring.constant(c).reversed_scaled(base.inv(c)) is ring.one()
+    assert ring.monomial(base.one(), 0).reversed_scaled(base.one()) is ring.one()
+
+
+def test_reversed_scaled_keeps_the_polynomial_ring_check():
+    assert F5T.constant(3).reversed_scaled(2) == F5T.one()
+    with pytest.raises(RingError, match="leaves the polynomial ring"):
+        F5T.gen().reversed_scaled(2)
 
 
 def test_extension_coefficient_round_trip():

@@ -188,6 +188,17 @@ def _field_text_by_digits(F, code):
     return "+".join(parts) if parts else "0"
 
 
+def _term_text_by_digits(F, code, e):
+    # a polynomial term: a compound coefficient in parentheses, a 1 left
+    # out before a power of t
+    s = _field_text_by_digits(F, code)
+    cs = f"({s})" if "+" in s else s
+    if e == 0:
+        return cs
+    t = "t" if e == 1 else f"t^{e}"
+    return t if cs == "1" else f"{cs}*{t}"
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 49])
 def test_field_text_of_every_code(q):
     F = field(q)
@@ -196,6 +207,26 @@ def test_field_text_of_every_code(q):
         assert s == _field_text_by_digits(F, code)
         assert F.parse(s) == code
     assert [F.to_str(c) for c in range(3)] == ["0", "1", "2" if F.p > 2 else "w"]
+    # every code as a polynomial coefficient, alone and inside a sum
+    ring = poly_ring(F, laurent=True)
+    exps = (-1, 0, 1, 5)
+    for code in F.units():
+        for e in exps:
+            p = ring.monomial(code, e)
+            assert str(p) == _term_text_by_digits(F, code, e)
+            assert ring.parse(str(p)) == p
+        codes = [(code + k) % (q - 1) + 1 for k in range(len(exps))]
+        p = ring.make(dict(zip(exps, codes)))
+        assert str(p) == " + ".join(_term_text_by_digits(F, c, e)
+                                    for e, c in zip(exps, codes))
+    assert str(ring.zero()) == "0"
+
+
+def test_polynomial_text_examples():
+    F4L, F9L = poly_ring(field(4), laurent=True), poly_ring(field(9), laurent=True)
+    assert str(F4L.make({-1: 3, 0: 2, 1: 1, 5: 3})) == "(w+1)*t^-1 + w + t + (w+1)*t^5"
+    assert str(F9L.make({0: 5, 1: 6, 5: 8})) == "(w+2) + 2*w*t + (2*w+2)*t^5"
+    assert str(parse_ring("z[t,t^-1]").make({-1: -1, 0: 3, 2: -2})) == "-t^-1 + 3 - 2*t^2"
 
 
 def test_unit_equation_forced():
