@@ -857,10 +857,13 @@ def generating_set(els, index, group):
     or a product leaves it; `index` holds the elements of els (a set, or a
     dict keyed by them).  While the subgroup H generated so far is not the
     universe, the next generator s is an element outside H whose powers
-    take the longest to fall into H (the earliest in list order on a tie),
-    and H is extended by right multiplication: old members by s, new
-    members by every generator.  A finite set holding the identity and
-    closed under these products is the group they generate.
+    take the longest to fall into H (the earliest in list order on a tie).
+    The subgroup H' it generates with H is a union of right cosets H y:
+    the coset representatives, starting from e, are walked under every
+    generator, and each product y = x t that is not yet in H' adds its
+    coset H y.  A finite set holding the identity and closed under these
+    products is the group they generate.  A step costs |H'| + [H':H] |S|
+    products; the last, about |U| + [U:H] |S|, dominates.
 
     Taking the longest reach first keeps S small, and on the oracle's
     windows and on B2(gf(4)) makes |S|, hence the cost of the orbit
@@ -876,17 +879,24 @@ def generating_set(els, index, group):
     members, seen, gens = [e], {e}, []
     while len(members) < len(index):
         gens.append(_longest_reach(els, seen, orders, group))
-        old = len(members)
-        i = 0
-        while i < len(members):
-            for s in (gens[-1:] if i < old else gens):
-                p = group.mul(members[i], s)
-                if p not in index:
+        base = members[1:]              # H without e
+        reps = [e]
+        for x in reps:
+            for s in gens:
+                y = group.mul(x, s)
+                if y in seen:
+                    continue
+                if y not in index:
                     return None
-                if p not in seen:
+                reps.append(y)
+                seen.add(y)
+                members.append(y)
+                for h in base:
+                    p = group.mul(h, y)
+                    if p not in index:
+                        return None
                     seen.add(p)
                     members.append(p)
-            i += 1
     return gens
 
 

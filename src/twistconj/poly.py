@@ -17,8 +17,9 @@ of its units c*t^e (c a unit of the base, e = 0 unless the ring is
 Laurent), one object per unit, seeded with one().  monomial (so gen,
 constant and from_int), inv and every product of two monomials hand out
 the table's object whenever they produce a unit; a non-unit monomial is
-built fresh and never stored.  make is the checking path and always
-builds a fresh value.  A product with the shared one() returns the other
+built fresh and never stored.  Arithmetic whose terms all cancel or
+vanish hands out zero(); make is the checking path and always builds a
+fresh value.  A product with the shared one() returns the other
 operand before any other work, so most of the products of the matrix
 layers cost nothing, and the diagonal units of the Borel and affine
 groups are shared across all the matrices that hold them.  Identity is
@@ -71,8 +72,10 @@ class PolyRing(Ring):
         return Poly(self, clean)
 
     def _of(self, terms):
-        """Poly(self, terms) for canonical terms, or the shared one() when
-        they are the unit's."""
+        """Poly(self, terms) for canonical terms, or the shared zero() or
+        one() when they are its terms."""
+        if not terms:
+            return self._zero
         if len(terms) == 1 and terms.get(0) == self._base_one:
             return self._one
         return Poly(self, terms)
@@ -232,11 +235,14 @@ class Poly:
                     del out[e]
                 else:
                     out[e] = s
-        return Poly(ring, out)
+        return Poly(ring, out) if out else ring._zero
 
     def __neg__(self):
-        base = self.ring.base
-        return Poly(self.ring, {e: base.neg(c) for e, c in self.terms.items()})
+        ring = self.ring
+        if not self.terms:
+            return ring._zero
+        neg = ring.base.neg
+        return Poly(ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, o):
         # one pass over o's terms, as in __add__, with no negated copy of o
@@ -259,7 +265,7 @@ class Poly:
                     del out[e]
                 else:
                     out[e] = s
-        return Poly(ring, out)
+        return Poly(ring, out) if out else ring._zero
 
     def __mul__(self, o):
         # PolyRing admits only gf(q) and z coefficients, both integral

@@ -1,9 +1,11 @@
 """Twisted conjugacy: the twist action h g phi(h)^-1, constructive class
 solvers for the reflection automorphisms, image/cokernel computations on
 truncated coefficient windows, a partition oracle for finite universes
-(orbit closure under the generating set that groups.generating_set reads
-off a finite group, union-find over all pairs otherwise), and the
-exponent-tuple case search for diagonal substitutions.
+(on a finite group, cosets of the image of h -> h phi(h)^-1 when it is
+abelian and otherwise orbit closure under the generating set that
+groups.generating_set reads off it; union-find over all pairs on any
+other universe), and the exponent-tuple case search for diagonal
+substitutions.
 
 The additive computations run over windows: a window fixes a finite range
 of monomial exponents and treats the corresponding coefficient space as a
@@ -324,16 +326,16 @@ def brute_force_partition(universe, phi: Automorphism, group=None,
     """The classes of g ~ h g phi(h)^-1 over all h in the universe.
 
     When the universe is a finite group (it holds the identity and is
-    closed under products) the classes are found by orbit closure:
-    groups.generating_set reads a generating set S off the universe, and
-    each class is closed under g -> s g phi(s)^-1 for s in S, |U| |S|
-    twists in all.  That the
-    orbits under S are the full classes relies on phi being a
-    homomorphism, which the catalog checks verify.  Otherwise, or when a
-    twist leaves the universe, every pair (h, g) is twisted and merged by
-    union-find; a twist that leaves the universe then flags the partition
-    incomplete.  Both paths give the same classes (min-index
-    representatives, in min-index order) and |U| - count witnesses.
+    closed under products) groups.generating_set reads a generating set
+    S off it, and _orbit_closure finds the classes under the twists
+    g -> s g phi(s)^-1 for s in S: as cosets when the group is abelian,
+    by breadth-first closure otherwise.  That the orbits under S are the
+    full classes relies on phi being a homomorphism, which the catalog
+    checks verify.  Otherwise, or when a twist leaves the universe, every
+    pair (h, g) is twisted and merged by union-find; a twist that leaves
+    the universe then flags the partition incomplete.  All paths give the
+    same classes (min-index representatives, in min-index order) and
+    |U| - count witnesses.
     """
     group = group or phi.domain
     els = list(universe)
@@ -367,11 +369,20 @@ def _partition(phi, els, universe_name, classes, complete, witnesses):
 
 
 def _orbit_closure(els, index, gens, phi, group):
-    """(classes, witnesses) from a breadth-first closure of each class
-    under the twists x -> s x phi(s)^-1 by the generators s, or None when
-    a twist leaves the universe.  phi(s)^-1 is computed once per
-    generator.  Classes start at the first element not yet seen, so each
-    representative is its class's first element in list order."""
+    """(classes, witnesses) of the twists x -> s x phi(s)^-1 by the
+    generators s, or None when a twist leaves the universe.  Classes
+    start at the first element not yet seen, so each representative is
+    its class's first element in list order.
+
+    When the generators commute pairwise the universe is abelian, the
+    twist by s is x -> x c_s with c_s = s phi(s)^-1, and the classes are
+    the cosets g K of K = <c_s>: K is closed once from the identity,
+    each new k = k' c_s recording its parent (k', s), and the coset g K
+    has the witnesses (s, g k', g k); |K| |S| + |U| products in all.
+    Otherwise each class is closed breadth first under the twists, with
+    phi(s)^-1 computed once per generator."""
+    if all(group.mul(a, b) == group.mul(b, a) for i, a in enumerate(gens) for b in gens[:i]):
+        return _coset_classes(els, index, gens, phi, group)
     twisters = [(s, group.inv(phi.apply(s))) for s in gens]
     seen = [False] * len(els)
     classes, witnesses = [], []
@@ -391,6 +402,36 @@ def _orbit_closure(els, index, gens, phi, group):
                     orbit.append(t)
                     witnesses.append((s, x, t))
         classes.append((g, len(orbit)))
+    return classes, witnesses
+
+
+def _coset_classes(els, index, gens, phi, group):
+    """The abelian case of _orbit_closure: the cosets of K = <s phi(s)^-1>."""
+    twisters = [(s, group.div(s, phi.apply(s))) for s in gens]
+    K, parents = [group.identity()], [None]     # parents[n] = (j, s): K[n] = K[j] c_s
+    in_K = set(K)
+    for j, k in enumerate(K):
+        for s, c in twisters:
+            t = group.mul(k, c)
+            if t not in index:
+                return None
+            if t not in in_K:
+                in_K.add(t)
+                K.append(t)
+                parents.append((j, s))
+    seen = [False] * len(els)
+    classes, witnesses = [], []
+    for i, g in enumerate(els):
+        if seen[i]:
+            continue
+        coset = [g] + [group.mul(g, k) for k in K[1:]]
+        for x in coset:
+            xi = index.get(x)
+            if xi is None or seen[xi]:
+                raise AssertionError("twisted classes are not cosets of the twist image")
+            seen[xi] = True
+        witnesses.extend((s, coset[j], coset[n]) for n, (j, s) in enumerate(parents[1:], 1))
+        classes.append((g, len(K)))
     return classes, witnesses
 
 

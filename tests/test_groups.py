@@ -750,7 +750,9 @@ class _Punctured(Unitriangular):
 
 
 def test_center_refuses_an_enumeration_that_is_not_a_group(monkeypatch):
-    for drop in (0, -1):                   # the identity, then another element
+    # the identity, the last element, and a middle one whose absence only
+    # the second generator's cosets find: it is no power of another element
+    for drop in (0, -1, 4):
         with pytest.raises(AssertionError, match="not a group"):
             center_bruteforce(_Punctured(F2, 3, drop))
     # the CLI reports it as an internal fault, not as a mismatch

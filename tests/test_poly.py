@@ -118,6 +118,23 @@ def test_a_zero_factor_gives_the_shared_zero(tag):
     assert zero.terms == {} and other_zero.terms == {}
 
 
+@pytest.mark.parametrize("ring", (F5L, ZT), ids=lambda r: r.tag)
+def test_a_vanishing_result_is_the_shared_zero(ring):
+    # sums, differences, negations and scalings that cancel every term
+    zero, base = ring.zero(), ring.base
+    t, p, c = ring.gen(), ring.parse("t^2+t+1"), ring.from_int(3)
+    for x in (t, p, c):
+        assert x - x is zero and x + -x is zero and -x + x is zero
+        assert x.scale(base.zero()) is zero
+    assert -zero is zero and -ring.make({}) is zero
+    assert ring.make({}).scale(base.one()) is zero
+    assert c.reversed_scaled(base.zero()) is zero
+    if ring is F5L:
+        assert t + ring.parse("4*t") is zero
+        assert t.reversed_scaled(base.zero()) is zero
+        assert (t + p).reversed_scaled(base.zero()) is zero
+
+
 def _add_by_exponents(a, b):
     # the definition: base.add at every exponent of either support, zero
     # sums dropped

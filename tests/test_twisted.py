@@ -373,10 +373,33 @@ def test_orbit_closure_matches_all_pairs_on_finite_groups():
     _assert_orbits_match_all_pairs(els, IdentityMap(B), B)
     for g in els:
         _assert_orbits_match_all_pairs(els, Inner(g, B), B)
-    for G in (Unitriangular(F2, 3), ProjBorel(F3, 2)):
+    # u2 over gf(4) and gf(5) are abelian: their classes are cosets
+    for G in (Unitriangular(F2, 3), ProjBorel(F3, 2), Unitriangular(F4, 2),
+              Unitriangular(field(5), 2)):
         els = list(G.elements())
         _assert_orbits_match_all_pairs(els, IdentityMap(G), G)
         _assert_orbits_match_all_pairs(els, Inner(els[-1], G), G)
+
+
+def _closure(gens, group):
+    # the subgroup gens generate, breadth first from the identity
+    seen = {group.identity()}
+    todo = list(seen)
+    for x in todo:
+        for s in gens:
+            y = group.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return seen
+
+
+def _assert_generates_irredundantly(gens, els, group):
+    # each generator lies outside what the earlier ones generate, and all
+    # of them generate the universe
+    for k, s in enumerate(gens):
+        assert s not in _closure(gens[:k], group)
+    assert _closure(gens, group) == set(els)
 
 
 def test_generating_set_size_does_not_depend_on_list_order():
@@ -388,12 +411,15 @@ def test_generating_set_size_does_not_depend_on_list_order():
         rng.shuffle(els)
         gens = generating_set(els, _index_of(els), B)
         assert len(gens) == 2
+        _assert_generates_irredundantly(gens, els, B)
     # an elementary abelian window needs exactly its dimension
     window = LinearWindow(F3T, 0, 4)
     els = list(window.elements())
     for _ in range(5):
         rng.shuffle(els)
-        assert len(generating_set(els, _index_of(els), Additive(F3T))) == 5
+        gens = generating_set(els, _index_of(els), Additive(F3T))
+        assert len(gens) == 5
+        _assert_generates_irredundantly(gens, els, Additive(F3T))
 
 
 def test_partition_falls_back_without_identity():
