@@ -22,9 +22,8 @@ from typing import NamedTuple
 
 from . import groups, poly, rings
 from .groups import (
-    Additive, AdditivePairs, Affine, AffElem, Borel, CornerDiag,
-    CornerDiagGroup, GroupError, ProjBorel, ProjElem, TriMat, Unitriangular,
-    elementary,
+    Additive, AdditivePairs, Affine, AffElem, Borel, CornerDiagGroup,
+    GroupError, ProjBorel, TriMat, Unitriangular, elementary, projective,
 )
 from .poly import (
     Poly, PolyRing, RingAutoDesc, augmentation, is_irreducible,
@@ -43,8 +42,10 @@ class EndoDesc:
     def word(self):
         raise NotImplementedError
 
-    def is_additive(self):
-        return True
+    def sigma_scalar(self):
+        """The one scalar a with lambda(r+s) = a*r*s + lambda(r) + lambda(s)
+        for all r, s: zero exactly when lambda is additive."""
+        return self.ring.zero()
 
 
 class ZeroEndo(EndoDesc):
@@ -118,8 +119,9 @@ class HalfSquare(EndoDesc):
         ring = self.ring
         return ring.mul(self.a, ring.mul(ring.mul(r, r), self._half))
 
-    def is_additive(self):
-        return self.ring.is_zero(self.a)
+    def sigma_scalar(self):
+        # a(r+s)^2/2 - a r^2/2 - a s^2/2 = a r s
+        return self.a
 
     def word(self):
         return f"halfsquare({self.ring.to_str(self.a)})"
@@ -134,9 +136,6 @@ class Automorphism:
 
     def apply(self, x):
         raise NotImplementedError
-
-    def __call__(self, x):
-        return self.apply(x)
 
     def word(self):
         raise NotImplementedError
@@ -157,40 +156,27 @@ class IdentityMap(Automorphism):
 
 
 class Inner(Automorphism):
-    """Conjugation h -> g h g^-1.  A projective g conjugates plain
-    unitriangular matrices as well (scalars are central)."""
+    """Conjugation h -> g h g^-1."""
 
     def __init__(self, g, domain=None):
         self.g = g
         if domain is None:
             if isinstance(g, TriMat):
                 domain = Borel(g.ring, g.n)
-            elif isinstance(g, ProjElem):
-                domain = ProjBorel(g.ring, g.n)
             elif isinstance(g, AffElem):
                 domain = Affine(g.ring)
-            elif isinstance(g, CornerDiag):
-                domain = CornerDiagGroup(g.ring, g.n)
         self.domain = domain
 
     def apply(self, x):
         g = self.g
-        if isinstance(g, ProjElem) and isinstance(x, TriMat):
-            return g.conj(x)
-        if isinstance(g, TriMat) and isinstance(x, ProjElem):
-            return ProjElem((g * x.mat).div(g))
         if type(g) is not type(x):
             raise GroupError("conjugation across incompatible element kinds")
-        if isinstance(g, (TriMat, ProjElem)):
+        if isinstance(g, TriMat):
             return (g * x).div(g)
-        group = self.domain  # affine and corner-diagonal elements
+        group = self.domain  # affine elements
         return group.div(group.mul(g, x), g)
 
     def word(self):
-        if isinstance(self.g, TriMat):
-            return f"inner({groups.element_word(self.g)})"
-        if isinstance(self.g, ProjElem):
-            return f"inner({groups.element_word(self.g.mat)})"
         return f"inner({self.g!r})"
 
 
@@ -205,7 +191,7 @@ class Central(Automorphism):
             raise GroupError("central automorphisms need n >= 3")
         if not 1 <= i <= group.n - 1:
             raise GroupError("central automorphism index out of range")
-        if not lam.is_additive():
+        if not group.ring.is_zero(_sigma_scalar(group, lam)):
             raise GroupError("central automorphisms need an additive map")
         self.domain = group
         self.i = i
@@ -246,16 +232,28 @@ def check_sigma_pair(ring, lam, a, rng, samples):
     return None
 
 
+def _sigma_scalar(group, lam):
+    """lambda's Sigma scalar; a lambda over a ring other than the group's
+    is refused."""
+    if lam.ring is not group.ring:
+        raise GroupError(f"{lam.word()} is over {lam.ring.tag}, not {group.ring.tag}")
+    return lam.sigma_scalar()
+
+
 class _Sigma(Automorphism):
     """A type-Sigma automorphism of U_n, n >= 3, given by an endomorphism
-    lambda and a scalar a that satisfy the Sigma condition."""
+    lambda and a scalar a that satisfy the Sigma condition
+    lambda(r+s) = a*r*s + lambda(r) + lambda(s): a is lambda's Sigma
+    scalar."""
 
     def __init__(self, group: Unitriangular, lam, a):
         if group.n < 3:
             raise GroupError("type-Sigma automorphisms need n >= 3")
-        bad = check_sigma_pair(group.ring, lam, a, random.Random(0), 1000)
-        if bad is not None:
-            raise GroupError(f"(lambda, a) violates the Sigma condition at {bad}")
+        scalar = _sigma_scalar(group, lam)
+        if scalar != a:
+            ring = group.ring
+            raise GroupError(f"(lambda, a) violates the Sigma condition: {lam.word()} "
+                             f"has scalar {ring.to_str(scalar)}, not {ring.to_str(a)}")
         self.domain = group
         self.lam = lam
         self.a = a
@@ -609,27 +607,23 @@ def verify_homomorphism(phi: Automorphism, samples=1000, rng=None) -> HomReport:
 
 def _split_parts(group, g):
     ring = group.ring
-    if isinstance(group, Borel):
-        if group.n != 2:
+    if isinstance(group, (Borel, CornerDiagGroup)):
+        # the corner of w_n is abelian for every n
+        if isinstance(group, Borel) and group.n != 2:
             raise GroupError("the unipotent kernel is non-abelian for n > 2")
-        d = TriMat(ring, 2, g.diag, {})
+        d = TriMat(ring, group.n, g.diag, {})
         return g.div(d), d
     if isinstance(group, Affine):
         return (AffElem(ring, ring.one(), g.r),
                 AffElem(ring, g.u, ring.zero()))
-    if isinstance(group, CornerDiagGroup):
-        return (CornerDiag(ring, group.n, g.r, (ring.one(),) * group.n),
-                CornerDiag(ring, group.n, ring.zero(), g.dunits))
     raise GroupError(f"no split decomposition registered for {group.name}")
 
 
 def _in_kernel_part(group, x):
-    if isinstance(group, Borel):
+    if isinstance(group, (Borel, CornerDiagGroup)):
         return x.is_unitriangular()
     if isinstance(group, Affine):
         return x.u == group.ring.one()
-    if isinstance(group, CornerDiagGroup):
-        return all(u == group.ring.one() for u in x.dunits)
     return False
 
 
@@ -726,9 +720,8 @@ def parse_auto(word: str, ring=None, group=None) -> Automorphism:
                 raise GroupError("inner(...) needs a domain group")
             g = groups.parse_element(body, group.ring, group.n)
             if isinstance(group, ProjBorel):
-                parts.append(Inner(ProjElem(g), group))
-            else:
-                parts.append(Inner(g, group))
+                g = projective(g)
+            parts.append(Inner(g, group))
         elif head == "central":
             i, endo = _split_top(body, ",")
             if not isinstance(group, Unitriangular):

@@ -21,8 +21,8 @@ from .autos import (
 )
 from .groups import (
     Additive, Affine, AffElem, Borel, CornerDiagGroup, GroupError, ProjBorel,
-    ProjElem, TriMat, Unitriangular, center_bruteforce, diag_elem, elementary,
-    identity, normal_form, recompose, to_affine,
+    TriMat, Unitriangular, center_bruteforce, diag_elem, elementary, identity,
+    normal_form, projective, recompose, to_affine,
 )
 from .linalg import gf_det
 from .poly import (
@@ -42,7 +42,6 @@ class ExperimentResult(NamedTuple):
     passed: bool
     detail: str
     elapsed: float
-    report: dict
 
     def line(self):
         mark = "PASS" if self.passed else "FAIL"
@@ -50,7 +49,7 @@ class ExperimentResult(NamedTuple):
 
 
 def _result(name, passed, detail, t0):
-    return ExperimentResult(name, passed, detail, time.time() - t0, {})
+    return ExperimentResult(name, passed, detail, time.time() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +99,8 @@ def relations_suite(ring, n, samples, rng):
         ratio = ring.mul(units[i - 1], ring.inv(units[j - 1]))
         if d * eij * d.inv() != elementary(ring, n, i, j, ring.mul(ratio, r)):
             return False, checked, ("conj", i, j, units, r)
-        pd = ProjElem(d)
-        if pd.conj(eij) != elementary(ring, n, i, j, ring.mul(ratio, r)):
+        pd = projective(d)
+        if (pd * eij).div(pd) != elementary(ring, n, i, j, ring.mul(ratio, r)):
             return False, checked, ("projconj", i, j, units, r)
         checked += 1
     return True, checked, None
@@ -214,8 +213,7 @@ def center_check(F, tag, n) -> CenterCheck:
     elif tag == "u":
         expect = {elementary(F, n, 1, n, c) for c in F.elements()}
     else:
-        expect = {w for w in grp.elements()
-                  if F.is_zero(w.r) and w.dunits[0] == w.dunits[-1]}
+        expect = {w for w in grp.elements() if not w.upper and w.diag[0] == w.diag[-1]}
     Z = center_bruteforce(grp)
     return CenterCheck(grp, Z, desc, set(Z) == expect)
 
@@ -586,7 +584,8 @@ def _catalog_for_verification():
     U5_f2 = Unitriangular(F2t, 5)
     B3 = Borel(F5t, 3)
     out.append(("inner", Inner(B3.random(rng), B3)))
-    out.append(("inner-proj", Inner(ProjBorel(F4l, 3, plus=True).random(rng))))
+    PB3 = ProjBorel(F4l, 3, plus=True)
+    out.append(("inner-proj", Inner(PB3.random(rng), PB3)))
     out.append(("central-mulby", Central(U5_f2, 1, MulBy(F2t, F2t.gen()))))
     out.append(("central-zero", Central(U5_f5, 3, ZeroEndo(F5t))))
     win = LinearWindow(F2t, 0, 3)

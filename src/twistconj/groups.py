@@ -13,9 +13,17 @@ Right division a * b^-1 is one operation, TriMat.div, computed by forward
 substitution without forming b^-1.  Twists, conjugations and commutators
 go through it; Group.div gives every group context the same operation: a
 subtraction on the additive groups, and the product by the inverse on
-the affine and corner-diagonal ones.  TriMat.inv, by back substitution,
-serves where the inverse itself is wanted (the flip, projective
-inverses, the orbit closure's per-generator inverses).
+the affine one.  TriMat.inv, by back substitution, serves where the
+inverse itself is wanted (the flip, the orbit closure's per-generator
+inverses).
+
+The two quotients of B_n on the way to the affine group are subgroups of
+B_n, so their elements are TriMats too.  The matrices whose (1,1) entry
+is 1 form a subgroup S, and projective(m) = m / m_11 maps B_n onto it
+with the scalars as kernel: S is B_n/Z (ProjBorel).  The corner-diagonal
+group w_n (CornerDiagGroup) is the part of S whose only off-diagonal
+entry is the corner (1,n); to_affine maps it onto Aff(R), with its
+center as kernel.
 
 The paper reduces the Borel groups in type A to a metabelian subgroup of
 GL_2, so most of the work here is on 2x2 matrices: the reflection
@@ -439,63 +447,13 @@ def superdiagonal(m: TriMat):
 
 
 # ---------------------------------------------------------------------------
-# projective elements: matrices modulo scalars
+# projective classes: matrices modulo scalars
 
-class ProjElem:
-    """A class of B_n(R) modulo the scalar matrices, stored by the unique
-    representative whose (1,1) entry is 1."""
-
-    __slots__ = ("mat",)
-
-    def __init__(self, mat: TriMat):
-        u1 = mat.diag[0]
-        if u1 != mat.ring.one():
-            mat = mat.scaled(mat.ring.inv(u1))
-        _set_proj_mat(self, mat)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ProjElem is immutable")
-
-    @property
-    def ring(self):
-        return self.mat.ring
-
-    @property
-    def n(self):
-        return self.mat.n
-
-    def __mul__(self, o):
-        if isinstance(o, TriMat):
-            o = ProjElem(o)
-        return ProjElem(self.mat * o.mat)
-
-    def inv(self):
-        return ProjElem(self.mat.inv())
-
-    def div(self, o):
-        """self * o^-1; both representatives have (1,1) entry 1, and so has
-        their quotient."""
-        return ProjElem(self.mat.div(o.mat))
-
-    def is_identity(self):
-        return self.mat.is_identity()
-
-    def conj(self, x: TriMat) -> TriMat:
-        """Conjugate a unitriangular matrix by this class (well defined
-        because scalars are central)."""
-        return (self.mat * x).div(self.mat)
-
-    def __eq__(self, o):
-        return isinstance(o, ProjElem) and self.mat == o.mat
-
-    def __hash__(self):
-        return hash(("proj", self.mat))
-
-    def __repr__(self):
-        return f"[{element_word(self.mat)}]"
-
-
-_set_proj_mat = ProjElem.__dict__["mat"].__set__
+def projective(m: TriMat) -> TriMat:
+    """m scaled so that its (1,1) entry is 1: the representative of m's
+    class modulo the scalar matrices."""
+    u1 = m.diag[0]
+    return m if u1 == m.ring.one() else m.scaled(m.ring.inv(u1))
 
 
 # ---------------------------------------------------------------------------
@@ -558,72 +516,16 @@ _set_aff_ring, _set_aff_u, _set_aff_r = (
     AffElem.__dict__[slot].__set__ for slot in AffElem.__slots__)
 
 
-# ---------------------------------------------------------------------------
-# corner-diagonal subgroup: center of U_n extended by the diagonal classes
-
-class CornerDiag:
-    """e_{1,n}(r) [d1(u_1)...dn(u_n)] with the diagonal class normalised
-    to u_1 = 1.  Multiplication twists the corner by u_1/u_n."""
-
-    __slots__ = ("ring", "n", "r", "dunits")
-
-    def __init__(self, ring, n, r, dunits):
-        dunits = tuple(dunits)
-        if len(dunits) != n:
-            raise GroupError("diagonal length mismatch")
-        u1 = dunits[0]
-        if u1 != ring.one():
-            ui = ring.inv(u1)
-            dunits = tuple(ring.mul(ui, u) for u in dunits)
-        _set_cd_ring(self, ring)
-        _set_cd_n(self, n)
-        _set_cd_r(self, r)
-        _set_cd_dunits(self, dunits)
-
-    def __setattr__(self, *a):
-        raise AttributeError("CornerDiag is immutable")
-
-    def ratio(self):
-        """u_1 / u_n of the diagonal class."""
-        return self.ring.inv(self.dunits[-1])
-
-    def __mul__(self, o):
-        ring = self.ring
-        r = ring.add(self.r, ring.mul(self.ratio(), o.r))
-        d = tuple(ring.mul(a, b) for a, b in zip(self.dunits, o.dunits))
-        return CornerDiag(ring, self.n, r, d)
-
-    def inv(self):
-        ring = self.ring
-        rinv = ring.neg(ring.mul(ring.inv(self.ratio()), self.r))
-        return CornerDiag(ring, self.n, rinv, tuple(ring.inv(u) for u in self.dunits))
-
-    def is_identity(self):
-        return self.ring.is_zero(self.r) and all(u == self.ring.one() for u in self.dunits)
-
-    def __eq__(self, o):
-        return isinstance(o, CornerDiag) and self.ring is o.ring and \
-            self.n == o.n and self.r == o.r and self.dunits == o.dunits
-
-    def __hash__(self):
-        return hash(("cd", self.ring.tag, self.n, self.r, self.dunits))
-
-    def __repr__(self):
-        ring = self.ring
-        ds = " ".join(f"d({i+1};{ring.to_str(u)})" for i, u in enumerate(self.dunits)
-                      if u != ring.one())
-        rs = f"e(1,{self.n};{ring.to_str(self.r)})" if not ring.is_zero(self.r) else ""
-        return " ".join(x for x in (rs, ds) if x) or "1"
-
-
-_set_cd_ring, _set_cd_n, _set_cd_r, _set_cd_dunits = (
-    CornerDiag.__dict__[slot].__set__ for slot in CornerDiag.__slots__)
-
-
-def to_affine(w: CornerDiag) -> AffElem:
-    """The epimorphism onto Aff(R): e_{1,n}(r)[d] -> (u_1/u_n, r); its
-    kernel is exactly {r = 0, u_1 = u_n}."""
-    return AffElem(w.ring, w.ratio(), w.r)
+def to_affine(w: TriMat) -> AffElem:
+    """The epimorphism of w_n onto Aff(R): e_{1,n}(r) diag(1, u_2, ..., u_n),
+    whose corner entry is r u_n, goes to (1/u_n, r); its kernel is exactly
+    {r = 0, u_1 = u_n}, the center."""
+    if not (isinstance(w, TriMat) and w.diag[0] == w.ring.one()
+            and all(k == (1, w.n) for k in w.upper)):
+        raise GroupError(f"{w!r} is not in a corner-diagonal group")
+    ring = w.ring
+    ui = ring.inv(w.diag[-1])
+    return AffElem(ring, ui, ring.mul(w.entry(1, w.n), ui))
 
 
 # ---------------------------------------------------------------------------
@@ -782,18 +684,22 @@ class Borel(Group):
 
 
 class ProjBorel(Group):
+    """B_n modulo the scalars, held as the subgroup S of the matrices whose
+    (1,1) entry is 1: projective maps B_n onto S with the scalars as its
+    kernel, so S is B_n/Z."""
+
     def __init__(self, ring, n, plus=False):
         self.ring, self.n, self.plus = ring, n, plus
         self.name = f"pb{n}{'plus' if plus else ''}({ring.tag})"
         self._borel = Borel(ring, n, plus)
 
-    div = staticmethod(ProjElem.div)
+    div = staticmethod(TriMat.div)
 
     def identity(self):
-        return ProjElem(identity(self.ring, self.n))
+        return identity(self.ring, self.n)
 
     def random(self, rng):
-        return ProjElem(self._borel.random(rng))
+        return projective(self._borel.random(rng))
 
     def elements(self):
         F = self.ring
@@ -803,7 +709,7 @@ class ProjBorel(Group):
                  for d in product(units, repeat=self.n - 1)]
         for u in Unitriangular(F, self.n).elements():
             for d in diags:
-                yield ProjElem(u * d)
+                yield u * d
 
 
 class Affine(Group):
@@ -827,18 +733,30 @@ class Affine(Group):
 
 
 class CornerDiagGroup(Group):
+    """w_n: the products e_{1,n}(r) diag(1, u_2, ..., u_n), the center of
+    U_n extended by the diagonal classes modulo scalars.  Each is a TriMat
+    whose only off-diagonal entry is the corner r u_n."""
+
     def __init__(self, ring, n):
         if n < 2:
             raise GroupError("dimension must be >= 2")
         self.ring, self.n = ring, n
         self.name = f"w{n}({ring.tag})"
 
+    div = staticmethod(TriMat.div)
+
     def identity(self):
-        return CornerDiag(self.ring, self.n, self.ring.zero(), (self.ring.one(),) * self.n)
+        return identity(self.ring, self.n)
+
+    def _element(self, r, units):
+        ring = self.ring
+        upper = {} if ring.is_zero(r) else {(1, self.n): ring.mul(r, units[-1])}
+        return TriMat._of(ring, self.n, units, upper)
 
     def random(self, rng):
-        units = [self.ring.one()] + [self.ring.random_unit(rng) for _ in range(self.n - 1)]
-        return CornerDiag(self.ring, self.n, self.ring.random(rng), units)
+        ring = self.ring
+        units = (ring.one(),) + tuple(ring.random_unit(rng) for _ in range(self.n - 1))
+        return self._element(ring.random(rng), units)
 
     def elements(self):
         """Corner coordinate first, then diagonal exponents."""
@@ -846,7 +764,7 @@ class CornerDiagGroup(Group):
         units = _field_units_in_exp_order(F)
         for r in F.elements():
             for d in product(units, repeat=self.n - 1):
-                yield CornerDiag(F, self.n, r, (F.one(),) + d)
+                yield self._element(r, (F.one(),) + d)
 
 
 # ---------------------------------------------------------------------------
@@ -857,13 +775,10 @@ def generating_set(els, index, group):
     or a product leaves it; `index` holds the elements of els (a set, or a
     dict keyed by them).  While the subgroup H generated so far is not the
     universe, the next generator s is an element outside H whose powers
-    take the longest to fall into H (the earliest in list order on a tie).
-    The subgroup H' it generates with H is a union of right cosets H y:
-    the coset representatives, starting from e, are walked under every
-    generator, and each product y = x t that is not yet in H' adds its
-    coset H y.  A finite set holding the identity and closed under these
-    products is the group they generate.  A step costs |H'| + [H':H] |S|
-    products; the last, about |U| + [U:H] |S|, dominates.
+    take the longest to fall into H (the earliest in list order on a tie),
+    and close_cosets adds the subgroup it generates with H.  A step costs
+    about |H'| + [H':H] |S| products; the last, about |U| + [U:H] |S|,
+    dominates.
 
     Taking the longest reach first keeps S small, and on the oracle's
     windows and on B2(gf(4)) makes |S|, hence the cost of the orbit
@@ -876,28 +791,43 @@ def generating_set(els, index, group):
     orders = _element_orders(els, index, group, e)
     if orders is None:
         return None
-    members, seen, gens = [e], {e}, []
+    members, parents, seen, gens = [e], [None], {e}, []
     while len(members) < len(index):
         gens.append(_longest_reach(els, seen, orders, group))
-        base = members[1:]              # H without e
-        reps = [e]
-        for x in reps:
-            for s in gens:
-                y = group.mul(x, s)
-                if y in seen:
-                    continue
-                if y not in index:
-                    return None
-                reps.append(y)
-                seen.add(y)
-                members.append(y)
-                for h in base:
-                    p = group.mul(h, y)
-                    if p not in index:
-                        return None
-                    seen.add(p)
-                    members.append(p)
+        if not close_cosets(members, parents, seen, gens, index, group):
+            return None
     return gens
+
+
+def close_cosets(members, parents, seen, gens, index, group):
+    """Extend the subgroup H = members, closed under gens[:-1], to the
+    subgroup H' generated with gens[-1], in place, one right coset at a
+    time; False when a product leaves `index`.  Each new member records
+    its parent (j, k) in `parents`: members[n] = members[j] * gens[k].
+    `seen` holds the members.
+
+    The members come in blocks of |H|: the block from b holds the coset
+    H x of its representative x = members[b], members[b + i] = H[i] x.
+    The representatives, starting from e, are walked under every
+    generator, and each product y = x s not yet in H' adds the block
+    (H x) s = H y.  A finite set holding the identity and closed under
+    these products is the group they generate."""
+    size = len(members)
+    blocks = [0]
+    for b in blocks:
+        for k, s in enumerate(gens):
+            y = group.mul(members[b], s)
+            if y in seen:
+                continue
+            blocks.append(len(members))
+            for i in range(size):
+                p = group.mul(members[b + i], s) if i else y
+                if p not in index:
+                    return False
+                seen.add(p)
+                members.append(p)
+                parents.append((b + i, k))
+    return True
 
 
 def _element_orders(els, index, group, e):

@@ -30,7 +30,9 @@ from typing import NamedTuple
 
 from . import linalg, rings
 from .autos import Automorphism, PairSwap, tf_monomial_exponent
-from .groups import Additive, AdditivePairs, AffElem, GroupError, TriMat, generating_set
+from .groups import (
+    Additive, AdditivePairs, AffElem, GroupError, TriMat, close_cosets, generating_set,
+)
 from .linalg import det_one_minus
 from .poly import Poly, PolyRing, poly_ring
 from .rings import RingError
@@ -376,9 +378,10 @@ def _orbit_closure(els, index, gens, phi, group):
 
     When the generators commute pairwise the universe is abelian, the
     twist by s is x -> x c_s with c_s = s phi(s)^-1, and the classes are
-    the cosets g K of K = <c_s>: K is closed once from the identity,
-    each new k = k' c_s recording its parent (k', s), and the coset g K
-    has the witnesses (s, g k', g k); |K| |S| + |U| products in all.
+    the cosets g K of K = <c_s>: groups.close_cosets closes K one c_s at
+    a time, each new k = k' c_s recording its parent (k', s), and the
+    coset g K has the witnesses (s, g k', g k).  Closing K costs about
+    |K| products plus |S| per coset representative, the cosets |U|.
     Otherwise each class is closed breadth first under the twists, with
     phi(s)^-1 computed once per generator."""
     if all(group.mul(a, b) == group.mul(b, a) for i, a in enumerate(gens) for b in gens[:i]):
@@ -407,18 +410,12 @@ def _orbit_closure(els, index, gens, phi, group):
 
 def _coset_classes(els, index, gens, phi, group):
     """The abelian case of _orbit_closure: the cosets of K = <s phi(s)^-1>."""
-    twisters = [(s, group.div(s, phi.apply(s))) for s in gens]
-    K, parents = [group.identity()], [None]     # parents[n] = (j, s): K[n] = K[j] c_s
-    in_K = set(K)
-    for j, k in enumerate(K):
-        for s, c in twisters:
-            t = group.mul(k, c)
-            if t not in index:
-                return None
-            if t not in in_K:
-                in_K.add(t)
-                K.append(t)
-                parents.append((j, s))
+    cs = [group.div(s, phi.apply(s)) for s in gens]
+    e = group.identity()
+    K, parents, in_K = [e], [None], {e}     # parents[n] = (j, k): K[n] = K[j] cs[k]
+    for k, c in enumerate(cs):
+        if c not in in_K and not close_cosets(K, parents, in_K, cs[:k + 1], index, group):
+            return None
     seen = [False] * len(els)
     classes, witnesses = [], []
     for i, g in enumerate(els):
@@ -430,7 +427,8 @@ def _coset_classes(els, index, gens, phi, group):
             if xi is None or seen[xi]:
                 raise AssertionError("twisted classes are not cosets of the twist image")
             seen[xi] = True
-        witnesses.extend((s, coset[j], coset[n]) for n, (j, s) in enumerate(parents[1:], 1))
+        witnesses.extend((gens[k], coset[j], coset[n])
+                         for n, (j, k) in enumerate(parents[1:], 1))
         classes.append((g, len(K)))
     return classes, witnesses
 

@@ -10,9 +10,9 @@ from twistconj.autos import (
 )
 from twistconj.experiments import RING_TAGS
 from twistconj.groups import (
-    Additive, AffElem, Affine, Borel, GroupError, ProjElem, TriMat,
+    Additive, AffElem, Affine, Borel, GroupError, TriMat,
     Unitriangular, elementary, diag_elem, identity, nf_positions, normal_form,
-    superdiagonal,
+    projective, superdiagonal,
 )
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, is_irreducible, parse_ring
 from twistconj.rings import RingError, field, localized
@@ -155,7 +155,7 @@ def test_catalog_homomorphisms_quick():
 def test_corrupted_sigma_fails_with_witness():
     U5 = Unitriangular(F5T, 5)
     lam = MulBy(F5T, F5T.from_int(2))              # additive, so it violates
-    with pytest.raises(GroupError):
+    with pytest.raises(GroupError, match="violates the Sigma condition"):
         SigmaFirst(U5, lam, F5T.from_int(2))       # the pair condition
     bad = object.__new__(SigmaFirst)               # skips that check
     bad.domain, bad.lam, bad.a = U5, lam, F5T.from_int(2)
@@ -181,6 +181,34 @@ def test_half_square():
     U5 = Unitriangular(F5T, 5)
     with pytest.raises(GroupError):
         Central(U5, 1, HalfSquare(F5T, F5T.one()))  # not additive
+
+
+def test_sigma_condition_is_checked_structurally():
+    # lambda(r+s) = a*r*s + lambda(r) + lambda(s) holds exactly when a is
+    # lambda's Sigma scalar: 0 for an additive lambda, a' for halfsquare(a')
+    U5 = Unitriangular(F5T, 5)
+    t, two = F5T.gen(), F5T.from_int(2)
+    win = LinearWindow(F5T, 0, 2)
+    additive = (ZeroEndo(F5T), MulBy(F5T, t), WindowLinear(win, [[1, 0, 0]] * 3))
+    for lam in additive:
+        assert lam.sigma_scalar() == F5T.zero()
+        for cls in (SigmaFirst, SigmaLast):
+            cls(U5, lam, F5T.zero())
+            with pytest.raises(GroupError, match="violates the Sigma condition"):
+                cls(U5, lam, two)
+    assert HalfSquare(F5T, t).sigma_scalar() == t
+    for cls in (SigmaFirst, SigmaLast):
+        cls(U5, HalfSquare(F5T, t), t)
+        for a in (two, t + F5T.one(), F5T.zero()):
+            with pytest.raises(GroupError, match="violates the Sigma condition"):
+                cls(U5, HalfSquare(F5T, t), a)
+    # a lambda over another ring is refused, by Central too
+    F3T = parse_ring("gf(3)[t]")
+    for lam in (ZeroEndo(F3T), HalfSquare(F5L, F5L.gen())):
+        with pytest.raises(GroupError, match="is over"):
+            SigmaFirst(U5, lam, lam.sigma_scalar())
+        with pytest.raises(GroupError, match="is over"):
+            Central(U5, 1, lam)
 
 
 def test_central_touches_only_corner():
@@ -337,7 +365,7 @@ def test_induced_abelianization_actions():
     alpha = PolySub(F5T, 2, 0)
     comp = Compose([fl, RingMap(alpha, U5)])
     # inner conjugation by a diagonal scales the factors
-    inner = Inner(ProjElem(diag_elem(F5T, 5, 1, F5T.from_int(2))), U5)
+    inner = Inner(projective(diag_elem(F5T, 5, 1, F5T.from_int(2))), U5)
     two = F5T.from_int(2)
     rng = random.Random(11)
     for _ in range(100):

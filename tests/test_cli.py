@@ -105,11 +105,27 @@ def test_vacuous_runs_are_refused(argv, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
-def test_center_and_iso(tmp_path):
+def test_center_and_iso(monkeypatch, capsys):
     assert main(["center", "--ring", "gf(3)", "--group", "b", "--n", "2"]) == PASS
     assert main(["center", "--ring", "gf(2)", "--group", "u", "--n", "3"]) == PASS
+    # the printed centers and verdicts, byte for byte
+    monkeypatch.delenv("TWISTCONJ_SEED", raising=False)
+    capsys.readouterr()
     assert main(["center", "--ring", "gf(4)", "--group", "w", "--n", "3"]) == PASS
+    assert capsys.readouterr().out == (
+        "seed=0\n  1\n  d(2;w)\n  d(2;w+1)\n"
+        "center of w3(gf(4)): 3 element(s); matches matching outer diagonal "
+        "entries, zero corner: True\n")
+    assert main(["center", "--ring", "gf(4)", "--group", "w", "--n", "4"]) == PASS
+    assert capsys.readouterr().out == (
+        "seed=0\n  1\n  d(3;w)\n  d(3;w+1)\n  d(2;w)\n  d(2;w) d(3;w)\n"
+        "  d(2;w) d(3;w+1)\n  d(2;w+1)\n  d(2;w+1) d(3;w)\n  d(2;w+1) d(3;w+1)\n"
+        "center of w4(gf(4)): 9 element(s); matches matching outer diagonal "
+        "entries, zero corner: True\n")
     assert main(["iso-aff", "--ring", "gf(4)", "--n", "3"]) == PASS
+    assert capsys.readouterr().out == (
+        "seed=0\nw3(gf(4)) -> aff(gf(4)): homomorphism=True onto=True "
+        "kernel==center=True\n")
     assert main(["center", "--ring", "z", "--group", "b", "--n", "2"]) == USAGE
     # w_1 has no corner: refused like b_1 and u_1, not run as a mismatch
     assert main(["center", "--ring", "gf(2)", "--group", "w", "--n", "1"]) == USAGE
@@ -156,10 +172,10 @@ def test_all_paper_suite(tmp_path, capsys, monkeypatch):
     real = next(c for c in experiments.ALL_CRITERIA if c[0].startswith("3 "))
 
     def failing(seed):
-        return experiments.ExperimentResult("", False, "stub mismatch", 0.0, {})
+        return experiments.ExperimentResult("", False, "stub mismatch", 0.0)
 
     def overrun(seed):
-        return experiments.ExperimentResult("", True, "stub pass", 5.0, {})
+        return experiments.ExperimentResult("", True, "stub pass", 5.0)
 
     monkeypatch.setattr(experiments, "ALL_CRITERIA", (
         real, ("stub failing", failing, 1.0), ("stub overrun", overrun, 1.0)))

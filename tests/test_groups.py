@@ -4,10 +4,10 @@ import pytest
 
 from twistconj import experiments, groups
 from twistconj.groups import (
-    AffElem, Affine, Borel, CornerDiag, CornerDiagGroup, GroupError,
-    ProjElem, ProjBorel, TriMat, Unitriangular, center_bruteforce, diag_elem,
-    element_word, elementary, gamma_member, identity, normal_form,
-    parse_element, recompose, superdiagonal, to_affine,
+    AffElem, Affine, Borel, CornerDiagGroup, GroupError, ProjBorel, TriMat,
+    Unitriangular, center_bruteforce, diag_elem, element_word, elementary,
+    gamma_member, identity, normal_form, parse_element, projective, recompose,
+    superdiagonal, to_affine,
 )
 from twistconj.autos import Flip, Inner
 from twistconj.cli import main
@@ -23,6 +23,11 @@ F2T = parse_ring("gf(2)[t]")
 F5T = parse_ring("gf(5)[t]")
 F5L = parse_ring("gf(5)[t,t^-1]")
 F4L = parse_ring("gf(4)[t,t^-1]")
+
+
+def _corner(ring, n, r, units):
+    # e_{1,n}(r) diag(units) modulo scalars: an element of w_n
+    return projective(elementary(ring, n, 1, n, r) * TriMat(ring, n, units, {}))
 
 
 def _from_rows(ring, rows):
@@ -400,7 +405,7 @@ def test_division_matches_the_product_by_the_inverse(tag):
                 (a.div(identity(ring, n)), a),
                 (a.commutator(b), a * b * a.inv() * b.inv()),
                 (Inner(a).apply(b), a * b * a.inv()),
-                (ProjElem(a).conj(u), a * u * a.inv()),
+                (Inner(projective(a)).apply(u), a * u * a.inv()),
             ]
             if a.is_unitriangular() and b.is_unitriangular():
                 checks.append((U.div(a, b), a * b.inv()))
@@ -409,12 +414,12 @@ def test_division_matches_the_product_by_the_inverse(tag):
                 assert x == ref and hash(x) == hash(ref)
                 assert x == rebuilt and hash(x) == hash(rebuilt)
                 assert _mat_is_canonical(x)
-            pa, pb = ProjElem(a), ProjElem(b)
+            pa, pb = projective(a), projective(b)
             for x, ref in ((pa.div(pb), pa * pb.inv()), (P.div(pa, pb), pa * pb.inv()),
                            (Inner(pa).apply(pb), pa * pb * pa.inv()),
                            (Inner(a, P).apply(pb), pa * pb * pa.inv())):
                 assert x == ref and hash(x) == hash(ref)
-                assert x.mat.diag[0] == ring.one()
+                assert x.diag[0] == ring.one()
         assert [_state(m) for m in mats] == before
         assert _table_kept(ring, table)
     # the closed-form 2x2 quotient, against the product by the reference
@@ -491,9 +496,6 @@ def test_values_refuse_attribute_writes():
     values = {
         m: ("ring", "n", "diag", "upper", "_h"),
         AffElem(F5L, F5L.gen(), F5L.one()): ("ring", "u", "r"),
-        ProjElem(m): ("mat",),
-        CornerDiag(F5L, 3, F5L.one(), (F5L.one(), F5L.gen(), F5L.one())):
-            ("ring", "n", "r", "dunits"),
     }
     for x, slots in values.items():
         before = repr(x)
@@ -657,24 +659,61 @@ def test_projective_scalar_invariance():
             for _ in range(20):
                 m = B.random(rng)
                 for u in F.units():
-                    assert ProjElem(m) == ProjElem(m.scaled(u))
+                    assert projective(m) == projective(m.scaled(u))
+                    assert projective(m.scaled(u)).diag[0] == F.one()
+
+
+@pytest.mark.parametrize("tag", RING_TAGS)
+def test_projective_subgroups_are_closed(tag):
+    # S = {(1,1) entry 1} and w_n inside it are subgroups of B_n, and
+    # projective is a homomorphism onto S
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    for n in (2, 3, 4):
+        B = Borel(ring, n)
+        for G in (ProjBorel(ring, n), CornerDiagGroup(ring, n)):
+            assert G.identity() == identity(ring, n)
+            for _ in range(10):
+                a, b = G.random(rng), G.random(rng)
+                for x in (a, G.mul(a, b), G.div(a, b), G.inv(a)):
+                    assert x.diag[0] == ring.one()
+                    if isinstance(G, CornerDiagGroup):
+                        assert set(x.upper) <= {(1, n)}
+        for _ in range(10):
+            a, b = B.random(rng), B.random(rng)
+            assert projective(a * b) == projective(a) * projective(b)
+            assert projective(a.inv()) == projective(a).inv()
 
 
 def test_to_affine_examples():
-    w = CornerDiag(F4L, 3, F4L.zero(), (F4L.one(),) * 3)
-    assert to_affine(w).is_identity()
+    w = _corner(F4L, 3, F4L.zero(), (F4L.one(),) * 3)
+    assert w.is_identity() and to_affine(w).is_identity()
 
     t = F4L.gen()
-    w = CornerDiag(F4L, 3, t, (t, F4L.one(), F4L.one()))
+    w = _corner(F4L, 3, t, (t, F4L.one(), F4L.one()))
+    assert w == TriMat(F4L, 3, (F4L.one(), t ** -1, t ** -1), {(1, 3): F4L.one()})
     img = to_affine(w)
     assert img.u == t and img.r == t
 
     Z2 = localized(2)
     two = Z2.from_int(2)
-    w = CornerDiag(Z2, 4, Z2.from_int(5), (two, Z2.one(), Z2.one(), two))
+    w = _corner(Z2, 4, Z2.from_int(5), (two, Z2.one(), Z2.one(), two))
     img = to_affine(w)
     assert img.u == Z2.one() and img.r == Z2.from_int(5)
     assert not img.is_identity()
+
+
+def test_to_affine_refuses_a_matrix_outside_w_n():
+    one, t = F4L.one(), F4L.gen()
+    outside = (
+        TriMat(F4L, 3, (t, one, one), {}),                        # (1,1) entry not 1
+        TriMat(F4L, 3, (one, one, one), {(1, 2): t}),             # entry off the corner
+        TriMat(F4L, 3, (one, t, one), {(2, 3): one, (1, 3): t}),
+        AffElem(F4L, t, one),
+    )
+    for x in outside:
+        with pytest.raises(GroupError, match="not in a corner-diagonal group"):
+            to_affine(x)
 
 
 def test_to_affine_homomorphism_and_kernel():
@@ -686,7 +725,7 @@ def test_to_affine_homomorphism_and_kernel():
     for _ in range(300):
         w = W.random(rng)
         in_kernel = to_affine(w).is_identity()
-        structural = F5L.is_zero(w.r) and w.dunits[0] == w.dunits[-1]
+        structural = not w.upper and w.diag[0] == w.diag[-1]
         assert in_kernel == structural
 
 
@@ -697,7 +736,7 @@ def test_center_examples():
     assert set(Z) == {identity(F2, 3), elementary(F2, 3, 1, 3, 1)}
     Z = center_bruteforce(CornerDiagGroup(F4, 3))
     for w in Z:
-        assert F4.is_zero(w.r) and w.dunits[0] == w.dunits[-1]
+        assert not w.upper and w.diag[0] == w.diag[-1]
     assert len(Z) == 3
 
 
@@ -798,7 +837,8 @@ def test_element_words_keep_their_bytes():
                         [Z6.zero(), Q("3"), Q("-7/2")],
                         [Z6.zero(), Z6.zero(), Q("1/6")]])
     assert element_word(z) == "e(1,2;1/9) e(2,3;-21) e(1,3;97/3) d(1;-2) d(2;3) d(3;1/6)"
-    assert repr(ProjElem(z)) == "[e(1,2;1/9) e(2,3;-21) e(1,3;97/3) d(2;-3/2) d(3;-1/12)]"
+    assert element_word(projective(z)) == \
+        "e(1,2;1/9) e(2,3;-21) e(1,3;97/3) d(2;-3/2) d(3;-1/12)"
 
 
 def test_element_word_refuses_a_non_unit_diagonal():
@@ -838,9 +878,9 @@ def test_enumeration_order_matches_nested_loops():
     assert list(Borel(F5, 2).elements()) == \
         [u * TriMat(F5, 2, (x, y), {}) for u in U2 for x in units for y in units]
     assert list(ProjBorel(F5, 2).elements()) == \
-        [ProjElem(u * TriMat(F5, 2, (1, y), {})) for u in U2 for y in units]
+        [u * TriMat(F5, 2, (1, y), {}) for u in U2 for y in units]
     assert list(CornerDiagGroup(F5, 3).elements()) == \
-        [CornerDiag(F5, 3, r, (1, x, y)) for r in range(5) for x in units for y in units]
+        [_corner(F5, 3, r, (1, x, y)) for r in range(5) for x in units for y in units]
     W = list(win.elements())
     assert list(PairWindow(win).elements()) == [(a, b) for a in W for b in W]
 
