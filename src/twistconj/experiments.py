@@ -309,7 +309,7 @@ def criterion_reflection_counts(seed=0):
         for _ in range(120):
             h = win.random(rng)
             f = twisted.solve_reflection_corner(h, a, 0, 0, 0, 0)
-            if f - f.reversed_scaled(a) != h:
+            if twisted.reflection_corner(f, a, 0, 0) != h:
                 return _result("reflection-counts", False, f"q={q}: corner solve broke", t0)
         details.append(f"q={q}: 4/2/1 ok ({len(uni)}+{len(uniA)} elements witnessed)")
     return _result("reflection-counts", True, "; ".join(details), t0)

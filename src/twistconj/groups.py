@@ -33,8 +33,10 @@ n = 2, TriMat's product, right division and inverse are closed forms,
     [[a,x],[0,d]] * [[b,y],[0,e]]    = [[ab, ay + xe], [0, de]]
     [[a,x],[0,d]] * [[b,y],[0,e]]^-1 = [[a/b, (x - (a/b)y)/e], [0, d/e]]
     [[a,x],[0,d]]^-1                 = [[1/a, -x/(ad)], [0, 1/d]]
+    element_word([[a,x],[0,d]])      = e(1,2;x/d) d(1;a) d(2;d)
 
-with no row maps or accumulators; n >= 3 takes the general routines.
+with no row maps, accumulators or peel; n >= 3 takes the general
+routines.
 
 Element word form (printer/parser round-trip):
 
@@ -898,9 +900,24 @@ def center_bruteforce(group: Group, full_pairs: bool = False):
 
 def element_word(m: TriMat) -> str:
     """The ordered word e(i,j;r)... d(i;u)... of a triangular matrix: the
-    normal form of m * diag(m)^-1, whose entry (i,j) is a(i,j) * d_j^-1."""
+    normal form of m * diag(m)^-1, whose entry (i,j) is a(i,j) * d_j^-1.
+    For n = 2 that is e(1,2; x/d_2) d(1;d_1) d(2;d_2), with no peel."""
     ring, n = m.ring, m.n
     one = ring.one()
+    if n == 2:
+        # a zero corner and a diagonal one, shared or not, print nothing
+        d1, d2 = m.diag
+        x = m.upper.get((1, 2))
+        parts = []
+        if x is not None:
+            if d2 is not one:
+                x = ring.mul(x, ring.inv(d2))
+            parts.append(f"e(1,2;{ring.to_str(x)})")
+        if d1 is not one and d1 != one:
+            parts.append(f"d(1;{ring.to_str(d1)})")
+        if d2 is not one and d2 != one:
+            parts.append(f"d(2;{ring.to_str(d2)})")
+        return " ".join(parts) if parts else "1"
     # a diagonal entry that is the shared one() needs no inverse and no print
     dinv = [u if u is one else ring.inv(u) for u in m.diag]
     coeffs = _peel(ring, n, {(i, j): ring.mul(v, dinv[j - 1])
@@ -915,7 +932,8 @@ def element_word(m: TriMat) -> str:
     return " ".join(parts) if parts else "1"
 
 
-_FACTOR_RE = re.compile(r"([ed])\(([^()]*(?:\([^()]*\))?[^()]*)\)")
+# a factor's value may hold any number of parenthesised field coefficients
+_FACTOR_RE = re.compile(r"([ed])\(((?:[^()]|\([^()]*\))*)\)")
 
 
 def parse_element(s: str, ring, n: int) -> TriMat:

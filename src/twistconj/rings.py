@@ -485,7 +485,10 @@ class LocalizedInt:
             return self
         if self is _ONE:
             return o
-        return LocalizedInt(self.num * o.num, self.den * o.den)
+        num, den = self.num * o.num, self.den * o.den
+        # den > 0, so the product is one exactly when num == den: u * u^-1
+        # hands out the shared one
+        return _ONE if num == den else LocalizedInt(num, den)
 
     def __neg__(self):
         return LocalizedInt(-self.num, self.den)
@@ -558,8 +561,9 @@ class LocalizedIntegers(Ring):
         return rest == 1
 
     def inv(self, a):
-        if a is _ONE:
-            return a
+        # a fraction in lowest terms is one exactly when num == den
+        if a.num == a.den:
+            return _ONE
         if not self.is_unit(a):
             raise RingError(f"{a} is not a unit of {self.tag}")
         return LocalizedInt(a.den, a.num)
@@ -594,7 +598,7 @@ class LocalizedIntegers(Ring):
                 num *= p ** e
             else:
                 den *= p ** (-e)
-        return LocalizedInt(num, den)
+        return _ONE if num == den else LocalizedInt(num, den)
 
     def torsion_free_units(self):
         return tuple(LocalizedInt(p) for p in self.primes)

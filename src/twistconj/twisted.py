@@ -480,12 +480,36 @@ def reflection_unit(F) -> int | None:
     return None
 
 
+def reflection_corner(f: Poly, a, lo: int, hi: int) -> Poly:
+    """The corner map t^lo f(t) - a t^hi f(1/t) over gf(q)[t,t^-1], built
+    as one dict of terms.  The reflection classifier re-verifies its
+    corner solve with it (lo = l+y, hi = 2k+l+x), and criterion 1 checks
+    the unipotent corner f - a f(1/t) (lo = hi = 0)."""
+    ring = f.ring
+    F = ring.base
+    if not (ring.laurent and isinstance(F, rings.GaloisField)):
+        raise RingError("the corner map lives over gf(q)[t,t^-1]")
+    add, nrow = F.add_table, F.mul_table[F.neg(a)]
+    out = {e + lo: c for e, c in f.terms.items()}
+    for e, c in f.terms.items():
+        m = hi - e
+        v = add[out.get(m, 0)][nrow[c]]
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return ring._of(out)
+
+
 def solve_reflection_corner(h: Poly, a, k: int, l: int, x: int, y: int) -> Poly:
     """The f with h(t) = t^(l+y) f(t) - a t^(2k+l+x) f(1/t).
 
-    Pairs the coefficient at m with the one at 2k+2l+x+y-m and solves the
-    2x2 system X - aY = h_m, -aX + Y = h_{m'}; solvable because 1 - a^2
-    is a unit (this needs q >= 4)."""
+    The coefficients of f at m-l-y and m'-l-y, for m' = 2k+2l+x+y-m,
+    solve X - aY = h_m, -aX + Y = h_m': X = d(h_m + a h_m') and
+    Y = d(a h_m + h_m') with d = (1-a^2)^-1, a unit when q >= 4, and
+    X = h_m/(1-a) when m = m'.  One walk of h's terms solves each pair at
+    its smaller exponent, reading gf(q) table rows; reflection_corner
+    re-verifies f exactly against h."""
     ring = h.ring
     F = ring.base
     if not (ring.laurent and isinstance(F, rings.GaloisField)):
@@ -494,31 +518,31 @@ def solve_reflection_corner(h: Poly, a, k: int, l: int, x: int, y: int) -> Poly:
     disc = F.sub(one, F.mul(a, a))
     if not F.is_unit(disc):
         raise RingError(f"no unit with 1 - a^2 invertible for a={F.to_str(a)} in {F.tag}")
-    total = 2 * k + 2 * l + x + y
-    dinv = F.inv(disc)
+    add, mul = F.add_table, F.mul_table
+    arow, drow = mul[a], mul[F.inv(disc)]
+    srow = mul[F.inv(F.sub(one, a))]
+    total, s = 2 * k + 2 * l + x + y, l + y
+    terms = h.terms
     fterms = {}
-    done = set()
-    for m in sorted(set(h.terms) | {total - e for e in h.terms}):
-        if m in done:
-            continue
+    for m, hm in terms.items():
         mp = total - m
-        done.add(m)
-        done.add(mp)
-        hm, hmp = h.coeff(m), h.coeff(mp)
-        if m == mp:
-            X = F.mul(hm, F.inv(F.sub(one, a)))
+        hmp = terms.get(mp)
+        if hmp is None:
+            # a lone term: h_m' = 0
+            fterms[m - s] = drow[hm]
+            Y = drow[arow[hm]]
+            if Y:
+                fterms[mp - s] = Y
+        elif m == mp:
+            fterms[m - s] = srow[hm]
+        elif m < mp:
+            X, Y = drow[add[hm][arow[hmp]]], drow[add[arow[hm]][hmp]]
             if X:
-                fterms[m - l - y] = X
-            continue
-        X = F.mul(dinv, F.add(hm, F.mul(a, hmp)))
-        Y = F.mul(dinv, F.add(F.mul(a, hm), hmp))
-        if X:
-            fterms[m - l - y] = X
-        if Y:
-            fterms[mp - l - y] = Y
-    f = ring.make(fterms)
-    check = f.shift(l + y) - f.reversed_scaled(a).shift(2 * k + l + x)
-    if check != h:
+                fterms[m - s] = X
+            if Y:
+                fterms[mp - s] = Y
+    f = ring._of(fterms)
+    if reflection_corner(f, a, s, 2 * k + l + x) != h:
         raise AssertionError("corner solve failed re-verification")
     return f
 

@@ -40,6 +40,72 @@ def test_reidemeister_reflection(tmp_path):
                  "--expect", "3"]) == MISMATCH
 
 
+_B2_REPORT = """{
+  "experiment": "reidemeister",
+  "ring": "gf(4)[t,t^-1]",
+  "auto": "phiB(w)",
+  "universe": "b2plus |k|<=1 |m|<=2 (+40 sampled)",
+  "count": 4,
+  "classes": [
+    {
+      "rep": "d(1;t) d(2;t)",
+      "witnessed_members": 80
+    },
+    {
+      "rep": "d(1;t)",
+      "witnessed_members": 46
+    },
+    {
+      "rep": "d(2;t)",
+      "witnessed_members": 36
+    },
+    {
+      "rep": "1",
+      "witnessed_members": 21
+    }
+  ],
+  "stabilized": true,
+  "seed": 0
+}
+"""
+
+_AFF_REPORT = """{
+  "experiment": "reidemeister",
+  "ring": "gf(5)[t,t^-1]",
+  "auto": "phiA(2)",
+  "universe": "aff-plus |k|<=2 |m|<=3 (+40 sampled)",
+  "count": 2,
+  "classes": [
+    {
+      "rep": "aff(1; 0)",
+      "witnessed_members": 113
+    },
+    {
+      "rep": "aff(t; 0)",
+      "witnessed_members": 72
+    }
+  ],
+  "stabilized": true,
+  "seed": 0
+}
+"""
+
+
+def test_reidemeister_reflection_keeps_its_bytes(tmp_path, capsys):
+    # the exact stdout and report bytes, class representative words included
+    out = tmp_path / "r.json"
+    for args, stdout, report in (
+            (["--ring", "gf(4)[t,t^-1]", "--group", "b2plus", "--auto", "phiB(w)",
+              "--exp-window", "2", "--diag-window", "1"],
+             "seed=0\ncount=4 (constructive witnesses for 183 elements)\n", _B2_REPORT),
+            (["--ring", "gf(5)[t,t^-1]", "--group", "aff-plus", "--auto", "phiA(2)",
+              "--exp-window", "3", "--diag-window", "2"],
+             "seed=0\ncount=2 (constructive witnesses for 185 elements)\n", _AFF_REPORT)):
+        assert main(["reidemeister", *args, "--json", str(out)]) == PASS
+        assert capsys.readouterr().out == stdout
+        assert out.read_bytes() == report.encode()
+
+
 def test_reidemeister_additive():
     assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
                  "--auto", "mul(1)*phiP(t^2+t+1)", "--expect", "1"]) == PASS

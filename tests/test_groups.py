@@ -676,13 +676,32 @@ def test_projective_subgroups_are_closed(tag):
             for _ in range(10):
                 a, b = G.random(rng), G.random(rng)
                 for x in (a, G.mul(a, b), G.div(a, b), G.inv(a)):
-                    assert x.diag[0] == ring.one()
+                    assert x.diag[0] is ring.one()
                     if isinstance(G, CornerDiagGroup):
                         assert set(x.upper) <= {(1, n)}
         for _ in range(10):
             a, b = B.random(rng), B.random(rng)
             assert projective(a * b) == projective(a) * projective(b)
             assert projective(a.inv()) == projective(a).inv()
+
+
+def test_projective_quotients_over_z_localized_share_the_one():
+    # u * u^-1 over z[1/6] is the shared one(), so the (1,1) entries of
+    # products, quotients, inverses and identities are that object, and the
+    # values are those of the product and column-walk inverse definitions
+    Z6 = localized(6)
+    one = Z6.one()
+    rng = random.Random(49)
+    for n in (2, 3, 4):
+        for G in (ProjBorel(Z6, n), CornerDiagGroup(Z6, n)):
+            for _ in range(30):
+                a, b = G.random(rng), G.random(rng)
+                ref_inv = _inv_by_columns(b)
+                for x, ref in ((G.mul(a, b), _mul_by_entries(a, b)),
+                               (G.div(a, b), _mul_by_entries(a, ref_inv)),
+                               (G.inv(b), ref_inv), (G.identity(), identity(Z6, n))):
+                    assert x.diag[0] is one
+                    assert x == ref and hash(x) == hash(ref)
 
 
 def test_to_affine_examples():
@@ -797,6 +816,34 @@ def test_center_refuses_an_enumeration_that_is_not_a_group(monkeypatch):
     # the CLI reports it as an internal fault, not as a mismatch
     monkeypatch.setattr(experiments, "Unitriangular", lambda F, n: _Punctured(F, n, -1))
     assert main(["center", "--ring", "gf(2)", "--group", "u", "--n", "3"]) == 4
+
+
+def test_two_by_two_words_match_the_product_definition():
+    # the closed form e(1,2; x/d2) d(1;d1) d(2;d2) against the normal form of
+    # m * diag(m)^-1: every element of B2(gf(4)) and seeded plus elements
+    # over gf(q)[t,t^-1], each word parsing back to its matrix
+    mats = list(Borel(F4, 2).elements())
+    assert len(mats) == 36
+    rng = random.Random(20)
+    for q in (4, 5, 8, 9):
+        mats += [Borel(parse_ring(f"gf({q})[t,t^-1]"), 2, plus=True).random(rng)
+                 for _ in range(100)]
+    for m in mats:
+        word = element_word(m)
+        assert word == _element_word_by_products(m)
+        assert parse_element(word, m.ring, 2) == m
+    # a diagonal entry equal to one that is not the shared one() prints nothing
+    for ring, u, x in ((F4L, F4L.parse("w*t"), F4L.parse("t^2 + 1")),
+                       (localized(6), LocalizedInt(-3, 2), LocalizedInt(5))):
+        fresh = _equal_one(ring)
+        assert fresh is not ring.one()
+        for m in (TriMat(ring, 2, (fresh, u), {(1, 2): x}),
+                  TriMat(ring, 2, (u, fresh), {(1, 2): x}),
+                  TriMat(ring, 2, (fresh, fresh), {})):
+            word = element_word(m)
+            assert word == _element_word_by_products(m) and ";1)" not in word
+            assert parse_element(word, ring, 2) == m
+        assert element_word(TriMat(ring, 2, (fresh, fresh), {})) == "1"
 
 
 def test_element_word_round_trip():

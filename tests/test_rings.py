@@ -133,6 +133,25 @@ def test_localized_matches_fraction_oracle():
         assert Fraction(p.num, p.den) == fa * fb
 
 
+def test_localized_one_is_shared_for_a_unit_times_its_inverse():
+    # u * u^-1, the inverse of a one that is not the shared object, and a
+    # random unit of exponent zero all hand out the shared one(); every other
+    # product keeps its value
+    ring = localized(6)
+    one = ring.one()
+    rng = random.Random(49)
+    for _ in range(300):
+        u, b = ring.random_unit(rng), ring.random(rng)
+        assert ring.mul(u, ring.inv(u)) is one and ring.mul(ring.inv(u), u) is one
+        assert u.num != u.den or u is one
+        p = ring.mul(u, b)
+        assert Fraction(p.num, p.den) == Fraction(u.num, u.den) * Fraction(b.num, b.den)
+        assert (p is one) == (p == one)
+    assert ring.inv(LocalizedInt(1)) is one
+    assert ring.mul(LocalizedInt(-3, 2), LocalizedInt(2, -3)) is one
+    assert ring.mul(LocalizedInt(-3, 2), LocalizedInt(2, 3)) == LocalizedInt(-1)
+
+
 def test_localized_units():
     ring = localized(6)
     assert ring.is_unit(LocalizedInt(-12))          # -4*3

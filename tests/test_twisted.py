@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from twistconj.twisted import (
     LinearWindow, PairWindow, _all_pairs_partition, _images, _index_of,
     additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
-    pair_distinctness, reflection_unit,
+    pair_distinctness, reflection_corner, reflection_unit,
     solve_reflection_corner, twist,
 )
 
@@ -215,6 +216,11 @@ def test_images_basis_matches_the_dense_reference():
                     for c, row in basis.items() if c >= cut] == canon
 
 
+def _corner_by_polys(f, a, k, l, x, y):
+    # the definition, through Poly operations only
+    return f.shift(l + y) - f.reversed_var().scale(a).shift(2 * k + l + x)
+
+
 def test_solve_reflection_corner():
     f = solve_reflection_corner(F5L.one(), 2, 0, 0, 0, 0)
     assert f == F5L.from_int(4)                     # 4 - 2*4 = 1 mod 5
@@ -222,17 +228,63 @@ def test_solve_reflection_corner():
     rng = random.Random(3)
     for q in (4, 5, 8, 9):
         ring = parse_ring(f"gf({q})[t,t^-1]")
-        a = reflection_unit(ring.base)
+        F = ring.base
+        a = reflection_unit(F)
         for _ in range(200):
             h = ring.random(rng)
             k, l = rng.randint(-3, 3), rng.randint(-3, 3)
             x, y = rng.randint(0, 1), rng.randint(0, 1)
             f = solve_reflection_corner(h, a, k, l, x, y)
-            lhs = f.shift(l + y) - f.reversed_var().scale(a).shift(2 * k + l + x)
-            assert lhs == h
+            assert _corner_by_polys(f, a, k, l, x, y) == h
+        # every k, l in [-3, 3] and parity (x, y), on a dense h over [-6, 6]
+        # and on h = 0
+        for k in range(-3, 4):
+            for l in range(-3, 4):
+                for x in (0, 1):
+                    for y in (0, 1):
+                        h = ring.make({e: rng.randrange(1, q) for e in range(-6, 7)})
+                        f = solve_reflection_corner(h, a, k, l, x, y)
+                        assert _corner_by_polys(f, a, k, l, x, y) == h
+                        assert solve_reflection_corner(ring.zero(), a, k, l, x, y).is_zero()
+        # m = m' pairs with itself: h_m = (1 - a) f_(m-l-y)
+        k, l, x, y = 1, -2, 1, 1
+        m = k + l + (x + y) // 2
+        f = solve_reflection_corner(ring.monomial(F.one(), m), a, k, l, x, y)
+        assert f == ring.monomial(F.inv(F.sub(F.one(), a)), m - l - y)
+        # h_m = -a h_m' makes X = 0: the pair leaves one term, Y = 1 at m'-l-y
+        k, l, x, y, m = 0, 1, 0, 1, -2
+        mp = 2 * k + 2 * l + x + y - m
+        h = ring.make({m: F.neg(a), mp: F.one()})
+        f = solve_reflection_corner(h, a, k, l, x, y)
+        assert f == ring.monomial(F.one(), mp - l - y)
+        assert _corner_by_polys(f, a, k, l, x, y) == h
     for a in (1, 2):
         with pytest.raises(RingError):
             solve_reflection_corner(F3L.one(), a, 0, 0, 0, 0)
+
+
+def test_reflection_corner_tells_a_tampered_solution():
+    # the shared check is the corner map itself: it equals the Poly-level
+    # definition, and changing any one coefficient of a solution changes it
+    rng = random.Random(7)
+    for q in (4, 5, 8, 9):
+        ring = parse_ring(f"gf({q})[t,t^-1]")
+        F = ring.base
+        a = reflection_unit(F)
+        for _ in range(50):
+            h = ring.random(rng, max_terms=6, span=6)
+            k, l = rng.randint(-3, 3), rng.randint(-3, 3)
+            x, y = rng.randint(0, 1), rng.randint(0, 1)
+            lo, hi = l + y, 2 * k + l + x
+            f = solve_reflection_corner(h, a, k, l, x, y)
+            assert reflection_corner(f, a, lo, hi) == _corner_by_polys(f, a, k, l, x, y) == h
+            e = rng.choice(sorted(f.terms) + [rng.randint(-9, 9)])
+            bad = dict(f.terms)
+            bad[e] = F.add(f.coeff(e), rng.randrange(1, q))
+            assert reflection_corner(ring.make(bad), a, lo, hi) != h
+    assert reflection_corner(F4L.zero(), 2, 0, 0) is F4L.zero()
+    with pytest.raises(RingError):
+        reflection_corner(F5T.one(), 2, 0, 0)
 
 
 def test_classify_examples():
@@ -258,6 +310,21 @@ def test_classify_examples():
     res = classify_reflection(g, phiA)
     assert res.parity == (0, 0)
     assert twist(phiA, res.witness, res.representative) == g
+
+
+def test_classify_reflection_keeps_its_witness_words():
+    # the parity:witness-word lines of seeded b2plus and aff-plus universes
+    # over gf(4)[t,t^-1], pinned by their SHA-256
+    a = reflection_unit(F4)
+    lines = []
+    for phi, make in ((TriangularReflect(F4L, a), experiments.truncated_b2plus),
+                      (AffineReflect(F4L, a), experiments.truncated_affplus)):
+        for g in make(F4L, 3, 5, random.Random(20), dense=100):
+            res = classify_reflection(g, phi)
+            lines.append(f"{res.parity}:{res.witness!r}")
+    assert len(lines) == 2104
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+        "ff9e3874013daa3d5ac9e3dec152856e3725cff7c758e051ed4a9562b4e1b6a6"
 
 
 def test_classify_refuses_an_element_with_a_torsion_factor():
