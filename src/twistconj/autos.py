@@ -491,7 +491,8 @@ class AugScale(Automorphism):
 
     def __init__(self, ring=None):
         ring = ring or poly.poly_ring(rings.ZZ, laurent=False)
-        if ring.laurent or not isinstance(ring.base, rings.IntegerRing):
+        if not isinstance(ring, PolyRing) or ring.laurent or \
+                not isinstance(ring.base, rings.IntegerRing):
             raise GroupError("augmentation scaling lives over z[t]")
         self.ring = ring
         self.domain = Borel(ring, 2)
@@ -513,7 +514,8 @@ class AugShift(Automorphism):
 
     def __init__(self, ring=None):
         ring = ring or poly.poly_ring(rings.ZZ, laurent=True)
-        if not ring.laurent or not isinstance(ring.base, rings.IntegerRing):
+        if not isinstance(ring, PolyRing) or not ring.laurent or \
+                not isinstance(ring.base, rings.IntegerRing):
             raise GroupError("augmentation shifting lives over z[t,t^-1]")
         self.ring = ring
         self.domain = Borel(ring, 2, plus=True)
@@ -716,8 +718,8 @@ def parse_auto(word: str, ring=None, group=None) -> Automorphism:
             raise GroupError(f"bad automorphism token {tok!r}")
         head, body = m.group(1).lower(), m.group(2)
         if head == "inner":
-            if group is None:
-                raise GroupError("inner(...) needs a domain group")
+            if not hasattr(group, "n"):
+                raise GroupError("inner(...) needs a matrix domain group")
             g = groups.parse_element(body, group.ring, group.n)
             if isinstance(group, ProjBorel):
                 g = projective(g)

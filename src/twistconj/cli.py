@@ -4,8 +4,8 @@ Subcommands:  verify-relations | reidemeister | case-analysis |
 distinct-family | center | iso-aff | unit-equation | all
 
 Exit codes: 0 pass, 1 expectation mismatch, 2 usage error, 3 undecided,
-4 internal verification failed (a computed witness or result did not
-survive its exact re-check).
+4 internal failure (a computed witness or result did not survive its
+exact re-check, or any other unexpected exception).
 Every run prints its sampling seed; TWISTCONJ_SEED overrides the default
 and --seed overrides both.  --json writes the machine-readable report
 atomically (temp file + rename).
@@ -175,6 +175,8 @@ def cmd_reidemeister(args):
         return EXIT_PASS
 
     phi = parse_auto(spec.auto, ring=ring, group=group)
+    if isinstance(phi.domain, Additive):
+        raise GroupError(f"group {spec.group} needs a matrix or affine automorphism word")
     if isinstance(group, Borel):
         universe = experiments.truncated_b2plus(ring, dw, ew, rng, dense=spec.dense)
         uname = f"b2plus |k|<={dw} |m|<={ew} (+{spec.dense} sampled)"
@@ -440,6 +442,10 @@ def main(argv=None):
         return EXIT_USAGE
     except AssertionError as exc:
         print(f"internal verification failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # a bug, not a mismatch: Python's own exit code would be 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

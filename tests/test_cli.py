@@ -209,6 +209,31 @@ def test_internal_verification_failure(monkeypatch, capsys):
     assert "internal verification failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ring, group, auto, message", [
+    # the affine group has no matrix elements to conjugate by
+    ("gf(4)[t,t^-1]", "aff-plus", "inner(1)", "inner(...) needs a matrix domain group"),
+    ("gf(4)[t,t^-1]", "b2plus", "mul(w)", "needs a matrix or affine automorphism word"),
+    ("gf(4)", "b2plus", "id", "windows need gf(q)[t] or gf(q)[t,t^-1]"),
+    ("z[t,t^-1]", "aff-plus", "id", "windows need gf(q)[t] or gf(q)[t,t^-1]"),
+    ("gf(4)", "b2plus", "augb2plus", "augmentation shifting lives over z[t,t^-1]"),
+], ids=["aff-inner", "additive-word", "field", "integer-laurent", "aug-field"])
+def test_reidemeister_refuses_words_and_rings_it_cannot_truncate(ring, group, auto,
+                                                                 message, capsys):
+    # a usage error (2), not a traceback through Python's exit code 1
+    assert main(["reidemeister", "--ring", ring, "--group", group, "--auto", auto,
+                 "--exp-window", "1", "--diag-window", "1"]) == USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_unexpected_exceptions_are_internal(monkeypatch, capsys):
+    # a bug in a subcommand exits 4 with its type and message, not 1
+    def broken(args):
+        raise KeyError("lost")
+    monkeypatch.setattr("twistconj.cli.cmd_unit_equation", broken)
+    assert main(["unit-equation", "--w", "6"]) == INTERNAL
+    assert capsys.readouterr().err == "internal error: KeyError: 'lost'\n"
+
+
 def test_unit_equation(tmp_path, capsys):
     out = tmp_path / "u.json"
     assert main(["unit-equation", "--w", "6", "--json", str(out)]) == PASS

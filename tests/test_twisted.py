@@ -327,6 +327,69 @@ def test_classify_reflection_keeps_its_witness_words():
         "ff9e3874013daa3d5ac9e3dec152856e3725cff7c758e051ed4a9562b4e1b6a6"
 
 
+def _truncation_by_checks(ring, diag_bound, exp_bound, rng, dense, rank):
+    """The truncated universe built through the checking constructors,
+    with a hash dedupe, and the number of samples dropped as repeats of a
+    grid element (a corner of at most one term)."""
+    one = ring.base.one()
+    corners = [ring.zero()] + [ring.monomial(c, m)
+                               for m in range(-exp_bound, exp_bound + 1)
+                               for c in ring.base.units()]
+    exps = range(-diag_bound, diag_bound + 1)
+
+    def make(ks, h):
+        diag = [ring.monomial(one, k) for k in ks]
+        if rank == 1:
+            return AffElem(ring, diag[0], h)
+        return TriMat(ring, 2, diag, {(1, 2): h})
+
+    grid = [make((i,), h) for i in exps for h in corners] if rank == 1 else \
+        [make((i, j), h) for i in exps for j in exps for h in corners]
+    win = LinearWindow(ring, -exp_bound, exp_bound)
+    samples = []
+    for _ in range(dense):
+        ks = tuple(rng.randint(-diag_bound, diag_bound) for _ in range(rank))
+        samples.append(make(ks, win.random(rng)))
+    seen, out = set(grid), list(grid)
+    dropped_as_grid = 0
+    for g in samples:
+        if g in seen:
+            h = g.r if rank == 1 else g.entry(1, 2)
+            dropped_as_grid += len(h.terms) <= 1
+        else:
+            seen.add(g)
+            out.append(g)
+    return out, dropped_as_grid
+
+
+def test_truncated_universes_match_the_checked_and_deduplicated_build():
+    # the unchecked builders list the same elements, in the same order, as
+    # the checking constructors plus a hash dedupe; the small windows over
+    # gf(4) draw many corners of at most one term, which must be dropped
+    dropped = 0
+    cases = [(q, 3, 6, 40) for q in (4, 5, 8, 9)] + \
+        [(4, 0, 0, 30), (4, 0, 1, 30), (4, 1, 1, 30), (5, 2, 2, 60)]
+    for q, d, e, dense in cases:
+        ring = parse_ring(f"gf({q})[t,t^-1]")
+        one = ring.base.one()
+        for seed in range(4):
+            for rank, make in ((2, experiments.truncated_b2plus),
+                               (1, experiments.truncated_affplus)):
+                want, n = _truncation_by_checks(ring, d, e, random.Random(seed), dense, rank)
+                got = make(ring, d, e, random.Random(seed), dense=dense)
+                dropped += n
+                assert got == want, (q, d, e, seed, rank)
+                assert len(set(got)) == len(got)
+                for g in got:
+                    diag = (g.u,) if rank == 1 else g.diag
+                    # the diagonal entries are the ring's shared units
+                    assert all(u is ring.monomial(one, ring.unit_decompose(u)[1][0])
+                               for u in diag)
+                    if rank == 2:
+                        assert all(v.terms for v in g.upper.values())
+    assert dropped > 50
+
+
 def test_classify_refuses_an_element_with_a_torsion_factor():
     # a diagonal entry c*t^k with c != 1 lies outside the torsion-free group:
     # bad input (GroupError), not a failed witness (AssertionError)
