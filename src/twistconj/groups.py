@@ -13,9 +13,9 @@ Right division a * b^-1 is one operation, TriMat.div, computed by forward
 substitution without forming b^-1.  Twists, conjugations and commutators
 go through it; Group.div gives every group context the same operation: a
 subtraction on the additive groups, and the product by the inverse on
-the affine one.  TriMat.inv, by back substitution, serves where the
-inverse itself is wanted (the flip, the orbit closure's per-generator
-inverses).
+the affine one.  TriMat.inv serves where the inverse itself is wanted
+(the flip, the orbit closure's per-generator inverses); for n >= 3 it is
+the right division identity / m.
 
 The two quotients of B_n on the way to the affine group are subgroups of
 B_n, so their elements are TriMats too.  The matrices whose (1,1) entry
@@ -166,47 +166,22 @@ class TriMat:
         return TriMat._of(ring, self.n, diag, upper)
 
     def inv(self):
-        """Back substitution by rows, from the last row up: the strictly
-        upper part of row i of the inverse is -d_i^-1 times the sum of
-        a(i,k) * (row k of the inverse) over the stored entries a(i,k)
-        only, row k carrying its diagonal d_k^-1."""
+        """The inverse: a closed form for n = 2, and the right division
+        identity / self for n >= 3."""
         ring = self.ring
-        mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
-        inv, one = ring.inv, ring.one()
-        if self.n == 2:
-            # [[a,x],[0,d]]^-1 = [[1/a, -x/(ad)],[0, 1/d]]
-            a, d = self.diag
-            ai = a if a is one else inv(a)
-            di = d if d is one else inv(d)
-            x = self.upper.get((1, 2))
-            if x is None:
-                return TriMat._of(ring, 2, (ai, di), {})
-            s = x if di is one else mul(x, di)
-            v = neg(s) if ai is one else mul(neg(ai), s)
-            return TriMat._of(ring, 2, (ai, di), {(1, 2): v})
-        dinv = tuple([d if d is one else inv(d) for d in self.diag])
-        a_rows = {}  # row i of self.upper as (k, a) pairs
-        for (i, k), a in self.upper.items():
-            a_rows.setdefault(i, []).append((k, a))
-        x_rows = {}  # row k of the inverse as (j, value) pairs, diagonal first
-        upper = {}
-        for i in range(self.n, 0, -1):
-            acc = {}
-            for k, a in a_rows.get(i, ()):
-                for j, w in x_rows[k]:
-                    c = mul(a, w)
-                    prev = acc.get(j)
-                    acc[j] = c if prev is None else add(prev, c)
-            di = dinv[i - 1]
-            row = [(i, di)]
-            if acc:
-                nd = None if di is one else neg(di)
-                for j, s in acc.items():
-                    if not is_zero(s):
-                        v = upper[(i, j)] = neg(s) if nd is None else mul(nd, s)
-                        row.append((j, v))
-            x_rows[i] = row
-        return TriMat._of(ring, self.n, dinv, upper)
+        if self.n > 2:
+            return identity(ring, self.n).div(self)
+        mul, neg, inv, one = ring.mul, ring.neg, ring.inv, ring.one()
+        # [[a,x],[0,d]]^-1 = [[1/a, -x/(ad)],[0, 1/d]]
+        a, d = self.diag
+        ai = a if a is one else inv(a)
+        di = d if d is one else inv(d)
+        x = self.upper.get((1, 2))
+        if x is None:
+            return TriMat._of(ring, 2, (ai, di), {})
+        s = x if di is one else mul(x, di)
+        v = neg(s) if ai is one else mul(neg(ai), s)
+        return TriMat._of(ring, 2, (ai, di), {(1, 2): v})
 
     def div(self, o):
         """self * o^-1 without forming o^-1: forward substitution on
@@ -334,9 +309,10 @@ def diag_elem(ring, n, i, u) -> TriMat:
     """d_i(u) for a unit u."""
     if not 1 <= i <= n:
         raise GroupError(f"diagonal index {i} out of range")
-    diag = [ring.one()] * n
-    diag[i - 1] = u
-    return TriMat(ring, n, diag, {})
+    if not ring.is_unit(u):
+        raise GroupError(f"{ring.to_str(u)} is not a unit of {ring.tag}")
+    one = ring.one()
+    return TriMat._of(ring, n, (one,) * (i - 1) + (u,) + (one,) * (n - i), {})
 
 
 # ---------------------------------------------------------------------------

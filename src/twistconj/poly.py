@@ -14,18 +14,16 @@ in parentheses when compound:  (w+1)*t^2 + w.
 
 Shared units: each PolyRing hands out one zero() object and keeps a table
 of its units c*t^e (c a unit of the base, e = 0 unless the ring is
-Laurent), one object per unit, seeded with one().  monomial (so gen,
-constant and from_int), inv and every product of two monomials hand out
-the table's object whenever they produce a unit; a non-unit monomial is
-built fresh and never stored.  Arithmetic whose terms all cancel or
-vanish hands out zero(); make is the checking path and always builds a
-fresh value.  A product with the shared one() returns the other
-operand before any other work, so most of the products of the matrix
-layers cost nothing, and the diagonal units of the Borel and affine
-groups are shared across all the matrices that hold them.  Identity is
-only a fast path: equality and hashing stay the truth, and a value equal
-to a unit that is another object takes the general path to the same
-result.
+Laurent), one object per unit, seeded with one().  Every value is built
+through PolyRing._of, which hands out zero() for no terms and the
+table's object for a unit; a non-unit monomial is built fresh and never
+stored.  So make, parse, sums, negations, shifts, substitutions and
+products never hold a zero or a unit that is another object.  A product
+with the shared one() returns the other operand before any other work,
+so most of the products of the matrix layers cost nothing, and the
+diagonal units of the Borel and affine groups are shared across all the
+matrices that hold them.  Identity is only a fast path: equality and
+hashing stay the truth.
 """
 
 from __future__ import annotations
@@ -69,16 +67,18 @@ class PolyRing(Ring):
                 raise RingError(f"negative exponent in {self.tag}")
             if not self.base.is_zero(c):
                 clean[e] = c
-        return Poly(self, clean)
+        return self._of(clean)
 
     def _of(self, terms):
-        """Poly(self, terms) for canonical terms, or the shared zero() or
-        one() when they are its terms."""
+        """The value with canonical terms `terms`, the one builder of the
+        ring's arithmetic: the shared zero() for no terms, _unit's object
+        for one term, else Poly(self, terms)."""
+        if len(terms) > 1:
+            return Poly(self, terms)
         if not terms:
             return self._zero
-        if len(terms) == 1 and terms.get(0) == self._base_one:
-            return self._one
-        return Poly(self, terms)
+        (e, c), = terms.items()
+        return self._unit(e, c)
 
     def _unit(self, e, c):
         """c*t^e for a nonzero c: the table's object when it is a unit,
@@ -176,10 +176,11 @@ class Poly:
     """A polynomial of `ring`, stored as `terms`, a map {exponent ->
     nonzero coefficient} that no one mutates.
 
-    Poly(ring, terms) is the raw builder: it takes `terms` over as it is,
-    for results of the library's own arithmetic, which are canonical by
-    construction.  PolyRing.make is the checking path: it drops zero
-    coefficients and refuses a negative exponent outside a Laurent ring."""
+    Poly(ring, terms) takes `terms` over as it is; the library builds
+    its values through PolyRing._of, which hands out the shared zero and
+    units, and calls Poly itself only for products of two or more terms.
+    PolyRing.make is the checking path: it drops zero coefficients and
+    refuses a negative exponent outside a Laurent ring."""
 
     __slots__ = ("ring", "terms", "_h")
 
@@ -235,14 +236,12 @@ class Poly:
                     del out[e]
                 else:
                     out[e] = s
-        return Poly(ring, out) if out else ring._zero
+        return ring._of(out)
 
     def __neg__(self):
         ring = self.ring
-        if not self.terms:
-            return ring._zero
         neg = ring.base.neg
-        return Poly(ring, {e: neg(c) for e, c in self.terms.items()})
+        return ring._of({e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, o):
         # one pass over o's terms, as in __add__, with no negated copy of o
@@ -265,7 +264,7 @@ class Poly:
                     del out[e]
                 else:
                     out[e] = s
-        return Poly(ring, out) if out else ring._zero
+        return ring._of(out)
 
     def __mul__(self, o):
         # PolyRing admits only gf(q) and z coefficients, both integral
@@ -297,6 +296,9 @@ class Poly:
                             del out[e]
                             continue
                     out[e] = c
+            # both factors have two or more terms, and in a domain so does
+            # the product (its least and greatest exponents keep one term
+            # each): it is neither zero nor a unit
             return Poly(ring, out)
         # a zero factor, in either order, gives the shared zero()
         if not short.terms or not other.terms:
@@ -314,10 +316,9 @@ class Poly:
             else:
                 c = base.mul(c1, c2)
             return ring._unit(e1 + e2, c)
-        # one term c1*t^e1: distinct e2 give distinct e1+e2, so no collision
+        # one term c1*t^e1: distinct e2 give distinct e1+e2, so no collision,
+        # and the product keeps other's two or more terms
         if c1 == base_one:
-            if e1 == 0:
-                return other      # a one that is not the shared one()
             # t^e1 shifts the exponents and multiplies no coefficient
             out = {e1 + e2: c2 for e2, c2 in other.terms.items()}
         else:
@@ -341,13 +342,13 @@ class Poly:
         """Multiply by t^k (Laurent rings for k < 0)."""
         if k < 0 and not self.ring.laurent and self.terms and self.low + k < 0:
             raise RingError(f"negative exponent in {self.ring.tag}")
-        return Poly(self.ring, {e + k: c for e, c in self.terms.items()})
+        return self.ring._of({e + k: c for e, c in self.terms.items()})
 
     def reversed_var(self):
         """Substitute t -> 1/t (Laurent rings only, or constants)."""
         if self.terms and not self.ring.laurent and max(self.terms) > 0:
             raise RingError("t -> 1/t leaves the polynomial ring")
-        return Poly(self.ring, {-e: c for e, c in self.terms.items()})
+        return self.ring._of({-e: c for e, c in self.terms.items()})
 
     def reversed_scaled(self, a):
         """a * f(1/t) for f = self and a base-ring value, in one pass:

@@ -455,23 +455,30 @@ class LocalizedInt:
     """A fraction num/den in lowest terms with den > 0.
 
     The denominator stays supported on the inverted primes automatically:
-    sums and products of such fractions reduce back into the ring.
+    sums and products of such fractions reduce back into the ring.  The
+    constructor is the one builder of the values: a fraction equal to 0 or
+    1 is the shared zero or one, so every sum, product, negation, inverse,
+    parse and sample that gives one of them hands out that object.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1):
+    def __new__(cls, num, den=1):
         if den == 0:
             raise RingError("zero denominator")
         if den < 0:
             num, den = -num, -den
+        # den > 0, so the fraction is 0 exactly when num is, and 1 exactly
+        # when num == den
+        if num == 0:
+            return _ZERO
+        if num == den:
+            return _ONE
         g = math.gcd(num, den)
         if g > 1:
             num //= g
             den //= g
-        # the slot descriptors themselves: __setattr__ refuses writes
-        _set_num(self, num)
-        _set_den(self, den)
+        return _fraction(num, den)
 
     def __setattr__(self, *a):
         raise AttributeError("LocalizedInt is immutable")
@@ -485,10 +492,7 @@ class LocalizedInt:
             return self
         if self is _ONE:
             return o
-        num, den = self.num * o.num, self.den * o.den
-        # den > 0, so the product is one exactly when num == den: u * u^-1
-        # hands out the shared one
-        return _ONE if num == den else LocalizedInt(num, den)
+        return LocalizedInt(self.num * o.num, self.den * o.den)
 
     def __neg__(self):
         return LocalizedInt(-self.num, self.den)
@@ -504,7 +508,18 @@ class LocalizedInt:
 
 
 _set_num, _set_den = (LocalizedInt.__dict__[slot].__set__ for slot in LocalizedInt.__slots__)
-_ZERO, _ONE = LocalizedInt(0), LocalizedInt(1)
+
+
+def _fraction(num, den):
+    """The LocalizedInt num/den, taken over as it is: lowest terms, den > 0."""
+    x = object.__new__(LocalizedInt)
+    # the slot descriptors themselves: __setattr__ refuses writes
+    _set_num(x, num)
+    _set_den(x, den)
+    return x
+
+
+_ZERO, _ONE = _fraction(0, 1), _fraction(1, 1)
 
 _LOCAL_CACHE: dict = {}
 
@@ -561,9 +576,6 @@ class LocalizedIntegers(Ring):
         return rest == 1
 
     def inv(self, a):
-        # a fraction in lowest terms is one exactly when num == den
-        if a.num == a.den:
-            return _ONE
         if not self.is_unit(a):
             raise RingError(f"{a} is not a unit of {self.tag}")
         return LocalizedInt(a.den, a.num)
@@ -598,7 +610,7 @@ class LocalizedIntegers(Ring):
                 num *= p ** e
             else:
                 den *= p ** (-e)
-        return _ONE if num == den else LocalizedInt(num, den)
+        return LocalizedInt(num, den)
 
     def torsion_free_units(self):
         return tuple(LocalizedInt(p) for p in self.primes)

@@ -135,3 +135,37 @@ def test_library_arithmetic_divides_instead_of_multiplying_by_an_inverse():
                     and node.right.func.attr == "inv":
                 found.append(f"{name}:{node.lineno}")
     assert not found, f"products by an inverse in: {found}"
+
+
+def test_polynomials_are_built_through_the_ring():
+    # PolyRing._of is the one builder that hands out the shared zero and
+    # the unit-table objects, so a raw Poly(...) is built only by the ring
+    # itself and at Poly.__mul__'s two returns of products of two or more
+    # terms, which in a domain keep two or more terms: never zero, never a
+    # unit
+    allowed = {("PolyRing", "__init__"), ("PolyRing", "_of"), ("PolyRing", "_unit")}
+    found, mul_returns = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        scopes = {}
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        for node in ast.walk(fn):
+                            scopes[node] = (cls.name, fn.name)
+        returned = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Return)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id == "Poly"
+                    or isinstance(node.func, ast.Attribute) and node.func.attr == "Poly")):
+                continue
+            scope = scopes.get(node)
+            if scope in allowed:
+                continue
+            if scope == ("Poly", "__mul__") and id(node) in returned:
+                mul_returns += 1
+                continue
+            found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"raw Poly(...) builds outside PolyRing._of: {found}"
+    assert mul_returns == 2

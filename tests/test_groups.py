@@ -51,6 +51,28 @@ def test_elementary_examples():
         diag_elem(ZZ, 2, 1, 2)           # 2 is not a unit of z
 
 
+def test_diag_elem_checks_its_unit_once():
+    # the one unit check on u refuses with the checking constructor's text,
+    # and the other n - 1 diagonal entries are the shared one
+    cases = ((ZZ, 2, "2 is not a unit of z"), (F4, 0, "0 is not a unit of gf(4)"),
+             (F5L, F5L.parse("t + 1"), "1 + t is not a unit of gf(5)[t,t^-1]"),
+             (F5T, F5T.gen(), "t is not a unit of gf(5)[t]"),
+             (localized(6), LocalizedInt(5), "5 is not a unit of z[1/6]"))
+    for ring, u, text in cases:
+        for n, i in ((2, 1), (3, 2), (4, 4)):
+            with pytest.raises(GroupError) as exc:
+                diag_elem(ring, n, i, u)
+            assert str(exc.value) == text
+            with pytest.raises(GroupError) as exc:
+                TriMat(ring, n, [u if k == i else ring.one() for k in range(1, n + 1)], {})
+            assert str(exc.value) == text
+    t = F5L.gen()
+    d = diag_elem(F5L, 4, 3, t)
+    assert d == TriMat(F5L, 4, (F5L.one(), F5L.one(), t, F5L.one()), {})
+    assert d.diag[2] is t and all(d.diag[k] is F5L.one() for k in (0, 1, 3))
+    assert not d.upper and hash(d) == hash(TriMat(F5L, 4, d.diag, {}))
+
+
 def test_commutator_examples():
     t = F2T.gen()
     lhs = elementary(F2T, 3, 1, 2, t).commutator(
@@ -254,11 +276,11 @@ def _mul_by_entries(a, b):
 
 def _equal_one(ring):
     """A value equal to ring.one() that is not the shared object, where the
-    ring's values allow one (gf(q) and z codes are plain ints)."""
+    ring's values allow one: the raw builder Poly(ring, terms) makes one
+    over a polynomial ring, while gf(q) and z codes are plain ints and
+    every z[1/w] fraction equal to 1 is the shared one."""
     if isinstance(ring, PolyRing):
-        return ring.make({0: ring.base.one()})
-    if isinstance(ring, LocalizedIntegers):
-        return LocalizedInt(1)
+        return Poly(ring, {0: ring.base.one()})
     return ring.one()
 
 
@@ -330,8 +352,9 @@ def test_unit_fast_paths_match_the_references(tag):
     ring = parse_ring(tag)
     one, other_one = ring.one(), _equal_one(ring)
     assert other_one == one and hash(other_one) == hash(one)
-    if isinstance(ring, (PolyRing, LocalizedIntegers)):
+    if isinstance(ring, PolyRing):
         assert other_one is not one
+    if isinstance(ring, (PolyRing, LocalizedIntegers)):
         # a product by the shared one hands back the other operand
         x = ring.random_unit(random.Random(1))
         assert ring.mul(one, x) is x and ring.mul(x, one) is x
@@ -704,6 +727,87 @@ def test_projective_quotients_over_z_localized_share_the_one():
                     assert x == ref and hash(x) == hash(ref)
 
 
+def test_projective_keeps_a_from_int_one_shared():
+    # a (1,1) entry read from from_int(1) is the shared one, so projective
+    # hands the matrix back and its quotients keep the shared one
+    Z6 = localized(6)
+    one = Z6.one()
+    m = TriMat(Z6, 3, (Z6.from_int(1), Z6.parse("3/2"), Z6.from_int(-1)),
+               {(1, 2): Z6.parse("5"), (2, 3): Z6.parse("1/2")})
+    assert m.diag[0] is one
+    assert projective(m) is m
+    assert (m * m).diag[0] is one and m.inv().diag[0] is one
+
+
+def _assert_shared(ring, x):
+    """x is the shared zero or one when it equals one of them; over a
+    polynomial ring a unit is its unit-table object as well."""
+    zero, one = ring.zero(), ring.one()
+    assert x != zero or x is zero
+    assert x != one or x is one
+    if isinstance(ring, PolyRing) and ring.is_unit(x):
+        (e, c), = x.terms.items()
+        assert ring._units[e, c] is x
+
+
+def _ring_values(ring, rng):
+    """Values of every construction path: samples, units, from_int, parse,
+    inverses, powers, unit_decompose and, over a polynomial ring, make,
+    shift, reversed_var and scale."""
+    zero, one = ring.zero(), ring.one()
+    units = [ring.random_unit(rng) for _ in range(12)] + [one, ring.neg(one)]
+    xs = [ring.random(rng) for _ in range(12)] + [zero, one] + units
+    xs += [ring.from_int(k) for k in range(-3, 4)]
+    xs += [ring.parse(ring.to_str(x)) for x in list(xs)]
+    xs += [ring.parse(s) for s in ("0", "1", "-1")]
+    for u in units:
+        ui = ring.inv(u)
+        xs += [ui, ring.mul(u, ui), ring.mul(ui, u), ring.unit_decompose(u)[0],
+               ring.pow_unit(u, 0), ring.pow_unit(u, 2), ring.pow_unit(u, -1)]
+    if isinstance(ring, PolyRing):
+        b0, b1 = ring.base.zero(), ring.base.one()
+        xs += [ring.parse("t - t"), ring.parse("1 + t - t"), ring.make({}),
+               ring.make({0: b1}), ring.make({0: b1, 2: b0}), ring.make({3: b0})]
+        xs += [ring.make(dict(x.terms)) for x in list(xs)]
+        for x in list(xs):
+            # t^-low x is a constant for a monomial x
+            if x.terms:
+                xs += [x.shift(2), x.shift(-x.low)]
+            if ring.laurent or x.degree <= 0:
+                xs.append(x.reversed_var())
+            xs += [x.scale(b1), x.scale(b0)]
+    return xs
+
+
+@pytest.mark.parametrize("tag", RING_TAGS + ("gf(2)[t]",))
+def test_values_equal_to_zero_or_one_are_the_shared_objects(tag):
+    # every construction path, every ring operation on its values, and the
+    # TriMat product, right division and inverse hand out the shared zero,
+    # the shared one and (over a polynomial ring) the unit-table objects
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    one = ring.one()
+    xs = _ring_values(ring, rng)
+    for x in xs:
+        _assert_shared(ring, x)
+    for a in xs[:40]:
+        for b in xs[:40]:
+            for x in (ring.add(a, b), ring.sub(a, b), ring.mul(a, b), ring.neg(a),
+                      ring.sub(a, a), ring.add(a, ring.neg(a)),
+                      ring.add(a, ring.sub(one, a)), ring.sub(ring.add(a, one), a)):
+                _assert_shared(ring, x)
+    for n in (2, 3, 4):
+        B, U = Borel(ring, n), Unitriangular(ring, n)
+        mats = [B.random(rng) for _ in range(8)] + [U.random(rng) for _ in range(4)]
+        mats += [identity(ring, n), diag_elem(ring, n, n, ring.random_unit(rng))]
+        for a, b in zip(mats, mats[1:] + mats[:1]):
+            for x in (a * b, a.div(b), a.inv(), a * a.inv(), a.inv() * a, a.div(a),
+                      identity(ring, n).div(a), (a * b).div(b), b.inv().inv()):
+                for v in x.diag + tuple(x.upper.values()):
+                    _assert_shared(ring, v)
+            assert all(u is one for u in a.div(a).diag) and not a.div(a).upper
+
+
 def test_to_affine_examples():
     w = _corner(F4L, 3, F4L.zero(), (F4L.one(),) * 3)
     assert w.is_identity() and to_affine(w).is_identity()
@@ -832,18 +936,18 @@ def test_two_by_two_words_match_the_product_definition():
         word = element_word(m)
         assert word == _element_word_by_products(m)
         assert parse_element(word, m.ring, 2) == m
-    # a diagonal entry equal to one that is not the shared one() prints nothing
-    for ring, u, x in ((F4L, F4L.parse("w*t"), F4L.parse("t^2 + 1")),
-                       (localized(6), LocalizedInt(-3, 2), LocalizedInt(5))):
-        fresh = _equal_one(ring)
-        assert fresh is not ring.one()
-        for m in (TriMat(ring, 2, (fresh, u), {(1, 2): x}),
-                  TriMat(ring, 2, (u, fresh), {(1, 2): x}),
-                  TriMat(ring, 2, (fresh, fresh), {})):
-            word = element_word(m)
-            assert word == _element_word_by_products(m) and ";1)" not in word
-            assert parse_element(word, ring, 2) == m
-        assert element_word(TriMat(ring, 2, (fresh, fresh), {})) == "1"
+    # a diagonal entry equal to one that is not the shared one() prints
+    # nothing (over z[1/w] every entry equal to one is the shared one)
+    u, x = F4L.parse("w*t"), F4L.parse("t^2 + 1")
+    fresh = _equal_one(F4L)
+    assert fresh is not F4L.one()
+    for m in (TriMat(F4L, 2, (fresh, u), {(1, 2): x}),
+              TriMat(F4L, 2, (u, fresh), {(1, 2): x}),
+              TriMat(F4L, 2, (fresh, fresh), {})):
+        word = element_word(m)
+        assert word == _element_word_by_products(m) and ";1)" not in word
+        assert parse_element(word, F4L, 2) == m
+    assert element_word(TriMat(F4L, 2, (fresh, fresh), {})) == "1"
 
 
 def test_element_word_round_trip():

@@ -86,7 +86,7 @@ def test_mul_matches_schoolbook(tag):
         base = R.base
         lo = -3 if R.laurent else 0
         # the shared one, a one that is not the shared object, and t^k
-        values = [R.zero(), R.one(), R.make({0: base.one()}), R.neg(R.one()), R.gen()]
+        values = [R.zero(), R.one(), Poly(R, {0: base.one()}), R.neg(R.one()), R.gen()]
         values += [R.monomial(base.one(), rng.randint(lo, 3)) for _ in range(2)]
         values += [R.monomial(base.random_unit(rng), rng.randint(lo, 3)) for _ in range(4)]
         values += [R.random(rng, max_terms=5, span=3) for _ in range(12)]
@@ -104,9 +104,9 @@ def test_a_zero_factor_gives_the_shared_zero(tag):
     # and for a zero that is another object as well, except that a product
     # by the shared one() hands back the other operand
     ring = parse_ring(tag)
-    zero, one, other_zero = ring.zero(), ring.one(), ring.make({})
+    zero, one, other_zero = ring.zero(), ring.one(), Poly(ring, {})
     assert other_zero == zero and other_zero is not zero
-    others = [ring.gen(), ring.make({0: ring.base.one()}),
+    others = [ring.gen(), Poly(ring, {0: ring.base.one()}),
               ring.monomial(ring.base.from_int(2), 3), ring.parse("t^2+t+1"),
               zero, other_zero]
     for z in (zero, other_zero):
@@ -126,8 +126,8 @@ def test_a_vanishing_result_is_the_shared_zero(ring):
     for x in (t, p, c):
         assert x - x is zero and x + -x is zero and -x + x is zero
         assert x.scale(base.zero()) is zero
-    assert -zero is zero and -ring.make({}) is zero
-    assert ring.make({}).scale(base.one()) is zero
+    assert -zero is zero and -Poly(ring, {}) is zero
+    assert Poly(ring, {}).scale(base.one()) is zero
     assert c.reversed_scaled(base.zero()) is zero
     if ring is F5L:
         assert t + ring.parse("4*t") is zero
@@ -207,7 +207,7 @@ def test_substitutions_and_scaling_hand_out_the_shared_one():
     # of the matrix layers see it
     for ring, alpha in ((F5T, PolySub(F5T, 2, 0)), (F5L, PolySub(F5L, 3, 0)),
                         (F5T, PolySub(F5T, 2, 1)), (ZT, PolySub(ZT, -1, 0))):
-        one, equal_one = ring.one(), ring.make({0: ring.base.one()})
+        one, equal_one = ring.one(), Poly(ring, {0: ring.base.one()})
         assert equal_one == one and equal_one is not one
         assert alpha.apply(one) is one and alpha.apply(equal_one) is one
         assert one.scale(ring.base.one()) is one

@@ -134,9 +134,8 @@ def test_localized_matches_fraction_oracle():
 
 
 def test_localized_one_is_shared_for_a_unit_times_its_inverse():
-    # u * u^-1, the inverse of a one that is not the shared object, and a
-    # random unit of exponent zero all hand out the shared one(); every other
-    # product keeps its value
+    # u * u^-1, the inverse of one and a random unit of exponent zero all
+    # hand out the shared one(); every other product keeps its value
     ring = localized(6)
     one = ring.one()
     rng = random.Random(49)
@@ -150,6 +149,24 @@ def test_localized_one_is_shared_for_a_unit_times_its_inverse():
     assert ring.inv(LocalizedInt(1)) is one
     assert ring.mul(LocalizedInt(-3, 2), LocalizedInt(2, -3)) is one
     assert ring.mul(LocalizedInt(-3, 2), LocalizedInt(2, 3)) == LocalizedInt(-1)
+
+
+def test_localized_zero_and_one_are_shared_however_built():
+    # from_int, parse, sums, negations and unit_decompose's sign hand out the
+    # shared zero and one, as every fraction equal to them does
+    ring = localized(6)
+    zero, one = ring.zero(), ring.one()
+    half = ring.parse("1/2")
+    assert ring.from_int(1) is one and ring.from_int(0) is zero
+    assert ring.parse("1") is one and ring.parse("2/2") is one and ring.parse("0/3") is zero
+    assert ring.add(half, half) is one and ring.add(half, ring.neg(half)) is zero
+    assert ring.neg(ring.from_int(-1)) is one and ring.neg(zero) is zero
+    for u in (one, ring.parse("3/2"), ring.from_int(12), ring.parse("1/6")):
+        assert ring.unit_decompose(u)[0] is one
+    assert ring.unit_decompose(ring.parse("-3/2"))[0] == LocalizedInt(-1)
+    assert LocalizedInt(-4, -4) is one and LocalizedInt(0, -5) is zero
+    with pytest.raises(RingError, match="zero denominator"):
+        LocalizedInt(1, 0)
 
 
 def test_localized_units():
