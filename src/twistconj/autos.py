@@ -20,7 +20,7 @@ import random
 import re
 from typing import NamedTuple
 
-from . import groups, poly, rings
+from . import groups, rings
 from .groups import (
     Additive, AdditivePairs, Affine, AffElem, Borel, CornerDiagGroup,
     GroupError, ProjBorel, TriMat, Unitriangular, elementary, projective,
@@ -489,8 +489,7 @@ class AugScale(Automorphism):
     """Scales a 2x2 integer-polynomial matrix by the sign augmentation of
     its corner; does not preserve the unitriangular subgroup."""
 
-    def __init__(self, ring=None):
-        ring = ring or poly.poly_ring(rings.ZZ, laurent=False)
+    def __init__(self, ring):
         if not isinstance(ring, PolyRing) or ring.laurent or \
                 not isinstance(ring.base, rings.IntegerRing):
             raise GroupError("augmentation scaling lives over z[t]")
@@ -512,8 +511,7 @@ class AugShift(Automorphism):
     corner); an automorphism of the torsion-free group that moves
     unitriangular matrices off the unitriangular subgroup."""
 
-    def __init__(self, ring=None):
-        ring = ring or poly.poly_ring(rings.ZZ, laurent=True)
+    def __init__(self, ring):
         if not isinstance(ring, PolyRing) or not ring.laurent or \
                 not isinstance(ring.base, rings.IntegerRing):
             raise GroupError("augmentation shifting lives over z[t,t^-1]")
@@ -591,10 +589,9 @@ class HomReport(NamedTuple):
         return self.passed
 
 
-def verify_homomorphism(phi: Automorphism, samples=1000, rng=None) -> HomReport:
+def verify_homomorphism(phi: Automorphism, samples, rng) -> HomReport:
     """phi(g h) == phi(g) phi(h) on random pairs from the domain."""
     group = phi.domain
-    rng = rng or random.Random(0)
     for k in range(samples):
         g, h = group.random(rng), group.random(rng)
         lhs = phi.apply(group.mul(g, h))
@@ -694,6 +691,7 @@ def parse_auto(word: str, ring=None, group=None) -> Automorphism:
     for catalog entries that pin their own group; `group` is the domain
     for inner/central/sigma/flip words."""
     tokens = [t.strip() for t in _split_top(word.strip(), "*")]
+    target = group.ring if group is not None else ring
     parts = []
     for tok in tokens:
         low = tok.lower()
@@ -736,28 +734,23 @@ def parse_auto(word: str, ring=None, group=None) -> Automorphism:
             cls = SigmaFirst if head == "sigma" else SigmaLast
             parts.append(cls(group, parse_endo(endo, group.ring), group.ring.parse(a)))
         elif head == "ring":
-            target = group.ring if group is not None else ring
             if not isinstance(target, PolyRing):
                 raise GroupError("ring(...) needs a polynomial coefficient ring")
             alpha = parse_ring_auto(body, target)
             domain = group if group is not None else Additive(target)
             parts.append(RingMap(alpha, domain))
         elif head == "phip":
-            target = group.ring if group is not None else ring
             if not isinstance(target, PolyRing) or target.laurent:
                 raise GroupError("phiP(...) needs gf(q)[t]")
             parts.append(BlockCompanion(target.parse(body)))
         elif head == "mul":
-            target = group.ring if group is not None else ring
             parts.append(CenterScale(target, target.parse(body)))
         elif head in ("phia", "phib"):
-            target = group.ring if group is not None else ring
             if not isinstance(target, PolyRing):
                 raise GroupError("the reflections need gf(q)[t,t^-1]")
             cls = AffineReflect if head == "phia" else TriangularReflect
             parts.append(cls(target, target.base.parse(body)))
         elif head == "taualpha":
-            target = group.ring if group is not None else ring
             if not isinstance(target, PolyRing):
                 raise GroupError("tauAlpha(...) needs a polynomial coefficient ring")
             parts.append(PairSwap(parse_ring_auto(body, target), target))

@@ -161,44 +161,36 @@ def cmd_reidemeister(args):
         lo = -ew if getattr(ring, "laurent", False) else 0
         hi = ew + (-(ew - lo + 1)) % phi.block_size
         cc = additive_class_count(phi, LinearWindow(ring, lo, hi))
-        print(f"count={cc.count} stabilized={cc.stabilized} "
+        count, stabilized, class_list = cc.count, cc.stabilized, []
+        uname = f"u2 window [{lo},{hi}]"
+        print(f"count={count} stabilized={stabilized} "
               f"(dim {cc.dim}, rank {cc.rank}, counts {list(cc.counts_tried)})")
-        report = twisted.partition_report(
-            spec.name, ring.tag, phi.word(), f"u2 window [{lo},{hi}]",
-            cc.count, [], cc.stabilized, seed)
-        _emit(args, report)
-        if spec.expect is not None:
-            if cc.count != spec.expect:
-                return EXIT_MISMATCH
-            if not cc.stabilized:
-                return EXIT_UNDECIDED
-        return EXIT_PASS
-
-    phi = parse_auto(spec.auto, ring=ring, group=group)
-    if isinstance(phi.domain, Additive):
-        raise GroupError(f"group {spec.group} needs a matrix or affine automorphism word")
-    if isinstance(group, Borel):
-        universe = experiments.truncated_b2plus(ring, dw, ew, rng, dense=spec.dense)
-        uname = f"b2plus |k|<={dw} |m|<={ew} (+{spec.dense} sampled)"
     else:
-        universe = experiments.truncated_affplus(ring, dw, ew, rng, dense=spec.dense)
-        uname = f"aff-plus |k|<={dw} |m|<={ew} (+{spec.dense} sampled)"
+        phi = parse_auto(spec.auto, ring=ring, group=group)
+        if isinstance(phi.domain, Additive):
+            raise GroupError(f"group {spec.group} needs a matrix or affine automorphism word")
+        if isinstance(group, Borel):
+            universe = experiments.truncated_b2plus(ring, dw, ew, rng, dense=spec.dense)
+            uname = f"b2plus |k|<={dw} |m|<={ew} (+{spec.dense} sampled)"
+        else:
+            universe = experiments.truncated_affplus(ring, dw, ew, rng, dense=spec.dense)
+            uname = f"aff-plus |k|<={dw} |m|<={ew} (+{spec.dense} sampled)"
 
-    if isinstance(phi, (TriangularReflect, AffineReflect)) and \
-            is_reflection_unit(ring.base, phi.a):
-        classes = experiments.classify_universe(universe, phi)
-        count = len(classes)
-        stabilized = True
-        class_list = [{"rep": repr(rep), "witnessed_members": m}
-                      for rep, m in classes.values()]
-        print(f"count={count} (constructive witnesses for {len(universe)} elements)")
-    else:
-        part = brute_force_partition(universe, phi, group, universe_name=uname)
-        count = part.count
-        stabilized = part.complete
-        class_list = [{"rep": repr(rep), "witnessed_members": size}
-                      for rep, size in part.classes]
-        print(f"count={count} complete={part.complete} (raw truncation count)")
+        if isinstance(phi, (TriangularReflect, AffineReflect)) and \
+                is_reflection_unit(ring.base, phi.a):
+            classes = experiments.classify_universe(universe, phi)
+            count = len(classes)
+            stabilized = True
+            class_list = [{"rep": repr(rep), "witnessed_members": m}
+                          for rep, m in classes.values()]
+            print(f"count={count} (constructive witnesses for {len(universe)} elements)")
+        else:
+            part = brute_force_partition(universe, phi, group, universe_name=uname)
+            count = part.count
+            stabilized = part.complete
+            class_list = [{"rep": repr(rep), "witnessed_members": size}
+                          for rep, size in part.classes]
+            print(f"count={count} complete={part.complete} (raw truncation count)")
     report = twisted.partition_report(spec.name, ring.tag, phi.word(),
                                       uname, count, class_list, stabilized, seed)
     _emit(args, report)

@@ -34,7 +34,7 @@ from .groups import (
     Additive, AdditivePairs, AffElem, GroupError, TriMat, close_cosets, generating_set,
 )
 from .linalg import det_one_minus
-from .poly import Poly, PolyRing, poly_ring
+from .poly import Poly, PolyRing, is_irreducible, poly_ring
 from .rings import RingError
 
 
@@ -624,7 +624,6 @@ def case_analysis(f: Poly, box: int) -> CaseReport:
     and f != t.  Every solution is reported with det(I - M) for
     M = ((a, c), (b, d)), the matrix of the induced diagonal action.
     """
-    from .poly import is_irreducible
     ring = f.ring
     F = ring.base
     if ring.laurent or not isinstance(F, rings.GaloisField):

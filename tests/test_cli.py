@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -117,6 +118,9 @@ def test_reidemeister_additive():
     assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
                  "--auto", "mul(1)", "--exp-window", "2",
                  "--expect", "8"]) == UNDECIDED
+    # an unstabilised count is undecided, also when it differs from N
+    assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
+                 "--auto", "mul(1)", "--expect", "5"]) == UNDECIDED
     # t is monic and irreducible, but phiP(t) is the zero map
     assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
                  "--auto", "phiP(t)"]) == USAGE
@@ -261,12 +265,16 @@ def test_all_paper_suite(tmp_path, capsys, monkeypatch):
     # the loop, its lines, exit code and reports, on one real criterion and
     # two stubs; test_acceptance runs every real criterion once
     real = next(c for c in experiments.ALL_CRITERIA if c[0].startswith("3 "))
+    # run_criterion's clock, which only the overrunning stub moves
+    clock = [0.0]
+    monkeypatch.setattr(experiments, "time", SimpleNamespace(time=lambda: clock[0]))
 
     def failing(seed):
-        return experiments.ExperimentResult("", False, "stub mismatch", 0.0)
+        return False, "stub mismatch"
 
     def overrun(seed):
-        return experiments.ExperimentResult("", True, "stub pass", 5.0)
+        clock[0] += 5.0
+        return True, "stub pass"
 
     monkeypatch.setattr(experiments, "ALL_CRITERIA", (
         real, ("stub failing", failing, 1.0), ("stub overrun", overrun, 1.0)))

@@ -169,3 +169,21 @@ def test_polynomials_are_built_through_the_ring():
             found.append(f"{path.name}:{node.lineno}")
     assert not found, f"raw Poly(...) builds outside PolyRing._of: {found}"
     assert mul_returns == 2
+
+
+def test_only_run_criterion_names_and_times_a_criterion():
+    # a criterion_* returns (passed, detail); run_criterion is the one
+    # place that builds an ExperimentResult and reads the clock around it
+    clocks = {"time", "perf_counter", "monotonic", "process_time"}
+    builds, timed = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _parse(path).body:
+            name = getattr(node, "name", None)
+            if name and name.startswith("criterion_") and clocks & _referenced(node):
+                timed.append(f"{path.name}:{name}")
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "ExperimentResult" in _referenced(call.func):
+                    builds.append((path.name, name))
+    assert not timed, f"criteria that read the clock: {timed}"
+    assert builds and set(builds) == {("experiments.py", "run_criterion")}, \
+        f"ExperimentResult built in: {builds}"
