@@ -107,6 +107,87 @@ def test_reidemeister_reflection_keeps_its_bytes(tmp_path, capsys):
         assert out.read_bytes() == report.encode()
 
 
+def _json_bytes(report):
+    # the report file's bytes: two-space indent, keys in the order given
+    return (json.dumps(report, indent=2) + "\n").encode()
+
+
+_PARTITION_CLASSES = [
+    {"rep": "1", "witnessed_members": 1},
+    {"rep": "e(1,2;t^-1)", "witnessed_members": 2},
+    {"rep": "e(1,2;2*t^-1)", "witnessed_members": 2},
+    {"rep": "e(1,2;1)", "witnessed_members": 2},
+    {"rep": "e(1,2;2)", "witnessed_members": 1},
+    {"rep": "e(1,2;t^-1 + 2 + t)", "witnessed_members": 1},
+]
+
+
+@pytest.mark.parametrize("argv, stdout, report", [
+    (["verify-relations", "--ring", "gf(5)[t]", "--n", "3", "--samples", "20"],
+     "seed=0\nrelations: 20 samples on gf(5)[t], n=3: pass\n",
+     {"experiment": "verify-relations", "ring": "gf(5)[t]", "n": 3,
+      "samples": 20, "passed": True, "seed": 0}),
+    (["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
+      "--auto", "mul(1)*phiP(t^2+t+1)", "--exp-window", "3", "--expect", "1"],
+     "seed=0\ncount=1 stabilized=True (dim 4, rank 4, counts [1, 1, 1])\n",
+     {"experiment": "reidemeister", "ring": "gf(2)[t]",
+      "auto": "mul(1)*phiP(1 + t + t^2)", "universe": "u2 window [0,3]",
+      "count": 1, "classes": [], "stabilized": True, "seed": 0}),
+    # a raw orbit-closure partition; the seed draws the sampled dense corner
+    (["reidemeister", "--ring", "gf(3)[t,t^-1]", "--group", "b2plus",
+      "--auto", "ring(t->t^-1)", "--exp-window", "1", "--diag-window", "0",
+      "--dense", "2", "--seed", "3"],
+     "seed=3\ncount=6 complete=False (raw truncation count)\n",
+     {"experiment": "reidemeister", "ring": "gf(3)[t,t^-1]",
+      "auto": "ring(t->t^-1)", "universe": "b2plus |k|<=0 |m|<=1 (+2 sampled)",
+      "count": 6, "classes": _PARTITION_CLASSES, "stabilized": False,
+      "seed": 3}),
+    (["case-analysis", "--ring", "gf(3)", "--f", "t^2+1", "--box", "2"],
+     "seed=0\nf = 1 + t^2 over gf(3), box 2:\n"
+     "  (a,b,c,d)=(-1,0,-2,1)  det=-1  det(1-M)=0\n"
+     "  (a,b,c,d)=(1,0,0,1)  det=1  det(1-M)=0\n"
+     "2 solution(s), all with eigenvalue 1\n",
+     {"experiment": "case-analysis", "ring": "gf(3)[t]", "f": "1 + t^2",
+      "box": 2, "solutions": [[-1, 0, -2, 1, -1, 0], [1, 0, 0, 1, 1, 0]],
+      "all_eigenvalue_one": True, "seed": 0}),
+    (["distinct-family", "--p", "2", "--alpha", "t->t+1", "--imax", "2"],
+     "seed=0\n  t^3 vs t^1: distinct\n  t^5 vs t^1: distinct\n"
+     "  t^5 vs t^3: distinct\nall pairs distinct\n",
+     {"experiment": "distinct-family", "ring": "gf(2)[t]", "auto": "t->1*t+1",
+      "imax": 2, "verdicts": [
+          {"pair": [3, 1], "decided": True, "member": False},
+          {"pair": [5, 1], "decided": True, "member": False},
+          {"pair": [5, 3], "decided": True, "member": False}],
+      "seed": 0}),
+    (["center", "--ring", "gf(3)", "--group", "b", "--n", "2"],
+     "seed=0\n  1\n  d(1;2) d(2;2)\n"
+     "center of b2(gf(3)): 2 element(s); matches scalar matrices: True\n",
+     {"experiment": "center", "ring": "gf(3)", "group": "b2(gf(3))",
+      "size": 2, "matches_structure": True, "seed": 0}),
+    (["iso-aff", "--ring", "gf(3)", "--n", "3"],
+     "seed=0\nw3(gf(3)) -> aff(gf(3)): homomorphism=True onto=True "
+     "kernel==center=True\n",
+     {"experiment": "iso-aff", "ring": "gf(3)", "n": 3, "homomorphism": True,
+      "onto": True, "kernel_is_center": True, "seed": 0}),
+    (["unit-equation", "--w", "6"],
+     "seed=0\nring z[1/6], primes [2, 3]\n"
+     "exponent matrix ((1, 0), (0, 1)) signs [1, 1]\n"
+     "det(1 - M) = 0; identity forced: True\n",
+     {"experiment": "unit-equation", "ring": "z[1/6]",
+      "matrix": [[1, 0], [0, 1]], "signs": [1, 1], "det_one_minus": 0,
+      "identity_forced": True, "seed": 0}),
+], ids=["verify-relations", "reidemeister-u2", "reidemeister-partition",
+        "case-analysis", "distinct-family", "center", "iso-aff", "unit-equation"])
+def test_successful_runs_keep_their_bytes(argv, stdout, report, tmp_path, capsys,
+                                          monkeypatch):
+    # the exact stdout and --json bytes of one successful run per subcommand
+    monkeypatch.delenv("TWISTCONJ_SEED", raising=False)
+    out = tmp_path / "report.json"
+    assert main([*argv, "--json", str(out)]) == PASS
+    assert capsys.readouterr().out == stdout
+    assert out.read_bytes() == _json_bytes(report)
+
+
 def test_reidemeister_additive():
     assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
                  "--auto", "mul(1)*phiP(t^2+t+1)", "--expect", "1"]) == PASS
@@ -291,6 +372,9 @@ def test_all_paper_suite(tmp_path, capsys, monkeypatch):
         "stub-failing.json": False,
         "stub-overrun.json": False,
     }
+    assert (outdir / "stub-overrun.json").read_bytes() == _json_bytes({
+        "experiment": "stub overrun", "passed": False,
+        "detail": "stub pass [over budget 1s]", "elapsed": 5.0, "seed": 0})
 
     monkeypatch.setattr(experiments, "ALL_CRITERIA", (real,))
     assert main(["all", "--paper-suite"]) == PASS
