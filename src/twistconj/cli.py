@@ -6,9 +6,12 @@ distinct-family | center | iso-aff | unit-equation | all
 Exit codes: 0 pass, 1 expectation mismatch, 2 usage error, 3 undecided,
 4 internal failure (a computed witness or result did not survive its
 exact re-check, or any other unexpected exception).
-Every run prints its sampling seed; TWISTCONJ_SEED overrides the default
+Every run whose arguments parse prints its sampling seed as its first
+stdout line, refused runs included; TWISTCONJ_SEED overrides the default 0
 and --seed overrides both.  --json writes the machine-readable report
-atomically (temp file + rename).
+atomically (temp file + rename; a failed write leaves no file behind).
+Every report, and every file of `all --json-dir`, lists "experiment"
+first and "seed" last.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import random
 import sys
 import tempfile
 
-from . import experiments, rings, twisted
+from . import experiments, rings
 from .autos import AffineReflect, TriangularReflect, parse_auto
 from .groups import Additive, Affine, Borel, GroupError
 from .poly import parse_ring, parse_ring_auto, poly_ring
@@ -83,24 +86,31 @@ class ExperimentSpec:
 
 
 def _seed_of(args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("TWISTCONJ_SEED")
     return int(env) if env else 0
 
 
-def _write_json(path, data):
+def _write_report(path, experiment, seed, **fields):
+    """Write a JSON report atomically, "experiment" first and "seed"
+    last; on any failure the temp file is removed and the error raised."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"experiment": experiment, **fields, "seed": seed},
+                      fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _emit(args, report):
-    if getattr(args, "json", None):
-        _write_json(args.json, report)
+def _emit(args, experiment, **fields):
+    if args.json:
+        _write_report(args.json, experiment, args.seed, **fields)
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +124,14 @@ def cmd_verify_relations(args):
     if args.samples < 1:
         print("error: --samples must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    seed = _seed_of(args)
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     ok, checked, bad = experiments.relations_suite(ring, args.n, args.samples, rng)
-    print(f"seed={seed}")
     if ok:
         print(f"relations: {checked} samples on {ring.tag}, n={args.n}: pass")
     else:
         print(f"relations: FAILED at {bad}")
-    _emit(args, {"experiment": "verify-relations", "ring": ring.tag,
-                 "n": args.n, "samples": checked, "passed": ok, "seed": seed})
+    _emit(args, "verify-relations", ring=ring.tag, n=args.n, samples=checked,
+          passed=ok)
     return EXIT_PASS if ok else EXIT_MISMATCH
 
 
@@ -148,11 +156,9 @@ def cmd_reidemeister(args):
             return EXIT_USAGE
         spec = ExperimentSpec.from_args(args)
     ring = parse_ring(spec.ring)
-    seed = _seed_of(args)
-    rng = random.Random(seed)
+    rng = random.Random(args.seed)
     group = _truncation_group(spec, ring)
     ew, dw = spec.exp_window, spec.diag_window
-    print(f"seed={seed}")
 
     if isinstance(group, Additive):
         phi = parse_auto(spec.auto, ring=ring)
@@ -180,7 +186,9 @@ def cmd_reidemeister(args):
                 is_reflection_unit(ring.base, phi.a):
             classes = experiments.classify_universe(universe, phi)
             count = len(classes)
-            stabilized = True
+            # decided once every diagonal parity class is met: 4 for b2plus,
+            # 2 for aff-plus; a narrower truncation leaves the count open
+            stabilized = count == (4 if isinstance(group, Borel) else 2)
             class_list = [{"rep": repr(rep), "witnessed_members": m}
                           for rep, m in classes.values()]
             print(f"count={count} (constructive witnesses for {len(universe)} elements)")
@@ -191,9 +199,8 @@ def cmd_reidemeister(args):
             class_list = [{"rep": repr(rep), "witnessed_members": size}
                           for rep, size in part.classes]
             print(f"count={count} complete={part.complete} (raw truncation count)")
-    report = twisted.partition_report(spec.name, ring.tag, phi.word(),
-                                      uname, count, class_list, stabilized, seed)
-    _emit(args, report)
+    _emit(args, spec.name, ring=ring.tag, auto=phi.word(), universe=uname,
+          count=count, classes=class_list, stabilized=stabilized)
     if spec.expect is not None:
         if not stabilized:
             return EXIT_UNDECIDED
@@ -212,16 +219,13 @@ def cmd_case_analysis(args):
     ring = poly_ring(F, laurent=False)
     f = ring.parse(args.f)
     rep = case_analysis(f, args.box)
-    seed = _seed_of(args)
-    print(f"seed={seed}")
     print(f"f = {rep.f} over gf({rep.q}), box {rep.box}:")
     for s in rep.solutions:
         print(f"  (a,b,c,d)=({s.a},{s.b},{s.c},{s.d})  det={s.det}  det(1-M)={s.det_one_minus}")
     print(rep.summary())
-    _emit(args, {"experiment": "case-analysis", "ring": ring.tag, "f": rep.f,
-                 "box": rep.box,
-                 "solutions": [list(s[:6]) for s in rep.solutions],
-                 "all_eigenvalue_one": rep.all_eigenvalue_one, "seed": seed})
+    _emit(args, "case-analysis", ring=ring.tag, f=rep.f, box=rep.box,
+          solutions=[list(s[:6]) for s in rep.solutions],
+          all_eigenvalue_one=rep.all_eigenvalue_one)
     if args.expect:
         want = args.expect == "all-eigenvalue-one"
         if rep.all_eigenvalue_one != want:
@@ -241,9 +245,7 @@ def cmd_distinct_family(args):
     if args.imax < 1:
         print("error: --imax must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    seed = _seed_of(args)
     exps = experiments.family_exponents(args.p, args.imax)
-    print(f"seed={seed}")
     verdicts = []
     merged = undecided = 0
     for e, f, v in experiments.family_verdicts(alpha, exps,
@@ -254,9 +256,8 @@ def cmd_distinct_family(args):
         merged += int(bool(v.member))
         undecided += int(not v.decided)
         print(f"  t^{e} vs t^{f}: {status}")
-    _emit(args, {"experiment": "distinct-family", "ring": ring.tag,
-                 "auto": alpha.word(), "imax": args.imax,
-                 "verdicts": verdicts, "seed": seed})
+    _emit(args, "distinct-family", ring=ring.tag, auto=alpha.word(),
+          imax=args.imax, verdicts=verdicts)
     if merged:
         return EXIT_MISMATCH
     if undecided:
@@ -270,15 +271,12 @@ def cmd_center(args):
     if not isinstance(F, rings.GaloisField):
         raise RingError("--ring must name a finite field gf(q)")
     c = experiments.center_check(F, args.group.lower(), args.n)
-    seed = _seed_of(args)
-    print(f"seed={seed}")
     for z in c.center:
         print(f"  {z!r}")
     print(f"center of {c.group.name}: {len(c.center)} element(s); "
           f"matches {c.description}: {c.matches}")
-    _emit(args, {"experiment": "center", "ring": F.tag, "group": c.group.name,
-                 "size": len(c.center), "matches_structure": c.matches,
-                 "seed": seed})
+    _emit(args, "center", ring=F.tag, group=c.group.name, size=len(c.center),
+          matches_structure=c.matches)
     return EXIT_PASS if c.matches else EXIT_MISMATCH
 
 
@@ -287,13 +285,10 @@ def cmd_iso_aff(args):
     if not isinstance(F, rings.GaloisField):
         raise RingError("--ring must name a finite field gf(q)")
     epi = experiments.affine_epimorphism(F, args.n)
-    seed = _seed_of(args)
-    print(f"seed={seed}")
     print(f"w{args.n}({F.tag}) -> aff({F.tag}): homomorphism={epi.homomorphism} "
           f"onto={epi.onto} kernel==center={epi.kernel_is_center}")
-    _emit(args, {"experiment": "iso-aff", "ring": F.tag, "n": args.n,
-                 "homomorphism": epi.homomorphism, "onto": epi.onto,
-                 "kernel_is_center": epi.kernel_is_center, "seed": seed})
+    _emit(args, "iso-aff", ring=F.tag, n=args.n, homomorphism=epi.homomorphism,
+          onto=epi.onto, kernel_is_center=epi.kernel_is_center)
     return EXIT_PASS if all(epi) else EXIT_MISMATCH
 
 
@@ -303,18 +298,15 @@ def cmd_unit_equation(args):
     if args.images:
         images = [ring.parse(s) for s in args.images.split(",")]
     res = solve_unit_equation(ring, images)
-    seed = _seed_of(args)
-    print(f"seed={seed}")
     print(f"ring {ring.tag}, primes {list(res.primes)}")
     print(f"exponent matrix {res.matrix} signs {list(res.signs)}")
     print(f"det(1 - M) = {res.det_one_minus}; identity forced: {res.identity_forced}")
     if res.violations:
         print(f"images at positions {list(res.violations)} are impossible: "
               f"the equation r*p_j = image_j*r forces image_j = p_j")
-    _emit(args, {"experiment": "unit-equation", "ring": ring.tag,
-                 "matrix": [list(r) for r in res.matrix],
-                 "signs": list(res.signs), "det_one_minus": res.det_one_minus,
-                 "identity_forced": res.identity_forced, "seed": seed})
+    _emit(args, "unit-equation", ring=ring.tag,
+          matrix=[list(r) for r in res.matrix], signs=list(res.signs),
+          det_one_minus=res.det_one_minus, identity_forced=res.identity_forced)
     return EXIT_PASS if res.identity_forced else EXIT_MISMATCH
 
 
@@ -322,21 +314,18 @@ def cmd_all(args):
     if not args.paper_suite:
         print("error: use --paper-suite", file=sys.stderr)
         return EXIT_USAGE
-    seed = _seed_of(args)
-    print(f"seed={seed}")
     if args.json_dir:
         os.makedirs(args.json_dir, exist_ok=True)
     passed = 0
     for name, fn, budget in experiments.ALL_CRITERIA:
-        res = experiments.run_criterion(name, fn, budget, seed)
+        res = experiments.run_criterion(name, fn, budget, args.seed)
         passed += res.passed
         print(res.line())
         if args.json_dir:
             slug = name.replace(" ", "-")
-            _write_json(os.path.join(args.json_dir, f"{slug}.json"),
-                        {"experiment": name, "passed": res.passed,
-                         "detail": res.detail, "elapsed": res.elapsed,
-                         "seed": seed})
+            _write_report(os.path.join(args.json_dir, f"{slug}.json"), name,
+                          args.seed, passed=res.passed, detail=res.detail,
+                          elapsed=res.elapsed)
     total = len(experiments.ALL_CRITERIA)
     print(f"{passed}/{total} criteria passed")
     return EXIT_PASS if passed == total else EXIT_MISMATCH
@@ -428,6 +417,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        args.seed = _seed_of(args)
+        print(f"seed={args.seed}")
         return args.fn(args)
     except (RingError, GroupError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

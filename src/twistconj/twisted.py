@@ -696,19 +696,3 @@ def pair_distinctness(alpha, pairs, window: PairWindow):
         out.append(additive_membership(diff, phi, window))
     return out
 
-
-# ---------------------------------------------------------------------------
-# report shape shared with the command line
-
-def partition_report(experiment, ring_tag, auto_word, universe, count,
-                     classes, stabilized, seed):
-    return {
-        "experiment": experiment,
-        "ring": ring_tag,
-        "auto": auto_word,
-        "universe": universe,
-        "count": count,
-        "classes": classes,
-        "stabilized": stabilized,
-        "seed": seed,
-    }

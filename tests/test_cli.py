@@ -188,6 +188,28 @@ def test_successful_runs_keep_their_bytes(argv, stdout, report, tmp_path, capsys
     assert out.read_bytes() == _json_bytes(report)
 
 
+@pytest.mark.parametrize("group, auto, expect, rep", [
+    ("b2plus", "phiB(w)", "4", "1"),
+    ("aff-plus", "phiA(w)", "2", "aff(1; 0)"),
+], ids=["b2plus", "aff-plus"])
+def test_reflection_count_is_open_until_every_parity_is_met(group, auto, expect,
+                                                            rep, tmp_path, capsys):
+    # diagonal window 0 meets only the trivial parity: R(phi) is 4 (or 2),
+    # and the one class seen is not a decided count
+    out = tmp_path / "r.json"
+    assert main(["reidemeister", "--ring", "gf(4)[t,t^-1]", "--group", group,
+                 "--auto", auto, "--diag-window", "0", "--exp-window", "1",
+                 "--dense", "0", "--expect", expect, "--seed", "0",
+                 "--json", str(out)]) == UNDECIDED
+    assert capsys.readouterr().out == \
+        "seed=0\ncount=1 (constructive witnesses for 10 elements)\n"
+    assert out.read_bytes() == _json_bytes({
+        "experiment": "reidemeister", "ring": "gf(4)[t,t^-1]", "auto": auto,
+        "universe": f"{group} |k|<=0 |m|<=1 (+0 sampled)", "count": 1,
+        "classes": [{"rep": rep, "witnessed_members": 10}],
+        "stabilized": False, "seed": 0})
+
+
 def test_reidemeister_additive():
     assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
                  "--auto", "mul(1)*phiP(t^2+t+1)", "--expect", "1"]) == PASS
@@ -330,6 +352,11 @@ def test_unit_equation(tmp_path, capsys):
     assert main(["unit-equation", "--w", "6", "--json", str(missing)]) == USAGE
     assert capsys.readouterr().err.startswith("error: ")
     assert not missing.parent.exists()
+    # a report path that names a directory: refused, and no temp file left
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert main(["unit-equation", "--w", "6", "--json", str(taken)]) == USAGE
+    assert not list(tmp_path.glob("*.tmp"))
     assert main(["unit-equation", "--w", "6", "--images", "3,2"]) == MISMATCH
     assert main(["unit-equation", "--w", "6", "--images", "5,7"]) == USAGE
 
@@ -340,6 +367,10 @@ def test_seed_resolution(capsys, monkeypatch):
     assert "seed=42" in capsys.readouterr().out
     main(["unit-equation", "--w", "2", "--seed", "7"])
     assert "seed=7" in capsys.readouterr().out
+    # a refused run prints its seed line first too
+    monkeypatch.delenv("TWISTCONJ_SEED")
+    assert main(["verify-relations", "--ring", "gf(5)[t]", "--n", "1"]) == USAGE
+    assert capsys.readouterr().out == "seed=0\n"
 
 
 def test_all_paper_suite(tmp_path, capsys, monkeypatch):

@@ -187,3 +187,37 @@ def test_only_run_criterion_names_and_times_a_criterion():
     assert not timed, f"criteria that read the clock: {timed}"
     assert builds and set(builds) == {("experiments.py", "run_criterion")}, \
         f"ExperimentResult built in: {builds}"
+
+
+def test_only_main_resolves_prints_and_reports_the_seed():
+    # main resolves the seed once, prints the seed= line and stores it on
+    # args; the one report writer adds the "seed" key, so no subcommand
+    # and no math module builds it by hand
+    def prints_seed(call):
+        return isinstance(call.func, ast.Name) and call.func.id == "print" \
+            and any(isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and c.value.startswith("seed=")
+                    for arg in call.args for c in ast.walk(arg))
+
+    def seed_dict(node):
+        return isinstance(node, ast.Dict) and any(
+            isinstance(k, ast.Constant) and k.value == "seed" for k in node.keys) \
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and node.func.id == "dict" and any(k.arg == "seed" for k in node.keywords)
+
+    resolves, prints, builds = set(), set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(_parse(path)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "_seed_of" in _referenced(node.func):
+                    resolves.add((path.name, fn.name))
+                if isinstance(node, ast.Call) and prints_seed(node):
+                    prints.add((path.name, fn.name))
+                if seed_dict(node) and (fn.name.startswith("cmd_")
+                                        or path.name == "twisted.py"):
+                    builds.append(f"{path.name}:{fn.name}")
+    assert resolves == {("cli.py", "main")}, f"_seed_of called in: {resolves}"
+    assert prints == {("cli.py", "main")}, f"seed= printed in: {prints}"
+    assert not builds, f"hand-built seed keys in: {builds}"
