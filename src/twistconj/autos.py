@@ -585,9 +585,6 @@ class HomReport(NamedTuple):
     samples: int
     counterexample: object  # (g, h, phi(gh), phi(g)phi(h)) when failing
 
-    def __bool__(self):
-        return self.passed
-
 
 def verify_homomorphism(phi: Automorphism, samples, rng) -> HomReport:
     """phi(g h) == phi(g) phi(h) on random pairs from the domain."""

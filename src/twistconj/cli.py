@@ -159,9 +159,9 @@ def cmd_reidemeister(args):
     rng = random.Random(args.seed)
     group = _truncation_group(spec, ring)
     ew, dw = spec.exp_window, spec.diag_window
+    phi = parse_auto(spec.auto, ring=ring, group=group)
 
     if isinstance(group, Additive):
-        phi = parse_auto(spec.auto, ring=ring)
         if not isinstance(phi.domain, Additive):
             raise GroupError("group u2 needs an additive automorphism word")
         lo = -ew if getattr(ring, "laurent", False) else 0
@@ -172,7 +172,6 @@ def cmd_reidemeister(args):
         print(f"count={count} stabilized={stabilized} "
               f"(dim {cc.dim}, rank {cc.rank}, counts {list(cc.counts_tried)})")
     else:
-        phi = parse_auto(spec.auto, ring=ring, group=group)
         if isinstance(phi.domain, Additive):
             raise GroupError(f"group {spec.group} needs a matrix or affine automorphism word")
         if isinstance(group, Borel):

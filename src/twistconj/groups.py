@@ -14,7 +14,7 @@ substitution without forming b^-1.  Twists, conjugations and commutators
 go through it; Group.div gives every group context the same operation: a
 subtraction on the additive groups, and the product by the inverse on
 the affine one.  TriMat.inv serves where the inverse itself is wanted
-(the flip, the orbit closure's per-generator inverses); for n >= 3 it is
+(the flip, the partition oracle's per-twister inverses); for n >= 3 it is
 the right division identity / m.
 
 The two quotients of B_n on the way to the affine group are subgroups of
@@ -759,8 +759,8 @@ def generating_set(els, index, group):
     dominates.
 
     Taking the longest reach first keeps S small, and on the oracle's
-    windows and on B2(gf(4)) makes |S|, hence the cost of the orbit
-    closure, the same however the universe is ordered; taking each
+    windows and on B2(gf(4)) makes |S|, hence the |U| |S| twists of the
+    partition oracle, the same however the universe is ordered; taking each
     element not yet in H in list order gives B2(gf(4)) two or three
     generators depending on the shuffle."""
     e = group.identity()

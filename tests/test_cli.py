@@ -210,9 +210,15 @@ def test_reflection_count_is_open_until_every_parity_is_met(group, auto, expect,
         "stabilized": False, "seed": 0})
 
 
-def test_reidemeister_additive():
+def test_reidemeister_additive(capsys):
     assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
                  "--auto", "mul(1)*phiP(t^2+t+1)", "--expect", "1"]) == PASS
+    # id parses on the u2 domain and is the same map as mul(1) and ring(t->t)
+    for word in ("id", "mul(1)", "ring(t->t)"):
+        capsys.readouterr()
+        assert main(["reidemeister", "--ring", "gf(2)[t]", "--group", "u2",
+                     "--auto", word, "--exp-window", "3"]) == PASS
+        assert capsys.readouterr().out.splitlines()[1].startswith("count=16 stabilized=False ")
     # restriction of the reflection to the unipotent part
     assert main(["reidemeister", "--ring", "gf(4)[t,t^-1]", "--group", "u2",
                  "--auto", "mul(w)*ring(t->t^-1)", "--exp-window", "4",
@@ -254,6 +260,9 @@ def test_case_analysis(tmp_path):
     assert main(["case-analysis", "--ring", "gf(2)", "--f", "t+1", "--box", "3",
                  "--expect", "all-eigenvalue-one"]) == MISMATCH
     assert main(["case-analysis", "--ring", "gf(5)", "--f", "t"]) == USAGE
+    # a box over twisted.MAX_CASE_TUPLES is refused before the search
+    assert main(["case-analysis", "--ring", "gf(3)", "--f", "t^2+1",
+                 "--box", "28"]) == USAGE
 
 
 def test_distinct_family():

@@ -1,24 +1,25 @@
 import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from twistconj import experiments
+from twistconj import experiments, twisted
 from twistconj.autos import (
     AffineReflect, Automorphism, BlockCompanion, CenterScale, Compose,
     IdentityMap, Inner, PairSwap, RingMap, TriangularReflect,
 )
 from twistconj.groups import (
     Additive, AffElem, Borel, GroupError, ProjBorel, TriMat, Unitriangular,
-    elementary, generating_set, identity,
+    diag_elem, elementary, generating_set, identity,
 )
 from twistconj.linalg import bareiss_det, det_one_minus
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
 from twistconj.rings import ZZ, RingError, field
 from test_linalg import _ref_rref
 from twistconj.twisted import (
-    LinearWindow, PairWindow, _all_pairs_partition, _images, _index_of,
+    LinearWindow, PairWindow, TwistedPartition, _images, _index_of,
     additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
     pair_distinctness, reflection_corner, reflection_unit,
@@ -479,6 +480,35 @@ def test_oracle_equivalence_sample():
     assert part.complete and part.count == cc.count
 
 
+def _all_pairs_partition(universe, phi, group=None):
+    # the reference partition: every pair (h, g) twisted by right division,
+    # t = h g / phi(h), with phi(h) applied once per h; each class is
+    # labelled by its least index, a merge relabels the later class, and a
+    # t outside the universe is skipped
+    group = group or phi.domain
+    els = list(universe)
+    index = {g: i for i, g in enumerate(els)}
+    label = list(range(len(els)))
+    complete, witnesses = True, []
+    images = [phi.apply(h) for h in els]
+    for gi, g in enumerate(els):
+        for h, ph in zip(els, images):
+            t = group.div(group.mul(h, g), ph)
+            ti = index.get(t)
+            if ti is None:
+                complete = False
+                continue
+            a, b = label[gi], label[ti]
+            if a != b:
+                a, b = min(a, b), max(a, b)
+                label = [a if x == b else x for x in label]
+                witnesses.append((h, g, t))
+    sizes = Counter(label)
+    classes = tuple((els[i], sizes[i]) for i in sorted(sizes))
+    return TwistedPartition(phi.word(), f"{len(els)} elements", classes, len(classes),
+                            complete, tuple(witnesses))
+
+
 def _assert_orbits_match_all_pairs(universe, phi, group=None):
     orbit = brute_force_partition(universe, phi, group)
     ref = _all_pairs_partition(universe, phi, group)
@@ -569,6 +599,21 @@ def test_partition_falls_back_when_phi_leaves_the_subgroup():
     assert not part.complete
 
 
+def test_partition_falls_back_when_phi_leaves_a_nonabelian_subgroup():
+    # H = e(1,2;x) d(1;u) in B3(gf(3)) is a group whose generators do not
+    # commute; conjugation by e(2,3;1) moves e(1,2;1) out of H
+    B = Borel(F3, 3)
+    universe = [elementary(F3, 3, 1, 2, x) * diag_elem(F3, 3, 1, u)
+                for x in F3.elements() for u in (1, 2)]
+    gens = generating_set(universe, _index_of(universe), B)
+    assert gens == [elementary(F3, 3, 1, 2, 1), diag_elem(F3, 3, 1, 2)]
+    assert gens[0] * gens[1] != gens[1] * gens[0]
+    phi = Inner(elementary(F3, 3, 2, 3, 1), B)
+    part = brute_force_partition(universe, phi, B)
+    assert part == _all_pairs_partition(universe, phi, B)
+    assert part.count == 4 and not part.complete
+
+
 def _det_fraction(rows):
     n = len(rows)
     a = [[Fraction(x) for x in r] for r in rows]
@@ -624,6 +669,17 @@ def test_case_analysis_examples():
         case_analysis(F2T.parse("t^2+1"), 3)        # reducible
     with pytest.raises(RingError):
         case_analysis(parse_ring("gf(4)[t]").parse("t+w"), 2)   # not prime-field
+
+
+def test_case_analysis_refuses_a_box_over_the_bound(monkeypatch):
+    def searched(*args):
+        raise AssertionError("the refused box was searched")
+
+    monkeypatch.setattr(twisted, "is_irreducible", searched)
+    monkeypatch.setattr(twisted, "poly_ring", searched)
+    assert (2 * 27 + 1) ** 4 <= twisted.MAX_CASE_TUPLES < (2 * 28 + 1) ** 4
+    with pytest.raises(RingError, match="box 28 holds 10556001 tuples"):
+        case_analysis(F3T.parse("t^2+1"), 28)
 
 
 def test_case_solutions_verify_in_localization():
