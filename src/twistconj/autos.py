@@ -171,9 +171,7 @@ class Inner(Automorphism):
         g = self.g
         if type(g) is not type(x):
             raise GroupError("conjugation across incompatible element kinds")
-        if isinstance(g, TriMat):
-            return (g * x).div(g)
-        group = self.domain  # affine elements
+        group = self.domain
         return group.div(group.mul(g, x), g)
 
     def word(self):

@@ -35,6 +35,19 @@ from .twisted import (
 
 EXIT_PASS, EXIT_MISMATCH, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
+# Requested inputs over these bounds are refused before any work, as usage
+# errors; the solvers still regrow their windows, so undecided stays
+# undecided.  CPU at each bound, on a 2-vCPU x86_64 Xeon with Python 3.11:
+# distinct-family solves imax(imax+1)/2 pairs on the exponents
+# [0, max(--window, p(p-1)imax + p - 1)]: 4.3 s (p 11, imax 2);
+MAX_FAMILY_IMAX, MAX_FAMILY_WINDOW = 6, 257
+# the exponents of a u2 window: 3.2 s (t -> 5t+1 over gf(97)[t]);
+MAX_U2_WINDOW = 401
+# a truncation, whose size counts a sampled corner as its 2e+1 monomials:
+# 5.5 s and 75 MB to classify 194 481 b2plus elements over gf(9)[t,t^-1],
+# 24.1 s to twist all 1377^2 pairs of a smaller one.
+MAX_TRUNCATION_SIZE, MAX_TRUNCATION_PAIRS = 2 * 10 ** 5, 2 * 10 ** 6
+
 
 class ExperimentSpec:
     """A named twisted-class experiment: ring, group tag, automorphism
@@ -146,6 +159,21 @@ def _truncation_group(spec, ring):
     raise GroupError(f"unsupported group {spec.group!r}")
 
 
+def _refuse_over(what, size, name, bound):
+    if size > bound:
+        raise RingError(f"{what}: {size} > {name} = {bound}")
+
+
+def _truncation_size(ring, rank, dw, ew, dense):
+    """(2dw+1)^rank grid diagonals times 1 + (q-1)(2ew+1) corners, plus
+    `dense` sampled corners of 2ew+1 monomials; None where the builder
+    refuses the ring or a negative exponent first, with its own message."""
+    if isinstance(getattr(ring, "base", None), rings.GaloisField) and \
+            (ring.laurent or not (dw or ew)):
+        return (2 * dw + 1) ** rank * (1 + (ring.base.q - 1) * (2 * ew + 1)) + \
+            dense * (2 * ew + 1)
+
+
 def cmd_reidemeister(args):
     if args.config:
         spec = ExperimentSpec.from_file(args.config)
@@ -166,6 +194,10 @@ def cmd_reidemeister(args):
             raise GroupError("group u2 needs an additive automorphism word")
         lo = -ew if getattr(ring, "laurent", False) else 0
         hi = ew + (-(ew - lo + 1)) % phi.block_size
+        # LinearWindow refuses any ring but gf(q)[t] and gf(q)[t,t^-1] first
+        if isinstance(getattr(ring, "base", None), rings.GaloisField):
+            _refuse_over(f"exponents of the u2 window [{lo},{hi}]", hi - lo + 1,
+                         "MAX_U2_WINDOW", MAX_U2_WINDOW)
         cc = additive_class_count(phi, LinearWindow(ring, lo, hi))
         count, stabilized, class_list = cc.count, cc.stabilized, []
         uname = f"u2 window [{lo},{hi}]"
@@ -174,20 +206,27 @@ def cmd_reidemeister(args):
     else:
         if isinstance(phi.domain, Additive):
             raise GroupError(f"group {spec.group} needs a matrix or affine automorphism word")
-        if isinstance(group, Borel):
-            universe = experiments.truncated_b2plus(ring, dw, ew, rng, dense=spec.dense)
-            uname = f"b2plus |k|<={dw} |m|<={ew} (+{spec.dense} sampled)"
-        else:
-            universe = experiments.truncated_affplus(ring, dw, ew, rng, dense=spec.dense)
-            uname = f"aff-plus |k|<={dw} |m|<={ew} (+{spec.dense} sampled)"
+        rank = 2 if isinstance(group, Borel) else 1  # of the diagonal torus
+        reflection = isinstance(phi, (TriangularReflect, AffineReflect)) and \
+            is_reflection_unit(ring.base, phi.a)
+        size = _truncation_size(ring, rank, dw, ew, spec.dense)
+        if size is not None and reflection:
+            _refuse_over(f"size of the {group.name} truncation", size,
+                         "MAX_TRUNCATION_SIZE", MAX_TRUNCATION_SIZE)
+        elif size is not None:
+            _refuse_over(f"element pairs of the {group.name} truncation", size * size,
+                         "MAX_TRUNCATION_PAIRS", MAX_TRUNCATION_PAIRS)
+        build = experiments.truncated_b2plus if rank == 2 else experiments.truncated_affplus
+        universe = build(ring, dw, ew, rng, dense=spec.dense)
+        uname = (f"{'b2plus' if rank == 2 else 'aff-plus'} |k|<={dw} |m|<={ew} "
+                 f"(+{spec.dense} sampled)")
 
-        if isinstance(phi, (TriangularReflect, AffineReflect)) and \
-                is_reflection_unit(ring.base, phi.a):
+        if reflection:
             classes = experiments.classify_universe(universe, phi)
             count = len(classes)
-            # decided once every diagonal parity class is met: 4 for b2plus,
-            # 2 for aff-plus; a narrower truncation leaves the count open
-            stabilized = count == (4 if isinstance(group, Borel) else 2)
+            # decided once every diagonal parity class is met: 2^rank, 4 for
+            # b2plus and 2 for aff-plus; a narrower truncation leaves it open
+            stabilized = count == 2 ** rank
             class_list = [{"rep": repr(rep), "witnessed_members": m}
                           for rep, m in classes.values()]
             print(f"count={count} (constructive witnesses for {len(universe)} elements)")
@@ -244,11 +283,14 @@ def cmd_distinct_family(args):
     if args.imax < 1:
         print("error: --imax must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    _refuse_over("--imax", args.imax, "MAX_FAMILY_IMAX", MAX_FAMILY_IMAX)
     exps = experiments.family_exponents(args.p, args.imax)
+    hi = max(max(exps), args.window)
+    _refuse_over(f"exponents of the solving window [0,{hi}]", hi + 1,
+                 "MAX_FAMILY_WINDOW", MAX_FAMILY_WINDOW)
     verdicts = []
     merged = undecided = 0
-    for e, f, v in experiments.family_verdicts(alpha, exps,
-                                               max(max(exps), args.window)):
+    for e, f, v in experiments.family_verdicts(alpha, exps, hi):
         verdicts.append({"pair": [e, f], "decided": v.decided, "member": v.member})
         status = "distinct" if v.decided and not v.member else \
             ("MERGED" if v.member else "undecided")

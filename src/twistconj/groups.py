@@ -14,7 +14,7 @@ substitution without forming b^-1.  Twists, conjugations and commutators
 go through it; Group.div gives every group context the same operation: a
 subtraction on the additive groups, and the product by the inverse on
 the affine one.  TriMat.inv serves where the inverse itself is wanted
-(the flip, the partition oracle's per-twister inverses); for n >= 3 it is
+(the flip, the partition oracle's per-twister inverses); for every n it is
 the right division identity / m.
 
 The two quotients of B_n on the way to the affine group are subgroups of
@@ -28,11 +28,10 @@ center as kernel.
 The paper reduces the Borel groups in type A to a metabelian subgroup of
 GL_2, so most of the work here is on 2x2 matrices: the reflection
 classifier, the B2 partitions and the b2plus Reidemeister counts.  For
-n = 2, TriMat's product, right division and inverse are closed forms,
+n = 2, TriMat's product, right division and element word are closed forms,
 
     [[a,x],[0,d]] * [[b,y],[0,e]]    = [[ab, ay + xe], [0, de]]
     [[a,x],[0,d]] * [[b,y],[0,e]]^-1 = [[a/b, (x - (a/b)y)/e], [0, d/e]]
-    [[a,x],[0,d]]^-1                 = [[1/a, -x/(ad)], [0, 1/d]]
     element_word([[a,x],[0,d]])      = e(1,2;x/d) d(1;a) d(2;d)
 
 with no row maps, accumulators or peel; n >= 3 takes the general
@@ -166,22 +165,8 @@ class TriMat:
         return TriMat._of(ring, self.n, diag, upper)
 
     def inv(self):
-        """The inverse: a closed form for n = 2, and the right division
-        identity / self for n >= 3."""
-        ring = self.ring
-        if self.n > 2:
-            return identity(ring, self.n).div(self)
-        mul, neg, inv, one = ring.mul, ring.neg, ring.inv, ring.one()
-        # [[a,x],[0,d]]^-1 = [[1/a, -x/(ad)],[0, 1/d]]
-        a, d = self.diag
-        ai = a if a is one else inv(a)
-        di = d if d is one else inv(d)
-        x = self.upper.get((1, 2))
-        if x is None:
-            return TriMat._of(ring, 2, (ai, di), {})
-        s = x if di is one else mul(x, di)
-        v = neg(s) if ai is one else mul(neg(ai), s)
-        return TriMat._of(ring, 2, (ai, di), {(1, 2): v})
+        """The inverse, as the right division identity / self."""
+        return identity(self.ring, self.n).div(self)
 
     def div(self, o):
         """self * o^-1 without forming o^-1: forward substitution on
@@ -537,12 +522,7 @@ class Group:
 
 def _field_units_in_exp_order(F):
     g = F.primitive()
-    out = []
-    x = F.one()
-    for _ in range(F.q - 1):
-        out.append(x)
-        x = F.mul(x, g)
-    return out
+    return [F.pow_unit(g, k) for k in range(F.q - 1)]
 
 
 def _random_unit(ring, plus, rng):
@@ -603,17 +583,35 @@ class AdditivePairs(Group):
         return (self.ring.random(rng), self.ring.random(rng))
 
 
-class Unitriangular(Group):
-    def __init__(self, ring, n):
+class _Triangular(Group):
+    """The context shared by the triangular matrix groups over `ring`, of
+    dimension n >= 2: the identity matrix, right division without forming
+    an inverse, and the finite enumeration of the products u * d."""
+
+    def __init__(self, ring, n, name):
         if n < 2:
             raise GroupError("dimension must be >= 2")
-        self.ring, self.n = ring, n
-        self.name = f"u{n}({ring.tag})"
+        self.ring, self.n, self.name = ring, n, name
 
     div = staticmethod(TriMat.div)
 
     def identity(self):
         return identity(self.ring, self.n)
+
+    def _products(self, diags):
+        """u * d for u over the unitriangular matrices, lexicographic in
+        their normal-form coefficients (code order), and, for each u, d
+        over the diagonal matrices `diags`."""
+        F, n = self.ring, self.n
+        for cs in product(F.elements(), repeat=len(nf_positions(n))):
+            u = recompose(NormalForm(F, n, cs))
+            for d in diags:
+                yield u * d
+
+
+class Unitriangular(_Triangular):
+    def __init__(self, ring, n):
+        super().__init__(ring, n, f"u{n}({ring.tag})")
 
     def random(self, rng):
         coeffs = [self.ring.random(rng) for _ in nf_positions(self.n)]
@@ -625,22 +623,15 @@ class Unitriangular(Group):
 
     def elements(self):
         """Lexicographic in the normal-form coefficients (code order)."""
-        F = self.ring
-        for cs in product(F.elements(), repeat=len(nf_positions(self.n))):
-            yield recompose(NormalForm(F, self.n, cs))
+        return self._products([self.identity()])
 
 
-class Borel(Group):
+class Borel(_Triangular):
+    _prefix, _pinned = "b", 0
+
     def __init__(self, ring, n, plus=False):
-        if n < 2:
-            raise GroupError("dimension must be >= 2")
-        self.ring, self.n, self.plus = ring, n, plus
-        self.name = f"b{n}{'plus' if plus else ''}({ring.tag})"
-
-    div = staticmethod(TriMat.div)
-
-    def identity(self):
-        return identity(self.ring, self.n)
+        super().__init__(ring, n, f"{self._prefix}{n}{'plus' if plus else ''}({ring.tag})")
+        self.plus = plus
 
     def random(self, rng):
         u = Unitriangular(self.ring, self.n).random(rng)
@@ -650,44 +641,23 @@ class Borel(Group):
 
     def elements(self):
         """Lexicographic in (normal-form coefficients, diagonal exponents
-        over the primitive generator)."""
-        F = self.ring
-        units = _field_units_in_exp_order(F)
-        if self.plus:
-            units = [F.one()]
-        diags = [TriMat(F, self.n, d, {}) for d in product(units, repeat=self.n)]
-        for u in Unitriangular(F, self.n).elements():
-            for d in diags:
-                yield u * d
+        over the primitive generator), the first _pinned diagonal entries
+        held at 1."""
+        F, k = self.ring, self._pinned
+        units = [F.one()] if self.plus else _field_units_in_exp_order(F)
+        return self._products([TriMat(F, self.n, (F.one(),) * k + d, {})
+                               for d in product(units, repeat=self.n - k)])
 
 
-class ProjBorel(Group):
+class ProjBorel(Borel):
     """B_n modulo the scalars, held as the subgroup S of the matrices whose
     (1,1) entry is 1: projective maps B_n onto S with the scalars as its
     kernel, so S is B_n/Z."""
 
-    def __init__(self, ring, n, plus=False):
-        self.ring, self.n, self.plus = ring, n, plus
-        self.name = f"pb{n}{'plus' if plus else ''}({ring.tag})"
-        self._borel = Borel(ring, n, plus)
-
-    div = staticmethod(TriMat.div)
-
-    def identity(self):
-        return identity(self.ring, self.n)
+    _prefix, _pinned = "pb", 1  # the (1,1) entry held at 1: classes modulo scalars
 
     def random(self, rng):
-        return projective(self._borel.random(rng))
-
-    def elements(self):
-        F = self.ring
-        units = [F.one()] if self.plus else _field_units_in_exp_order(F)
-        # first diagonal entry pinned to 1: classes modulo scalars
-        diags = [TriMat(F, self.n, (F.one(),) + d, {})
-                 for d in product(units, repeat=self.n - 1)]
-        for u in Unitriangular(F, self.n).elements():
-            for d in diags:
-                yield u * d
+        return projective(super().random(rng))
 
 
 class Affine(Group):
@@ -710,21 +680,13 @@ class Affine(Group):
                 yield AffElem(F, u, r)
 
 
-class CornerDiagGroup(Group):
+class CornerDiagGroup(_Triangular):
     """w_n: the products e_{1,n}(r) diag(1, u_2, ..., u_n), the center of
     U_n extended by the diagonal classes modulo scalars.  Each is a TriMat
     whose only off-diagonal entry is the corner r u_n."""
 
     def __init__(self, ring, n):
-        if n < 2:
-            raise GroupError("dimension must be >= 2")
-        self.ring, self.n = ring, n
-        self.name = f"w{n}({ring.tag})"
-
-    div = staticmethod(TriMat.div)
-
-    def identity(self):
-        return identity(self.ring, self.n)
+        super().__init__(ring, n, f"w{n}({ring.tag})")
 
     def _element(self, r, units):
         ring = self.ring

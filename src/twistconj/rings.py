@@ -310,12 +310,6 @@ class GaloisField(Ring):
         """A fixed multiplicative generator (smallest element code)."""
         return self._primitive
 
-    def gen(self):
-        """The class of w (equals the modulus root; code p)."""
-        if self.k == 1:
-            raise RingError(f"{self.tag} has no extension generator")
-        return self.p
-
     def random(self, rng):
         return rng.randrange(self.q)
 

@@ -10,7 +10,7 @@ from twistconj.autos import (
 )
 from twistconj.experiments import RING_TAGS
 from twistconj.groups import (
-    Additive, AffElem, Affine, Borel, GroupError, TriMat,
+    Additive, AffElem, Affine, Borel, GroupError, ProjBorel, TriMat,
     Unitriangular, elementary, diag_elem, identity, nf_positions, normal_form,
     projective, superdiagonal,
 )
@@ -339,6 +339,12 @@ def test_make_phi0_examples():
         Phi0(AugScale(ZT))
     with pytest.raises(GroupError, match="non-abelian"):
         Phi0(IdentityMap(Borel(F5T, 3)))
+    # S = B_2/Z is a subgroup of B_2: it splits as its corner by its diagonal
+    S = ProjBorel(F5T, 2)
+    s0 = Phi0(IdentityMap(S))
+    for _ in range(50):
+        g = S.random(rng)
+        assert s0.apply(g) == g
     with pytest.raises(GroupError, match="no split decomposition"):
         Phi0(IdentityMap(Unitriangular(F5T, 3)))
 

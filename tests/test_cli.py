@@ -1,10 +1,12 @@
 import json
+import random
 from types import SimpleNamespace
 
 import pytest
 
-from twistconj import experiments
+from twistconj import cli, experiments
 from twistconj.cli import main
+from twistconj.poly import parse_ring
 
 PASS, MISMATCH, USAGE, UNDECIDED, INTERNAL = 0, 1, 2, 3, 4
 
@@ -272,6 +274,67 @@ def test_distinct_family():
                  "--imax", "2"]) == PASS
     assert main(["distinct-family", "--p", "3", "--alpha", "t->t"]) == USAGE
     assert main(["distinct-family", "--p", "4", "--alpha", "t->t+1"]) == USAGE
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["distinct-family", "--p", "5", "--alpha", "t->t+1", "--imax", "7"],
+     "--imax: 7 > MAX_FAMILY_IMAX = 6"),
+    (["distinct-family", "--p", "5", "--alpha", "t->t+1", "--window", "257"],
+     "solving window [0,257]: 258 > MAX_FAMILY_WINDOW = 257"),
+    # imax 2 keeps the top exponent 11*10*2 + 10 = 230 inside, imax 3 does not
+    (["distinct-family", "--p", "11", "--alpha", "t->t+1", "--imax", "3"],
+     "solving window [0,340]: 341 > MAX_FAMILY_WINDOW = 257"),
+    (["reidemeister", "--ring", "gf(5)[t]", "--group", "u2", "--auto", "ring(t->t+1)",
+      "--exp-window", "401"],
+     "u2 window [0,401]: 402 > MAX_U2_WINDOW = 401"),
+    (["reidemeister", "--ring", "gf(5)[t,t^-1]", "--group", "u2", "--auto", "ring(t->2*t)",
+      "--exp-window", "201"],
+     "u2 window [-201,201]: 403 > MAX_U2_WINDOW = 401"),
+    (["reidemeister", "--ring", "gf(9)[t,t^-1]", "--group", "aff-plus", "--auto", "phiA(w)",
+      "--diag-window", "100", "--exp-window", "60", "--dense", "44"],
+     "size of the affplus(gf(9)[t,t^-1]) truncation: 200093 > MAX_TRUNCATION_SIZE"),
+    (["reidemeister", "--ring", "gf(3)[t,t^-1]", "--group", "b2plus", "--auto", "ring(t->t^-1)",
+      "--diag-window", "0", "--exp-window", "353", "--dense", "0"],
+     "pairs of the b2plus(gf(3)[t,t^-1]) truncation: 2002225 > MAX_TRUNCATION_PAIRS"),
+    # the default flags: 5 185 elements, 49 * 105 + 40 * 13 = 5 665 in size
+    (["reidemeister", "--ring", "gf(9)[t,t^-1]", "--group", "b2plus",
+      "--auto", "ring(t->t^-1)"],
+     "pairs of the b2plus(gf(9)[t,t^-1]) truncation: 32092225 > MAX_TRUNCATION_PAIRS"),
+], ids=["family-imax", "family-window", "family-top-exponent", "u2", "u2-laurent",
+        "reflection", "partition", "partition-defaults"])
+def test_oversized_inputs_are_refused_before_any_work(argv, message, monkeypatch, capsys):
+    def ran(*args, **kwargs):
+        raise AssertionError("a refused run did work")
+
+    # no window, elimination, truncation or twist is built or run
+    for target in ("twistconj.cli.LinearWindow", "twistconj.linalg.gf_rref",
+                   "twistconj.linalg.gf_reduce", "twistconj.experiments._truncation",
+                   "twistconj.twisted.twist"):
+        monkeypatch.setattr(target, ran)
+    assert main(argv) == USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_truncation_size_bounds_what_the_builder_makes(capsys):
+    F4L, F9L, F3L = (parse_ring(f"gf({q})[t,t^-1]") for q in (4, 9, 3))
+    # with no sampled corner the size is the element count
+    for rank, build in ((2, experiments.truncated_b2plus), (1, experiments.truncated_affplus)):
+        assert len(build(F4L, 1, 2, random.Random(0), 0)) == \
+            cli._truncation_size(F4L, rank, 1, 2, 0)
+    # the refused runs above lie just over their bounds
+    assert cli._truncation_size(F9L, 1, 100, 60, 43) <= cli.MAX_TRUNCATION_SIZE < \
+        cli._truncation_size(F9L, 1, 100, 60, 44)
+    assert cli._truncation_size(F3L, 2, 0, 352, 0) ** 2 <= cli.MAX_TRUNCATION_PAIRS < \
+        cli._truncation_size(F3L, 2, 0, 353, 0) ** 2
+    # a ring or an exponent that the builder refuses keeps its own message
+    for ring, group, flags, err in (
+            ("gf(5)[t]", "b2plus", ["--exp-window", "400"], "negative exponents outside"),
+            ("z[t,t^-1]", "aff-plus", ["--exp-window", "400"], "windows need gf(q)[t]"),
+            ("z", "u2", ["--exp-window", "1000"], "windows need gf(q)[t]")):
+        auto = "mul(1)" if group == "u2" else "id"
+        assert main(["reidemeister", "--ring", ring, "--group", group, "--auto", auto,
+                     *flags]) == USAGE
+        assert err in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1038,9 +1038,11 @@ def test_enumeration_order_matches_nested_loops():
 
 def test_groups_refuse_dimension_below_two():
     for n in (0, 1):
-        for make in (Unitriangular, Borel, CornerDiagGroup):
+        for make in (Unitriangular, Borel, ProjBorel, CornerDiagGroup):
             with pytest.raises(GroupError, match="dimension must be >= 2"):
                 make(F3, n)
+    # S = B_n/Z is held as a subgroup of B_n
+    assert isinstance(ProjBorel(F3, 2), Borel)
 
 
 def test_bs_and_lamplighter_presentations():

@@ -33,7 +33,7 @@ def test_gf4_table_matches_modulus_oracle():
     for a in F.elements():
         for b in F.elements():
             assert F.mul(a, b) == gf4_oracle_mul(a, b)
-    w = F.gen()
+    w = F.parse("w")
     w2 = F.mul(w, w)
     assert F.add(F.add(1, w), w2) == 0          # 1 + w + w^2 = 0
     assert F.mul(w, w2) == 1                     # w * w^2 = 1

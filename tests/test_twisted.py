@@ -415,7 +415,7 @@ def test_brute_force_examples():
     assert part.count == 5 and part.complete
     assert part.verify(IdentityMap(U3))
 
-    phi = CenterScale(F4, F4.gen())
+    phi = CenterScale(F4, F4.parse("w"))
     part = brute_force_partition(list(F4.elements()), phi)
     assert part.count == 1                          # 1 - w is invertible
 
@@ -518,7 +518,7 @@ def _assert_orbits_match_all_pairs(universe, phi, group=None):
     assert orbit.verify(phi, group) and ref.verify(phi, group)
 
 
-def test_orbit_closure_matches_all_pairs_on_oracle_windows():
+def test_partition_matches_all_pairs_on_oracle_windows():
     rng = random.Random(11)
     for _, phi, window in experiments._oracle_cases():
         universe = list(window.elements())
@@ -526,7 +526,7 @@ def test_orbit_closure_matches_all_pairs_on_oracle_windows():
         _assert_orbits_match_all_pairs(universe, phi)
 
 
-def test_orbit_closure_matches_all_pairs_on_finite_groups():
+def test_partition_matches_all_pairs_on_finite_groups():
     B = Borel(F4, 2)
     els = list(B.elements())
     random.Random(12).shuffle(els)
@@ -583,7 +583,7 @@ def test_generating_set_size_does_not_depend_on_list_order():
 
 
 def test_partition_falls_back_without_identity():
-    phi = CenterScale(F4, F4.gen())
+    phi = CenterScale(F4, F4.parse("w"))
     universe = [x for x in F4.elements() if x != F4.zero()]
     part = brute_force_partition(universe, phi)
     assert part == _all_pairs_partition(universe, phi)
