@@ -433,11 +433,13 @@ def criterion_oracle(seed=0):
     B = Borel(F, 2)
     els = list(B.elements())
     rng = random.Random(seed)
-    base_partition = brute_force_partition(els, IdentityMap(B), B)
-    base = base_partition.count
-    for _ in range(10):
-        g = els[rng.randrange(len(els))]
-        part = brute_force_partition(els, Inner(g, B), B)
+    phis = [IdentityMap(B)] + [Inner(els[rng.randrange(len(els))], B) for _ in range(10)]
+    base = None
+    for phi in phis:
+        part = brute_force_partition(els, phi, B)
+        if not part.verify(phi, B):
+            return False, f"{phi.word()} on B2(gf(4)): witness verification failed"
+        base = part.count if base is None else base
         if part.count != base:
             return False, "inner twist changed the count"
     return True, f"{len(cases)} windows agree; inner twists fixed at {base}"

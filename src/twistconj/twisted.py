@@ -26,7 +26,9 @@ pivots.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache, lru_cache
 from itertools import product
+from types import MappingProxyType, SimpleNamespace
 from typing import NamedTuple
 
 from . import linalg, rings
@@ -294,11 +296,12 @@ class TwistedPartition(NamedTuple):
     witnesses: tuple        # merge log: (h, g, twisted) with twisted = h g phi(h)^-1
 
     def verify(self, phi, group=None):
+        """Every witness (h, g, t) has t = h g phi(h)^-1, each checked
+        through twist; phi keeps its images, so it is applied once per
+        distinct twister h."""
         group = group or phi.domain
-        for h, g, t in self.witnesses:
-            if twist(phi, h, g, group) != t:
-                return False
-        return True
+        kept = SimpleNamespace(domain=phi.domain, apply=cache(phi.apply))
+        return all(twist(kept, h, g, group) == t for h, g, t in self.witnesses)
 
 
 def brute_force_partition(universe, phi: Automorphism, group=None,
@@ -307,28 +310,27 @@ def brute_force_partition(universe, phi: Automorphism, group=None,
 
     When the universe is a finite group (it holds the identity and is
     closed under products) groups.generating_set reads a generating set
-    S off it.  If S commutes pairwise the classes are cosets
-    (_coset_classes); otherwise _union_classes joins g to s g phi(s)^-1
-    for every g and every s in S.  That the orbits under S are the full
-    classes relies on phi being a homomorphism, which the catalog checks
-    verify.  When the universe is not a group, or a twist leaves it,
-    every element is a twister, and a twist that leaves the universe
-    flags the partition incomplete.  All paths give the same classes
-    (min-index representatives, in min-index order) and |U| - count
-    witnesses.
+    S off it; _prepared does so once per universe.  If S commutes
+    pairwise the classes are cosets (_coset_classes); otherwise
+    _union_classes joins g to s g phi(s)^-1 for every g and every s in S.
+    That the orbits under S are the full classes relies on phi being a
+    homomorphism, which is assumed here: the catalog's homomorphism
+    checks do not sample the oracle's maps.  When the universe is not a
+    group, or a twist leaves it, every element is a twister, and a twist
+    that leaves the universe flags the partition incomplete.  All paths
+    give the same classes (min-index representatives, in min-index
+    order) and |U| - count witnesses.
     """
     group = group or phi.domain
-    els = list(universe)
-    index = _index_of(els)
-    gens = generating_set(els, index, group)
+    els = tuple(universe)
+    index, gens, commute = _prepared(els, group)
     complete = False
-    if gens is not None:
-        if all(group.mul(a, b) == group.mul(b, a) for i, a in enumerate(gens) for b in gens[:i]):
-            cosets = _coset_classes(els, index, gens, phi, group)
-            if cosets is not None:
-                (classes, witnesses), complete = cosets, True
-        else:
-            classes, witnesses, complete = _union_classes(els, index, gens, phi, group)
+    if commute:
+        cosets = _coset_classes(els, index, gens, phi, group)
+        if cosets is not None:
+            (classes, witnesses), complete = cosets, True
+    elif gens is not None:
+        classes, witnesses, complete = _union_classes(els, index, gens, phi, group)
     if not complete:
         classes, witnesses, complete = _union_classes(els, index, els, phi, group)
     return TwistedPartition(
@@ -339,6 +341,24 @@ def brute_force_partition(universe, phi: Automorphism, group=None,
         complete=complete,
         witnesses=tuple(witnesses),
     )
+
+
+@lru_cache(maxsize=1)
+def _prepared(els, group):
+    """(index, gens, commute) of the universe els, a tuple, in group: the
+    read-only map from element to list position, the generating set that
+    groups.generating_set reads off it as a tuple (None when els is not a
+    group), and whether those generators commute pairwise.  None of it
+    depends on phi, so the partitions of one universe under many maps
+    share one preparation.  The memo is keyed by the contents and the
+    group and holds the last universe alone."""
+    index = _index_of(els)
+    gens = generating_set(els, index, group)
+    if gens is not None:
+        gens = tuple(gens)
+    commute = gens is not None and all(group.mul(a, b) == group.mul(b, a)
+                                       for i, a in enumerate(gens) for b in gens[:i])
+    return MappingProxyType(index), gens, commute
 
 
 def _index_of(els):

@@ -19,7 +19,7 @@ from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
 from twistconj.rings import ZZ, RingError, field
 from test_linalg import _ref_rref
 from twistconj.twisted import (
-    LinearWindow, PairWindow, TwistedPartition, _images, _index_of,
+    LinearWindow, PairWindow, TwistedPartition, _images, _index_of, _prepared,
     additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
     pair_distinctness, reflection_corner, reflection_unit,
@@ -539,6 +539,58 @@ def test_partition_matches_all_pairs_on_finite_groups():
         els = list(G.elements())
         _assert_orbits_match_all_pairs(els, IdentityMap(G), G)
         _assert_orbits_match_all_pairs(els, Inner(els[-1], G), G)
+
+
+def test_prepared_universe_changes_no_partition():
+    # each partition is the same from the memo as after clearing it
+    B = Borel(F4, 2)
+    els = list(B.elements())
+    random.Random(14).shuffle(els)
+    cases = [(list(window.elements()), phi, phi.domain)
+             for _, phi, window in experiments._oracle_cases()]
+    cases += [(els, Inner(g, B), B) for g in els]
+    for universe, phi, group in cases:
+        first = brute_force_partition(universe, phi, group)
+        assert brute_force_partition(universe, phi, group) == first
+        _prepared.cache_clear()
+        assert brute_force_partition(universe, phi, group) == first
+    # the memo is keyed by contents and group, not by the list object
+    brute_force_partition(els, IdentityMap(B), B)
+    els.reverse()
+    _assert_orbits_match_all_pairs(els, Inner(els[5], B), B)
+    _assert_orbits_match_all_pairs(els[3:] + els[:3], Inner(els[5], B), B)
+    B_again = Borel(F4, 2)
+    _assert_orbits_match_all_pairs(els, Inner(els[7], B_again), B_again)
+
+
+class _CountingMap:
+    # phi with every apply counted, by argument
+    def __init__(self, phi):
+        self.phi, self.domain, self.calls = phi, phi.domain, Counter()
+
+    def apply(self, h):
+        self.calls[h] += 1
+        return self.phi.apply(h)
+
+
+def test_verify_checks_every_witness_and_applies_phi_once_per_twister():
+    B = Borel(F4, 2)
+    els = list(B.elements())
+    phi = Inner(els[9], B)
+    part = brute_force_partition(els, phi, B)
+    counting = _CountingMap(phi)
+    assert part.verify(counting, B)
+    twisters = {h for h, _, _ in part.witnesses}
+    assert len(twisters) < len(part.witnesses)
+    assert counting.calls == Counter(twisters)
+    # a later witness of an already applied twister is still checked
+    k = next(k for k, (h, _, _) in enumerate(part.witnesses)
+             if any(h == w[0] for w in part.witnesses[:k]))
+    h, g, t = part.witnesses[k]
+    assert t != g
+    bad = list(part.witnesses)
+    bad[k] = (h, g, g)
+    assert not part._replace(witnesses=tuple(bad)).verify(phi, B)
 
 
 def _closure(gens, group):
