@@ -298,10 +298,12 @@ class Flip(Automorphism):
     matrix and D = diag((-1)^i).  Inverse and transpose are both
     anti-automorphisms, so m -> m^-T is an automorphism; conjugation by
     D J is one too, and it carries the lower triangular matrices back to
-    the upper ones.  So entry (i,j) of m^-1 goes to (n+1-j, n+1-i) with
-    the sign (-1)^(i+j).  On e_{i,j}(r), whose inverse is e_{i,j}(-r),
-    this is the map above, and a homomorphism is fixed by its values on
-    the normal-form factors."""
+    the upper ones.  On e_{i,j}(r), whose inverse is e_{i,j}(-r), this is
+    the map above, and a homomorphism is fixed by its values on the
+    normal-form factors.  As D = D^-1, D m^-1 D = (D m D)^-1: entry (i,j)
+    of that inverse goes to (n+1-j, n+1-i).  apply solves it by TriMat.div's
+    forward substitution with a unit diagonal, on the rows of -(D m D),
+    whose entries (-1)^(k+j+1) m(k,j) negate only the m(k,j) with k+j even."""
 
     def __init__(self, group: Unitriangular):
         self.domain = group
@@ -311,12 +313,12 @@ class Flip(Automorphism):
         # unitriangular matrices of the domain
         if not self.domain.contains(m):
             raise GroupError(f"flip acts on the unitriangular matrices of {self.domain.name}")
-        inv = m.inv()
-        neg = m.ring.neg
-        n1 = m.n + 1
-        upper = {(n1 - j, n1 - i): neg(r) if (i + j) % 2 else r
-                 for (i, j), r in inv.upper.items()}
-        return TriMat._of(m.ring, m.n, m.diag, upper)
+        ring, n, rows = m.ring, m.n, {}  # rows of -(D m D), as (j, entry) pairs
+        for (k, j), w in m.upper.items():
+            rows.setdefault(k, []).append((j, w if (k + j) % 2 else ring.neg(w)))
+        ones = (ring.one(),) * n
+        upper = groups._forward(ring, n, ones, ones, {}, rows).items()
+        return TriMat._of(ring, n, m.diag, {(n + 1 - j, n + 1 - i): v for (i, j), v in upper})
 
     def word(self):
         return "flip"

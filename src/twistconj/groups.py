@@ -13,9 +13,9 @@ Right division a * b^-1 is one operation, TriMat.div, computed by forward
 substitution without forming b^-1.  Twists, conjugations and commutators
 go through it; Group.div gives every group context the same operation: a
 subtraction on the additive groups, and the product by the inverse on
-the affine one.  TriMat.inv serves where the inverse itself is wanted
-(the flip, the partition oracle's per-twister inverses); for every n it is
-the right division identity / m.
+the affine one; for n >= 3 its forward substitution, _forward, also
+serves the flip.  TriMat.inv, the division identity / m for every n,
+serves the partition oracle's per-twister inverses.
 
 The two quotients of B_n on the way to the affine group are subgroups of
 B_n, so their elements are TriMats too.  The matrices whose (1,1) entry
@@ -45,7 +45,8 @@ Element word form (printer/parser round-trip):
 from __future__ import annotations
 
 import re
-from itertools import product
+from functools import cache
+from itertools import product, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -169,13 +170,8 @@ class TriMat:
         return identity(self.ring, self.n).div(self)
 
     def div(self, o):
-        """self * o^-1 without forming o^-1: forward substitution on
-        X * o = self, row by row.  X(i,i) = a(i,i) * o(i,i)^-1, and for
-        j > i, X(i,j) = (a(i,j) - sum over k < j of X(i,k) * o(k,j)) *
-        o(j,j)^-1, over the stored entries of o only.  Each row keeps an
-        accumulator of the columns still to solve; the least one is the
-        next entry of X, since its products reach only columns further
-        right."""
+        """self * o^-1 without forming o^-1: the X with X * o = self, whose
+        strictly upper part _forward solves for n >= 3."""
         if not isinstance(o, TriMat) or o.ring is not self.ring or o.n != self.n:
             raise GroupError("incompatible matrices")
         ring = self.ring
@@ -204,33 +200,10 @@ class TriMat:
         o_rows = {}  # row k of o, negated, as (j, -w) pairs
         for (k, j), w in o.upper.items():
             o_rows.setdefault(k, []).append((j, neg(w)))
-        acc_rows = {}  # row i of self.upper, a private copy to accumulate in
+        rows = {}  # row i of self.upper, a private copy to accumulate in
         for (i, j), v in self.upper.items():
-            acc_rows.setdefault(i, {})[j] = v
-        upper = {}
-        for i in range(1, self.n):
-            acc = acc_rows.get(i) or {}
-            x, k = diag[i - 1], i
-            while True:
-                for j, w in o_rows.get(k, ()):
-                    c = w if x is one else mul(x, w)
-                    prev = acc.get(j)
-                    if prev is None:
-                        acc[j] = c
-                    else:
-                        # only a sum can be zero, and it leaves at once
-                        c = add(prev, c)
-                        if is_zero(c):
-                            del acc[j]
-                        else:
-                            acc[j] = c
-                if not acc:
-                    break
-                k = min(acc)
-                s = acc.pop(k)
-                d = dinv[k - 1]
-                x = upper[(i, k)] = s if d is one else mul(s, d)
-        return TriMat._of(ring, self.n, diag, upper)
+            rows.setdefault(i, {})[j] = v
+        return TriMat._of(ring, self.n, diag, _forward(ring, self.n, diag, dinv, rows, o_rows))
 
     def commutator(self, o):
         """self o self^-1 o^-1 = (self o) (o self)^-1."""
@@ -263,6 +236,40 @@ class TriMat:
 
     def __repr__(self):
         return element_word(self)
+
+
+def _forward(ring, n, diag, dinv, acc_rows, o_rows):
+    """The strictly upper entries {(i,j): X(i,j)} of X * o = a by forward
+    substitution, X(i,j) = (a(i,j) - sum over k < j of X(i,k) o(k,j)) o(j,j)^-1,
+    given X's diagonal `diag`, o's inverted diagonal `dinv`, a's rows
+    `acc_rows` {i: {j: a(i,j)}}, consumed as accumulators, and o's negated
+    rows `o_rows` {k: [(j, -o(k,j))]}, over the stored entries of o only.
+    The least column left in a row's accumulator is its next entry."""
+    mul, add, is_zero, one = ring.mul, ring.add, ring.is_zero, ring.one()
+    upper = {}
+    for i in range(1, n):
+        acc = acc_rows.get(i) or {}
+        x, k = diag[i - 1], i
+        while True:
+            for j, w in o_rows.get(k, ()):
+                c = w if x is one else mul(x, w)
+                prev = acc.get(j)
+                if prev is None:
+                    acc[j] = c
+                else:
+                    # only a sum can be zero, and it leaves at once
+                    c = add(prev, c)
+                    if is_zero(c):
+                        del acc[j]
+                    else:
+                        acc[j] = c
+            if not acc:
+                break
+            k = min(acc)
+            s = acc.pop(k)
+            d = dinv[k - 1]
+            x = upper[(i, k)] = s if d is one else mul(s, d)
+    return upper
 
 
 _set_ring, _set_n, _set_diag, _set_upper, _set_h = (
@@ -303,18 +310,16 @@ def diag_elem(ring, n, i, u) -> TriMat:
 # ---------------------------------------------------------------------------
 # normal form: superdiagonal-ordered product of elementaries
 
+@cache
 def nf_positions(n):
     """Positions (i, j) ordered by superdiagonal then by row."""
-    return [(i, i + d) for d in range(1, n) for i in range(1, n - d + 1)]
+    return tuple((i, i + d) for d in range(1, n) for i in range(1, n - d + 1))
 
 
 class NormalForm(NamedTuple):
     ring: object
     n: int
     coeffs: tuple  # aligned with nf_positions(n)
-
-    def factors(self):
-        return list(zip(nf_positions(self.n), self.coeffs))
 
 
 def normal_form(m: TriMat) -> NormalForm:
@@ -368,30 +373,35 @@ def _peel(ring, n, upper):
 
 
 def recompose(nf: NormalForm) -> TriMat:
-    """The ordered product of the elementaries e(i,j;r) of a normal form,
-    built by column operations: right multiplication by e(i,j;r) adds r
-    times column i to column j.  Column i holds the diagonal 1 in row i
-    and the strictly upper entries above it, so each factor costs one pass
-    over column i instead of a full matrix product."""
-    ring, n = nf.ring, nf.n
-    mul, add, is_zero = ring.mul, ring.add, ring.is_zero
-    cols = {}  # column j -> {row: nonzero entry above the diagonal}
-    for (i, j), r in nf.factors():
+    """The ordered product of the elementaries e(i,j;r) of a normal form."""
+    return _recompose(*nf)
+
+
+def _recompose(ring, n, coeffs):
+    """The product of e(i,j;r) for (i,j) in nf_positions(n) order and r from
+    the iterable `coeffs`, by column operations: right multiplication by
+    e(i,j;r) adds r times column i to column j.  Each column is a {row:
+    nonzero entry} map with its diagonal 1, so a factor costs one pass over
+    column i instead of a matrix product."""
+    mul, add, is_zero, one = ring.mul, ring.add, ring.is_zero, ring.one()
+    cols = [{j: one} for j in range(n + 1)]
+    for (i, j), r in zip(nf_positions(n), coeffs):
         if is_zero(r):
             continue
-        # the diagonal 1 of column i, then its entries above; a product of
-        # nonzero entries is nonzero, since the rings are domains
-        added = [(i, r)] + [(k, mul(v, r)) for k, v in cols.get(i, {}).items()]
-        col_j = cols.setdefault(j, {})
-        for k, v in added:
-            if k in col_j:
-                v = add(col_j[k], v)
-                if is_zero(v):
+        col_j = cols[j]
+        for k, v in cols[i].items():  # the rings are domains: only a sum vanishes
+            c = r if v is one else mul(v, r)
+            prev = col_j.get(k)
+            if prev is None:
+                col_j[k] = c
+            else:
+                c = add(prev, c)
+                if is_zero(c):
                     del col_j[k]
-                    continue
-            col_j[k] = v
-    upper = {(k, j): v for j, col in cols.items() for k, v in col.items()}
-    return TriMat._of(ring, n, (ring.one(),) * n, upper)
+                else:
+                    col_j[k] = c
+    upper = {(k, j): v for j in range(2, n + 1) for k, v in cols[j].items() if k != j}
+    return TriMat._of(ring, n, (one,) * n, upper)
 
 
 def gamma_member(m: TriMat, k: int) -> bool:
@@ -604,7 +614,7 @@ class _Triangular(Group):
         over the diagonal matrices `diags`."""
         F, n = self.ring, self.n
         for cs in product(F.elements(), repeat=len(nf_positions(n))):
-            u = recompose(NormalForm(F, n, cs))
+            u = _recompose(F, n, cs)
             for d in diags:
                 yield u * d
 
@@ -614,8 +624,8 @@ class Unitriangular(_Triangular):
         super().__init__(ring, n, f"u{n}({ring.tag})")
 
     def random(self, rng):
-        coeffs = [self.ring.random(rng) for _ in nf_positions(self.n)]
-        return recompose(NormalForm(self.ring, self.n, tuple(coeffs)))
+        F, n = self.ring, self.n
+        return _recompose(F, n, map(F.random, repeat(rng, len(nf_positions(n)))))
 
     def contains(self, x):
         return isinstance(x, TriMat) and x.n == self.n and \

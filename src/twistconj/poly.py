@@ -86,7 +86,8 @@ class PolyRing(Ring):
         u = self._units.get((e, c))
         if u is None:
             u = Poly(self, {e: c})
-            if self.base.is_unit(c) and (e == 0 or self.laurent):
+            # t^e, e != 0, is a unit only in a Laurent ring: test that first
+            if (e == 0 or self.laurent) and self.base.is_unit(c):
                 self._units[e, c] = u
         return u
 

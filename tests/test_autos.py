@@ -10,9 +10,9 @@ from twistconj.autos import (
 )
 from twistconj.experiments import RING_TAGS
 from twistconj.groups import (
-    Additive, AffElem, Affine, Borel, GroupError, ProjBorel, TriMat,
+    Additive, AffElem, Affine, Borel, GroupError, NormalForm, ProjBorel, TriMat,
     Unitriangular, elementary, diag_elem, identity, nf_positions, normal_form,
-    projective, superdiagonal,
+    projective, recompose, superdiagonal,
 )
 from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, is_irreducible, parse_ring
 from twistconj.rings import RingError, field, localized
@@ -58,7 +58,7 @@ def _flip_by_normal_form(m):
     # the definition: flip each normal-form factor, multiply them in order
     ring, n = m.ring, m.n
     out = identity(ring, n)
-    for (i, j), r in normal_form(m).factors():
+    for (i, j), r in zip(nf_positions(n), normal_form(m).coeffs):
         if (j - i - 1) % 2:
             r = ring.neg(r)
         out = out * elementary(ring, n, n - j + 1, n - i + 1, r)
@@ -80,6 +80,46 @@ def test_flip_closed_form_matches_normal_form_product(tag):
             image = r if (j - i - 1) % 2 == 0 else ring.neg(r)
             assert fl.apply(elementary(ring, n, i, j, r)) == \
                 elementary(ring, n, n + 1 - j, n + 1 - i, image)
+
+
+def _flip_by_inverse(m):
+    # the definition D J m^-T J D, D = diag((-1)^i) and J the anti-diagonal
+    # permutation: entry (a,b) is (-1)^(a+b) m^-1(n+1-b, n+1-a), rebuilt
+    # through the checking constructor
+    ring, n = m.ring, m.n
+    inv = m.inv()
+    upper = {}
+    for a, b in nf_positions(n):
+        r = inv.entry(n + 1 - b, n + 1 - a)
+        upper[(a, b)] = r if (a + b) % 2 == 0 else ring.neg(r)
+    return TriMat(ring, n, (ring.one(),) * n, upper)
+
+
+@pytest.mark.parametrize("tag", RING_TAGS + ("gf(2)[t]",))
+def test_flip_matches_the_inverse_transpose_form(tag):
+    ring = parse_ring(tag)
+    rng = random.Random(tag)
+    for n in range(2, 7):
+        U = Unitriangular(ring, n)
+        fl = Flip(U)
+        mats = [U.random(rng) for _ in range(10)]
+        # products of elementaries in normal-form order, about half of them
+        # the identity: the sums of their inverses cancel, so the flip's
+        # forward substitution must drop them
+        mats += [recompose(NormalForm(ring, n, tuple(
+            ring.zero() if rng.random() < 0.5 else _random_nonzero(ring, rng)
+            for _ in nf_positions(n)))) for _ in range(10)]
+        # every entry 1: the inverse is I - E12 - ... - E(n-1,n), every
+        # other entry a cancelled sum
+        chain = identity(ring, n)
+        for i in range(1, n):
+            chain = chain * elementary(ring, n, i, i + 1, ring.one())
+        mats.append(chain)
+        for m in mats:
+            f, ref = fl.apply(m), _flip_by_inverse(m)
+            assert f == ref and hash(f) == hash(ref)
+            assert fl.apply(f) == m
+        assert set(fl.apply(chain).upper) == {(i, i + 1) for i in range(1, n)}
 
 
 def test_companion_examples():

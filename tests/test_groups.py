@@ -158,7 +158,7 @@ def test_normal_form_round_trip():
 def _recompose_by_products(nf):
     # the definition: one matrix product per elementary factor
     out = identity(nf.ring, nf.n)
-    for (i, j), r in nf.factors():
+    for (i, j), r in zip(groups.nf_positions(nf.n), nf.coeffs):
         out = out * elementary(nf.ring, nf.n, i, j, r)
     return out
 
@@ -177,6 +177,23 @@ def test_recompose_matches_product_of_elementaries(tag):
             m, ref = recompose(nf), _recompose_by_products(nf)
             assert m == ref and hash(m) == hash(ref)
             assert normal_form(m) == nf
+
+
+@pytest.mark.parametrize("tag", RING_TAGS + ("gf(2)[t]",))
+def test_random_unitriangular_keeps_its_draw_stream(tag):
+    # the draws are ring.random calls in normal-form order, one per
+    # position, and the matrix is their ordered product of elementaries
+    ring = parse_ring(tag)
+    rng, twin = random.Random(tag), random.Random(tag)
+    for n in range(2, 7):
+        U = Unitriangular(ring, n)
+        for _ in range(30):
+            m = U.random(rng)
+            nf = groups.NormalForm(ring, n, tuple(ring.random(twin)
+                                                  for _ in groups.nf_positions(n)))
+            ref = _recompose_by_products(nf)
+            assert m == ref and hash(m) == hash(ref)
+            assert rng.getstate() == twin.getstate()
 
 
 def _inv_by_columns(m):
@@ -219,8 +236,8 @@ def _element_word_by_products(m):
     # the definition: the normal form of m * diag(m)^-1, then the diagonal
     ring, n = m.ring, m.n
     nf = _normal_form_by_products(m * _inv_by_columns(TriMat(ring, n, m.diag, {})))
-    parts = [f"e({i},{j};{ring.to_str(r)})" for (i, j), r in nf.factors()
-             if not ring.is_zero(r)]
+    parts = [f"e({i},{j};{ring.to_str(r)})"
+             for (i, j), r in zip(groups.nf_positions(n), nf.coeffs) if not ring.is_zero(r)]
     parts += [f"d({i};{ring.to_str(u)})" for i, u in enumerate(m.diag, start=1)
               if u != ring.one()]
     return " ".join(parts) if parts else "1"

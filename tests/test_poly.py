@@ -276,6 +276,27 @@ def test_non_units_are_never_stored():
     assert set(ZT._units) <= {(0, 1), (0, -1)}
 
 
+@pytest.mark.parametrize("tag", [t for t in POLY_TAGS if not parse_ring(t).laurent])
+def test_terms_off_the_constants_skip_the_unit_test(tag, monkeypatch):
+    # c*t^e with e != 0 is never a unit of a polynomial ring: it is built
+    # fresh and never stored, with no unit test of c
+    ring = parse_ring(tag)
+    base = ring.base
+    cs = base.units() if isinstance(base, GaloisField) else (1, -1, 2, -3)
+    before = _table_state(ring)
+    probes = []
+    monkeypatch.setattr(base, "is_unit", lambda c: probes.append(c) or True)
+    for c in cs:
+        for e in (1, 2, 5):
+            p = ring.monomial(c, e)
+            assert type(p) is Poly and p.terms == {e: c} and p == Poly(ring, {e: c})
+            assert ring.monomial(c, e) is not p
+            assert p * ring.gen() == Poly(ring, {e + 1: c})
+    monkeypatch.undo()
+    assert probes == [] and len(ring._units) == len(before)
+    _assert_table_kept(ring, before)
+
+
 @pytest.mark.parametrize("tag", POLY_TAGS)
 def test_units_rebuilt_raw_give_the_same_values(tag):
     # identity is only a fast path: a unit built as another object takes
