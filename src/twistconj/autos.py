@@ -36,11 +36,8 @@ from .rings import RingError
 # additive endomorphism descriptors
 
 class EndoDesc:
-    def apply(self, r):
-        raise NotImplementedError
-
-    def word(self):
-        raise NotImplementedError
+    """An endomorphism lambda of (R,+) or a map of the Sigma condition:
+    apply maps a ring element, word prints it."""
 
     def sigma_scalar(self):
         """The one scalar a with lambda(r+s) = a*r*s + lambda(r) + lambda(s)
@@ -131,14 +128,10 @@ class HalfSquare(EndoDesc):
 # automorphism descriptors
 
 class Automorphism:
+    """A map of `domain`: apply maps an element, word prints it."""
+
     domain = None
     block_size = 1    # windows are sized in multiples of this many coefficients
-
-    def apply(self, x):
-        raise NotImplementedError
-
-    def word(self):
-        raise NotImplementedError
 
     def __repr__(self):
         return self.word()
@@ -196,11 +189,10 @@ class Central(Automorphism):
         self.lam = lam
 
     def apply(self, m: TriMat):
-        if not (isinstance(m, TriMat) and m.is_unitriangular()):
-            raise GroupError("central automorphisms act on unitriangular matrices")
         g = self.domain
-        if m.ring is not g.ring or m.n != g.n:
-            raise GroupError("incompatible matrices")
+        if not g.contains(m):
+            raise GroupError(f"central automorphisms act on the unitriangular "
+                             f"matrices of {g.name}")
         # the product m * e_{1,n}(val) by a unitriangular m adds val to the
         # corner (1,n) and changes nothing else
         ring, n = g.ring, g.n
@@ -256,14 +248,20 @@ class _Sigma(Automorphism):
         self.lam = lam
         self.a = a
 
+    def _checked(self, m):
+        """The domain, once it holds m."""
+        g = self.domain
+        if not g.contains(m):
+            raise GroupError(f"type-Sigma automorphisms act on the unitriangular "
+                             f"matrices of {g.name}")
+        return g
+
 
 class SigmaFirst(_Sigma):
     """u -> u * e_{2,n}(a*u_{1,2}) * e_{1,n}(lambda(u_{1,2}) - a*u_{1,2}^2)."""
 
     def apply(self, m: TriMat):
-        if not (isinstance(m, TriMat) and m.is_unitriangular()):
-            raise GroupError("type-Sigma automorphisms act on unitriangular matrices")
-        g = self.domain
+        g = self._checked(m)
         ring = g.ring
         r = m.entry(1, 2)
         corner = ring.sub(self.lam.apply(r), ring.mul(self.a, ring.mul(r, r)))
@@ -278,9 +276,7 @@ class SigmaLast(_Sigma):
     """u -> u * e_{1,n-1}(a*u_{n-1,n}) * e_{1,n}(lambda(u_{n-1,n}))."""
 
     def apply(self, m: TriMat):
-        if not (isinstance(m, TriMat) and m.is_unitriangular()):
-            raise GroupError("type-Sigma automorphisms act on unitriangular matrices")
-        g = self.domain
+        g = self._checked(m)
         ring = g.ring
         r = m.entry(g.n - 1, g.n)
         return m * elementary(ring, g.n, 1, g.n - 1, ring.mul(self.a, r)) \
@@ -615,14 +611,6 @@ def _split_parts(group, g):
     raise GroupError(f"no split decomposition registered for {group.name}")
 
 
-def _in_kernel_part(group, x):
-    if isinstance(group, (Borel, CornerDiagGroup)):
-        return x.is_unitriangular()
-    if isinstance(group, Affine):
-        return x.u == group.ring.one()
-    return False
-
-
 class Phi0(Automorphism):
     """The factor-preserving automorphism with the same restriction to the
     abelian kernel and the same induced map on the complement; it has the
@@ -634,17 +622,16 @@ class Phi0(Automorphism):
         rng = random.Random(1)
         for _ in range(64):
             n_elt, _ = _split_parts(group, group.random(rng))
-            if not _in_kernel_part(group, phi.apply(n_elt)):
+            if not _split_parts(group, phi.apply(n_elt))[1].is_identity():
                 raise GroupError("the abelian kernel is not invariant")
         self.phi = phi
-        self.group = group
         self.domain = group
 
     def apply(self, g):
-        group = self.group
+        group = self.domain
         n, q = _split_parts(group, g)
         fn = self.phi.apply(n)
-        if not _in_kernel_part(group, fn):
+        if not _split_parts(group, fn)[1].is_identity():
             raise GroupError("the abelian kernel is not invariant")
         _, qphi = _split_parts(group, self.phi.apply(q))
         return group.mul(fn, qphi)

@@ -132,11 +132,9 @@ def _emit(args, experiment, **fields):
 def cmd_verify_relations(args):
     ring = parse_ring(args.ring)
     if args.n < 2 or args.n > 8:
-        print("error: --n must lie in 2..8", file=sys.stderr)
-        return EXIT_USAGE
+        raise RingError("--n must lie in 2..8")
     if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise RingError("--samples must be at least 1")
     rng = random.Random(args.seed)
     ok, checked, bad = experiments.relations_suite(ring, args.n, args.samples, rng)
     if ok:
@@ -179,9 +177,7 @@ def cmd_reidemeister(args):
         spec = ExperimentSpec.from_file(args.config)
     else:
         if not (args.ring and args.group and args.auto):
-            print("error: --ring/--group/--auto or --config required",
-                  file=sys.stderr)
-            return EXIT_USAGE
+            raise RingError("--ring/--group/--auto or --config required")
         spec = ExperimentSpec.from_args(args)
     ring = parse_ring(spec.ring)
     rng = random.Random(args.seed)
@@ -247,13 +243,18 @@ def cmd_reidemeister(args):
     return EXIT_PASS
 
 
-def cmd_case_analysis(args):
+def _finite_field(args):
+    """The finite field --ring names; any other ring is refused."""
     F = parse_ring(args.ring)
     if not isinstance(F, rings.GaloisField):
         raise RingError("--ring must name a finite field gf(q)")
+    return F
+
+
+def cmd_case_analysis(args):
+    F = _finite_field(args)
     if args.box < 1:
-        print("error: --box must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise RingError("--box must be at least 1")
     ring = poly_ring(F, laurent=False)
     f = ring.parse(args.f)
     rep = case_analysis(f, args.box)
@@ -278,11 +279,9 @@ def cmd_distinct_family(args):
     ring = poly_ring(F, laurent=False)
     alpha = parse_ring_auto(args.alpha, ring)
     if alpha.is_identity():
-        print("error: the identity substitution is excluded", file=sys.stderr)
-        return EXIT_USAGE
+        raise RingError("the identity substitution is excluded")
     if args.imax < 1:
-        print("error: --imax must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise RingError("--imax must be at least 1")
     _refuse_over("--imax", args.imax, "MAX_FAMILY_IMAX", MAX_FAMILY_IMAX)
     exps = experiments.family_exponents(args.p, args.imax)
     hi = max(max(exps), args.window)
@@ -308,9 +307,7 @@ def cmd_distinct_family(args):
 
 
 def cmd_center(args):
-    F = parse_ring(args.ring)
-    if not isinstance(F, rings.GaloisField):
-        raise RingError("--ring must name a finite field gf(q)")
+    F = _finite_field(args)
     c = experiments.center_check(F, args.group.lower(), args.n)
     for z in c.center:
         print(f"  {z!r}")
@@ -322,9 +319,7 @@ def cmd_center(args):
 
 
 def cmd_iso_aff(args):
-    F = parse_ring(args.ring)
-    if not isinstance(F, rings.GaloisField):
-        raise RingError("--ring must name a finite field gf(q)")
+    F = _finite_field(args)
     epi = experiments.affine_epimorphism(F, args.n)
     print(f"w{args.n}({F.tag}) -> aff({F.tag}): homomorphism={epi.homomorphism} "
           f"onto={epi.onto} kernel==center={epi.kernel_is_center}")
@@ -353,8 +348,7 @@ def cmd_unit_equation(args):
 
 def cmd_all(args):
     if not args.paper_suite:
-        print("error: use --paper-suite", file=sys.stderr)
-        return EXIT_USAGE
+        raise RingError("use --paper-suite")
     if args.json_dir:
         os.makedirs(args.json_dir, exist_ok=True)
     passed = 0

@@ -37,6 +37,13 @@ n = 2, TriMat's product, right division and element word are closed forms,
 with no row maps, accumulators or peel; n >= 3 takes the general
 routines.
 
+The normal form of a unitriangular matrix is its tuple of coefficients
+in nf_positions(n) order, superdiagonal by superdiagonal: the matrix is
+the ordered product of the elementaries e(i,j;r).  normal_form peels it
+off by row operations and recompose rebuilds the matrix by column
+operations; element_word prints the normal form of m / diag(m), then
+the diagonal.
+
 Element word form (printer/parser round-trip):
 
     e(1,2;t+1) e(2,3;2) d(1;t) d(3;w+1)       identity prints as "1"
@@ -48,7 +55,6 @@ import re
 from functools import cache
 from itertools import product, repeat
 from math import gcd
-from typing import NamedTuple
 
 class GroupError(ValueError):
     pass
@@ -316,31 +322,23 @@ def nf_positions(n):
     return tuple((i, i + d) for d in range(1, n) for i in range(1, n - d + 1))
 
 
-class NormalForm(NamedTuple):
-    ring: object
-    n: int
-    coeffs: tuple  # aligned with nf_positions(n)
+def normal_form(m: TriMat) -> tuple:
+    """The unique coefficients, in nf_positions(n) order, with the
+    unitriangular m equal to the ordered product of elementaries
+    e(i,i+1)...e(1,n); recompose inverts it.
 
-
-def normal_form(m: TriMat) -> NormalForm:
-    """The unique coefficients with m equal to the ordered product of
-    elementaries e(i,i+1)...e(1,n); unitriangular input only."""
+    They are peeled by row operations on a private {row: {col: value}}
+    copy: for each superdiagonal d and i = 1..n-d, c = v(i,i+d) is the
+    coefficient and row_i -= c * row_{i+d}.  Row i+d is untouched within
+    its layer and holds only its diagonal 1 and entries at distance > d,
+    so the operation clears (i,i+d) and adds entries only further out;
+    each entry is read off exactly once."""
     if not m.is_unitriangular():
         raise GroupError("normal form needs a unitriangular matrix")
-    return NormalForm(m.ring, m.n, _peel(m.ring, m.n, m.upper))
-
-
-def _peel(ring, n, upper):
-    """The normal form coefficients of the unitriangular matrix with
-    strictly upper entries `upper`, peeled by row operations on a private
-    {row: {col: value}} copy: for each superdiagonal d and i = 1..n-d,
-    c = v(i,i+d) is the coefficient and row_i -= c * row_{i+d}.  Row i+d
-    is untouched within its layer and holds only its diagonal 1 and
-    entries at distance > d, so the operation clears (i,i+d) and adds
-    entries only further out; each entry is read off exactly once."""
+    ring, n = m.ring, m.n
     mul, add, neg, is_zero = ring.mul, ring.add, ring.neg, ring.is_zero
     rows = {}
-    for (i, j), v in upper.items():
+    for (i, j), v in m.upper.items():
         rows.setdefault(i, {})[j] = v
     zero = ring.zero()
     coeffs = []
@@ -372,12 +370,7 @@ def _peel(ring, n, upper):
     return tuple(coeffs)
 
 
-def recompose(nf: NormalForm) -> TriMat:
-    """The ordered product of the elementaries e(i,j;r) of a normal form."""
-    return _recompose(*nf)
-
-
-def _recompose(ring, n, coeffs):
+def recompose(ring, n, coeffs):
     """The product of e(i,j;r) for (i,j) in nf_positions(n) order and r from
     the iterable `coeffs`, by column operations: right multiplication by
     e(i,j;r) adds r times column i to column j.  Each column is a {row:
@@ -507,9 +500,6 @@ def to_affine(w: TriMat) -> AffElem:
 class Group:
     name = "?"
 
-    def identity(self):
-        raise NotImplementedError
-
     def mul(self, a, b):
         return a * b
 
@@ -519,9 +509,6 @@ class Group:
     def div(self, a, b):
         """a * b^-1; the matrix groups divide without forming b^-1."""
         return self.mul(a, self.inv(b))
-
-    def random(self, rng):
-        raise NotImplementedError
 
     def elements(self):
         raise NotImplementedError("not a finite enumeration")
@@ -614,7 +601,7 @@ class _Triangular(Group):
         over the diagonal matrices `diags`."""
         F, n = self.ring, self.n
         for cs in product(F.elements(), repeat=len(nf_positions(n))):
-            u = _recompose(F, n, cs)
+            u = recompose(F, n, cs)
             for d in diags:
                 yield u * d
 
@@ -625,7 +612,7 @@ class Unitriangular(_Triangular):
 
     def random(self, rng):
         F, n = self.ring, self.n
-        return _recompose(F, n, map(F.random, repeat(rng, len(nf_positions(n)))))
+        return recompose(F, n, map(F.random, repeat(rng, len(nf_positions(n)))))
 
     def contains(self, x):
         return isinstance(x, TriMat) and x.n == self.n and \
@@ -848,7 +835,7 @@ def center_bruteforce(group: Group, full_pairs: bool = False):
 
 def element_word(m: TriMat) -> str:
     """The ordered word e(i,j;r)... d(i;u)... of a triangular matrix: the
-    normal form of m * diag(m)^-1, whose entry (i,j) is a(i,j) * d_j^-1.
+    normal form of m / diag(m), whose entry (i,j) is a(i,j) * d_j^-1.
     For n = 2 that is e(1,2; x/d_2) d(1;d_1) d(2;d_2), with no peel."""
     ring, n = m.ring, m.n
     one = ring.one()
@@ -866,14 +853,9 @@ def element_word(m: TriMat) -> str:
         if d2 is not one and d2 != one:
             parts.append(f"d(2;{ring.to_str(d2)})")
         return " ".join(parts) if parts else "1"
-    # a diagonal entry that is the shared one() needs no inverse and no print
-    dinv = [u if u is one else ring.inv(u) for u in m.diag]
-    coeffs = _peel(ring, n, {(i, j): ring.mul(v, dinv[j - 1])
-                             for (i, j), v in m.upper.items()})
-    parts = []
-    for (i, j), r in zip(nf_positions(n), coeffs):
-        if not ring.is_zero(r):
-            parts.append(f"e({i},{j};{ring.to_str(r)})")
+    coeffs = normal_form(m.div(TriMat._of(ring, n, m.diag, {})))
+    parts = [f"e({i},{j};{ring.to_str(r)})"
+             for (i, j), r in zip(nf_positions(n), coeffs) if not ring.is_zero(r)]
     for i, u in enumerate(m.diag, start=1):
         if u is not one and u != one:
             parts.append(f"d({i};{ring.to_str(u)})")

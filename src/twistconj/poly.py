@@ -457,16 +457,11 @@ def parse_poly(s: str, ring: PolyRing) -> Poly:
 # ring substitutions
 
 class RingAutoDesc:
-    """An automorphism of the coefficient ring R0[t] or R0[t,1/t]."""
-
-    def apply(self, p: Poly) -> Poly:
-        raise NotImplementedError
+    """An automorphism of the coefficient ring R0[t] or R0[t,1/t]: apply
+    maps a Poly, word prints it."""
 
     def is_identity(self):
         return False
-
-    def word(self):
-        raise NotImplementedError
 
 
 class IdentityAuto(RingAutoDesc):

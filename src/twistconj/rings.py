@@ -95,36 +95,19 @@ def _pmod(u, m, p):
 # ring protocol
 
 class Ring:
-    """Shared protocol; concrete rings fill in the primitive operations."""
+    """Shared protocol.  Concrete rings fill in the primitive operations:
+    zero, one, add, neg, mul, is_unit, inv, from_int, to_str, parse,
+    random, random_unit, and unit_decompose, which splits a unit as
+    (torsion part, exponents over the torsion_free_units) and raises
+    RingError on non-units."""
 
     tag = "?"
-
-    def zero(self):
-        raise NotImplementedError
-
-    def one(self):
-        raise NotImplementedError
-
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def neg(self, a):
-        raise NotImplementedError
-
-    def mul(self, a, b):
-        raise NotImplementedError
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def is_zero(self, a) -> bool:
         return a == self.zero()
-
-    def is_unit(self, a) -> bool:
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
 
     def pow_unit(self, a, e: int):
         """a**e for any integer e; a must be a unit when e < 0."""
@@ -138,30 +121,10 @@ class Ring:
             e >>= 1
         return out
 
-    def from_int(self, k: int):
-        raise NotImplementedError
-
-    def to_str(self, a) -> str:
-        raise NotImplementedError
-
-    def parse(self, s: str):
-        raise NotImplementedError
-
-    def random(self, rng):
-        raise NotImplementedError
-
-    def random_unit(self, rng):
-        raise NotImplementedError
-
     def torsion_free_units(self) -> tuple:
         """Generators of a torsion-free complement of the torsion units;
         empty when every unit is torsion."""
         return ()
-
-    def unit_decompose(self, u):
-        """Split a unit as (torsion part, exponents over the
-        torsion_free_units).  Raises RingError on non-units."""
-        raise NotImplementedError
 
     def __repr__(self):
         return self.tag

@@ -10,7 +10,7 @@ from twistconj.autos import (
 )
 from twistconj.experiments import RING_TAGS
 from twistconj.groups import (
-    Additive, AffElem, Affine, Borel, GroupError, NormalForm, ProjBorel, TriMat,
+    Additive, AffElem, Affine, Borel, GroupError, ProjBorel, TriMat,
     Unitriangular, elementary, diag_elem, identity, nf_positions, normal_form,
     projective, recompose, superdiagonal,
 )
@@ -58,7 +58,7 @@ def _flip_by_normal_form(m):
     # the definition: flip each normal-form factor, multiply them in order
     ring, n = m.ring, m.n
     out = identity(ring, n)
-    for (i, j), r in zip(nf_positions(n), normal_form(m).coeffs):
+    for (i, j), r in zip(nf_positions(n), normal_form(m)):
         if (j - i - 1) % 2:
             r = ring.neg(r)
         out = out * elementary(ring, n, n - j + 1, n - i + 1, r)
@@ -106,9 +106,9 @@ def test_flip_matches_the_inverse_transpose_form(tag):
         # products of elementaries in normal-form order, about half of them
         # the identity: the sums of their inverses cancel, so the flip's
         # forward substitution must drop them
-        mats += [recompose(NormalForm(ring, n, tuple(
+        mats += [recompose(ring, n, (
             ring.zero() if rng.random() < 0.5 else _random_nonzero(ring, rng)
-            for _ in nf_positions(n)))) for _ in range(10)]
+            for _ in nf_positions(n))) for _ in range(10)]
         # every entry 1: the inverse is I - E12 - ... - E(n-1,n), every
         # other entry a cancelled sum
         chain = identity(ring, n)
@@ -299,7 +299,7 @@ def test_central_matches_the_product_by_the_corner_elementary(tag):
                 if len(mats) > 6:
                     assert (1, n) not in z.apply(mats[-1]).upper
     U3 = Unitriangular(ring, 3)
-    with pytest.raises(GroupError, match="incompatible"):
+    with pytest.raises(GroupError, match=r"unitriangular matrices of u3"):
         Central(U3, 1, ZeroEndo(ring)).apply(identity(ring, 4))
 
 
@@ -475,7 +475,7 @@ def test_compose_order_is_right_to_left():
 
 
 def test_central_trivial_on_series_factors():
-    from twistconj.groups import gamma_member, nf_positions, NormalForm, recompose
+    from twistconj.groups import gamma_member, nf_positions, recompose
     U5 = Unitriangular(F5T, 5)
     z = Central(U5, 1, MulBy(F5T, F5T.gen()))
     rng = random.Random(21)
@@ -483,5 +483,5 @@ def test_central_trivial_on_series_factors():
         k = rng.randint(1, 3)          # factors below the center layer
         nf = [F5T.random(rng) if j - i >= k else F5T.zero()
               for (i, j) in nf_positions(5)]
-        g = recompose(NormalForm(F5T, 5, tuple(nf)))
+        g = recompose(F5T, 5, nf)
         assert gamma_member(z.apply(g) * g.inv(), k + 1)

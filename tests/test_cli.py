@@ -350,6 +350,27 @@ def test_vacuous_runs_are_refused(argv, capsys):
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["verify-relations", "--ring", "gf(5)[t]", "--n", "9"], "--n must lie in 2..8"),
+    (["verify-relations", "--ring", "gf(5)[t]", "--n", "3", "--samples", "0"],
+     "--samples must be at least 1"),
+    (["reidemeister", "--ring", "gf(5)[t]", "--group", "u2"],
+     "--ring/--group/--auto or --config required"),
+    (["case-analysis", "--ring", "gf(3)", "--f", "t^2+1", "--box", "0"],
+     "--box must be at least 1"),
+    (["distinct-family", "--p", "3", "--alpha", "t->t"],
+     "the identity substitution is excluded"),
+    (["distinct-family", "--p", "2", "--alpha", "t->t+1", "--imax", "0"],
+     "--imax must be at least 1"),
+    (["all"], "use --paper-suite"),
+], ids=["n", "samples", "reidemeister-flags", "box", "identity-alpha", "imax", "all"])
+def test_usage_refusals_keep_their_bytes(argv, err, monkeypatch, capsys):
+    # each refusal raises, and main prints its one error line and exits 2
+    monkeypatch.delenv("TWISTCONJ_SEED", raising=False)
+    assert main(argv) == USAGE
+    assert capsys.readouterr() == ("seed=0\n", f"error: {err}\n")
+
+
 def test_center_and_iso(monkeypatch, capsys):
     assert main(["center", "--ring", "gf(3)", "--group", "b", "--n", "2"]) == PASS
     assert main(["center", "--ring", "gf(2)", "--group", "u", "--n", "3"]) == PASS

@@ -221,3 +221,32 @@ def test_only_main_resolves_prints_and_reports_the_seed():
     assert resolves == {("cli.py", "main")}, f"_seed_of called in: {resolves}"
     assert prints == {("cli.py", "main")}, f"seed= printed in: {prints}"
     assert not builds, f"hand-built seed keys in: {builds}"
+
+
+def test_no_method_is_a_bare_not_implemented_stub():
+    # a base-class method whose whole body, a docstring aside, is a bare
+    # raise NotImplementedError does nothing that a missing attribute does
+    # not: the subclasses' own definitions are the protocol
+    def bare(stmt):
+        if not isinstance(stmt, ast.Raise):
+            return False
+        exc = stmt.exc
+        if isinstance(exc, ast.Call) and not exc.args and not exc.keywords:
+            exc = exc.func
+        return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+    stubs = []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                body = fn.body
+                if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant) \
+                        and isinstance(body[0].value.value, str):
+                    body = body[1:]
+                if len(body) == 1 and bare(body[0]):
+                    stubs.append(f"{path.name}:{cls.name}.{fn.name}")
+    assert not stubs, f"methods that only raise NotImplementedError: {stubs}"
