@@ -82,11 +82,6 @@ class ExperimentSpec:
         self.expect = expect
 
     @classmethod
-    def from_args(cls, args):
-        return cls("reidemeister", args.ring, args.group, args.auto,
-                   args.exp_window, args.diag_window, args.dense, args.expect)
-
-    @classmethod
     def from_file(cls, path):
         with open(path) as fh:
             data = json.load(fh)
@@ -173,12 +168,18 @@ def _truncation_size(ring, rank, dw, ew, dense):
 
 
 def cmd_reidemeister(args):
+    flags = {f: getattr(args, f) for f in ExperimentSpec.FIELDS[1:]
+             if getattr(args, f) is not None}
     if args.config:
+        # a flag beside the file would be dropped: an --expect would check nothing
+        if flags:
+            given = " ".join("--" + f.replace("_", "-") for f in flags)
+            raise RingError(f"--config takes no other experiment flags: {given}")
         spec = ExperimentSpec.from_file(args.config)
     else:
         if not (args.ring and args.group and args.auto):
             raise RingError("--ring/--group/--auto or --config required")
-        spec = ExperimentSpec.from_args(args)
+        spec = ExperimentSpec(**flags)
     ring = parse_ring(spec.ring)
     rng = random.Random(args.seed)
     group = _truncation_group(spec, ring)
@@ -392,9 +393,10 @@ def build_parser():
     p.add_argument("--auto")
     p.add_argument("--config", default=None, metavar="PATH",
                    help="JSON experiment spec instead of flags")
-    p.add_argument("--exp-window", type=int, default=6)
-    p.add_argument("--diag-window", type=int, default=3)
-    p.add_argument("--dense", type=int, default=40,
+    # None when not given: ExperimentSpec supplies the defaults 6, 3 and 40
+    p.add_argument("--exp-window", type=int, default=None)
+    p.add_argument("--diag-window", type=int, default=None)
+    p.add_argument("--dense", type=int, default=None,
                    help="extra sampled dense corners")
     p.add_argument("--expect", type=int, default=None)
     common(p)

@@ -517,11 +517,6 @@ class Group:
         return self.name
 
 
-def _field_units_in_exp_order(F):
-    g = F.primitive()
-    return [F.pow_unit(g, k) for k in range(F.q - 1)]
-
-
 def _random_unit(ring, plus, rng):
     """A random unit of the ring; with plus, a random product of powers
     of its torsion-free unit generators (the diagonal of a '+' group)."""
@@ -638,10 +633,10 @@ class Borel(_Triangular):
 
     def elements(self):
         """Lexicographic in (normal-form coefficients, diagonal exponents
-        over the primitive generator), the first _pinned diagonal entries
+        over the field's least generator), the first _pinned diagonal entries
         held at 1."""
         F, k = self.ring, self._pinned
-        units = [F.one()] if self.plus else _field_units_in_exp_order(F)
+        units = (F.one(),) if self.plus else F.unit_powers
         return self._products([TriMat(F, self.n, (F.one(),) * k + d, {})
                                for d in product(units, repeat=self.n - k)])
 
@@ -671,7 +666,7 @@ class Affine(Group):
 
     def elements(self):
         F = self.ring
-        units = [F.one()] if self.plus else _field_units_in_exp_order(F)
+        units = (F.one(),) if self.plus else F.unit_powers
         for r in F.elements():
             for u in units:
                 yield AffElem(F, u, r)
@@ -698,9 +693,8 @@ class CornerDiagGroup(_Triangular):
     def elements(self):
         """Corner coordinate first, then diagonal exponents."""
         F = self.ring
-        units = _field_units_in_exp_order(F)
         for r in F.elements():
-            for d in product(units, repeat=self.n - 1):
+            for d in product(F.unit_powers, repeat=self.n - 1):
                 yield self._element(r, (F.one(),) + d)
 
 

@@ -622,8 +622,16 @@ def divmod_poly(a: Poly, b: Poly):
     return q, r
 
 
+# trial division tries sum_{d=2}^{deg/2} q^d monic divisors: an irreducible
+# of degree 27 over gf(2), 16 380 of them, took 1.36 s of CPU (2-vCPU x86_64
+# Xeon, Python 3.11), and degree 28 over gf(2) is refused
+MAX_TRIAL_DIVISORS = 2 * 10 ** 4
+
+
 def is_irreducible(f: Poly) -> bool:
-    """Root check for degree <= 3, trial division by monic divisors after."""
+    """Root check for degree <= 3, trial division by monic divisors after;
+    an f with no root and more than MAX_TRIAL_DIVISORS candidate divisors
+    is refused before any division."""
     ring = f.ring
     base = ring.base
     if not isinstance(base, rings.GaloisField) or ring.laurent:
@@ -639,6 +647,10 @@ def is_irreducible(f: Poly) -> bool:
             return deg == 1
     if deg <= 3:
         return True
+    tries = sum(base.q ** d for d in range(2, deg // 2 + 1))
+    if tries > MAX_TRIAL_DIVISORS:
+        raise RingError(f"monic divisors of degree 2..{deg // 2} over {base.tag}: "
+                        f"{tries} > MAX_TRIAL_DIVISORS = {MAX_TRIAL_DIVISORS}")
     for d in range(2, deg // 2 + 1):
         for cand in _monic_of_degree(ring, d):
             if divmod_poly(f, cand)[1].is_zero():

@@ -22,6 +22,10 @@ modulo a fixed irreducible modulus:
     gf(49) = gf(7)[w]/(w^2+1)
 
 Fixing the moduli makes every printed value reproducible bit for bit.
+The tables come from the digits alone: multiplying by w shifts them up one
+place and folds w^k back in through the modulus, a b = sum_i b_i (w^i a),
+and inv(a) is the column of the 1 in row a.  `unit_powers` lists the units
+as the powers 1, g, g^2, ... of the least generator g.
 Integer arithmetic is arbitrary precision throughout.
 """
 
@@ -54,41 +58,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# dense little-endian polynomials over gf(p), used only to build field tables
-
-def _trim(v):
-    v = list(v)
-    while v and v[-1] == 0:
-        v.pop()
-    return v
-
-
-def _pmul(u, v, p):
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, a in enumerate(u):
-        if a:
-            for j, b in enumerate(v):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _trim(out)
-
-
-def _pmod(u, m, p):
-    """u mod m with m monic."""
-    u = list(u)
-    dm = len(m) - 1
-    while len(u) - 1 >= dm and u:
-        lead = u[-1]
-        shift = len(u) - 1 - dm
-        if lead:
-            for i, c in enumerate(m):
-                u[shift + i] = (u[shift + i] - lead * c) % p
-        u.pop()
-    return _trim(u)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +133,6 @@ class GaloisField(Ring):
         while qq > 1:
             qq //= p
             k += 1
-        if p ** k != q:
-            raise RingError(f"unsupported field size {q}")
         modulus = None
         if k > 1:
             modulus = _MODULI.get(q)
@@ -190,47 +157,54 @@ class GaloisField(Ring):
         return out
 
     def _build_tables(self):
-        q, p = self.q, self.p
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = self._digits(a)
-            for b in range(q):
-                db = self._digits(b)
-                add[a][b] = self._code([(x + y) % p for x, y in zip(da, db)])
-                prod = _pmul(da, db, p)
-                if self.k > 1:
-                    prod = _pmod(prod, list(self.modulus), p)
-                prod = (prod + [0] * self.k)[: self.k]
-                mul[a][b] = self._code(prod)
+        q, p, k = self.q, self.p, self.k
+        digits = [self._digits(a) for a in range(q)]
+        # w^k = -(m_0 + m_1 w + ... + m_{k-1} w^{k-1}), by the monic modulus
+        fold = [(-m) % p for m in (self.modulus or ())[:k]]
+        add, mul = [], []
+        for da in digits:
+            add.append([self._code([(x + y) % p for x, y in zip(da, db)]) for db in digits])
+            # the digits of w^i a for i < k: each shift folds its top digit back
+            shifts = [da]
+            for _ in range(1, k):
+                top = shifts[-1][-1]
+                shifted = [0] + shifts[-1][:-1]
+                for j in range(k):
+                    shifted[j] = (shifted[j] + top * fold[j]) % p
+                shifts.append(shifted)
+            # a b = sum_i b_i (w^i a)
+            row = []
+            for db in digits:
+                prod = [0] * k
+                for b_i, shifted in zip(db, shifts):
+                    for j in range(k):
+                        prod[j] += b_i * shifted[j]
+                row.append(self._code([c % p for c in prod]))
+            mul.append(row)
         # the tables, indexed by codes; linalg's row routines read them whole
         self.add_table = add
         self.mul_table = mul
-        self.neg_table = [self._code([(-x) % p for x in self._digits(a)]) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-            else:
-                # a zero divisor: the quotient is no field, and the
-                # primitive search below would never return to 1
+        self.neg_table = [self._code([(-x) % p for x in da]) for da in digits]
+        self._inv = [0]
+        for row in mul[1:]:
+            if 1 not in row:
+                # a zero divisor, so no field: the power walk below would not end
                 raise RingError(f"reducible modulus for gf({q})")
-        self._inv = inv
+            self._inv.append(row.index(1))
         # the text of every code, built once: printing reads it per value
         self._strs = tuple(self._render(a) for a in range(q))
         # and as a polynomial coefficient: a compound text, a sum of powers
         # of w, in parentheses
         self.coeff_texts = tuple(f"({s})" if "+" in s else s for s in self._strs)
-        self._primitive = None
+        # the units in the order 1, g, g^2, ... of the least generator g of
+        # the unit group; the finite groups enumerate their diagonals so
         for g in range(1, q):
-            x, order = g, 1
+            x, powers = g, [1]
             while x != 1:
+                powers.append(x)
                 x = mul[x][g]
-                order += 1
-            if order == q - 1:
-                self._primitive = g
+            if len(powers) == q - 1:
+                self.unit_powers = tuple(powers)
                 break
 
     # protocol -------------------------------------------------------------
@@ -268,10 +242,6 @@ class GaloisField(Ring):
 
     def units(self):
         return range(1, self.q)
-
-    def primitive(self):
-        """A fixed multiplicative generator (smallest element code)."""
-        return self._primitive
 
     def random(self, rng):
         return rng.randrange(self.q)
@@ -319,11 +289,8 @@ class GaloisField(Ring):
                 raise RingError(f"bad element {s!r} of {self.tag}")
             c = int(m.group(1)) if m.group(1) else 1
             e = int(m.group(3)) if m.group(3) else (1 if m.group(2) else 0)
-            c = (sign * c) % self.p
-            val = self._code([c])
-            for _ in range(e):
-                val = self.mul(val, self.p)
-            out = self.add(out, val)
+            # c w^e; the code of w is p
+            out = self.add(out, self.mul((sign * c) % self.p, self.pow_unit(self.p, e)))
         return out
 
 

@@ -300,16 +300,22 @@ def test_distinct_family():
     (["reidemeister", "--ring", "gf(9)[t,t^-1]", "--group", "b2plus",
       "--auto", "ring(t->t^-1)"],
      "pairs of the b2plus(gf(9)[t,t^-1]) truncation: 32092225 > MAX_TRUNCATION_PAIRS"),
+    # an irreducibility test of an f with no root, by trial division
+    (["case-analysis", "--ring", "gf(2)", "--f", "t^41+t^3+1"],
+     "monic divisors of degree 2..20 over gf(2): 2097148 > MAX_TRIAL_DIVISORS"),
+    (["reidemeister", "--ring", "gf(2)[t]", "--group", "u2", "--auto", "phiP(t^41+t^3+1)"],
+     "monic divisors of degree 2..20 over gf(2): 2097148 > MAX_TRIAL_DIVISORS"),
 ], ids=["family-imax", "family-window", "family-top-exponent", "u2", "u2-laurent",
-        "reflection", "partition", "partition-defaults"])
+        "reflection", "partition", "partition-defaults", "case-irreducible",
+        "u2-irreducible"])
 def test_oversized_inputs_are_refused_before_any_work(argv, message, monkeypatch, capsys):
     def ran(*args, **kwargs):
         raise AssertionError("a refused run did work")
 
-    # no window, elimination, truncation or twist is built or run
+    # no window, elimination, truncation, twist or division is built or run
     for target in ("twistconj.cli.LinearWindow", "twistconj.linalg.gf_rref",
                    "twistconj.linalg.gf_reduce", "twistconj.experiments._truncation",
-                   "twistconj.twisted.twist"):
+                   "twistconj.twisted.twist", "twistconj.poly.divmod_poly"):
         monkeypatch.setattr(target, ran)
     assert main(argv) == USAGE
     assert message in capsys.readouterr().err
@@ -540,6 +546,22 @@ def test_reidemeister_config_file(tmp_path):
         reports.append(json.loads(out.read_text()))
     assert [r.pop("experiment") for r in reports] == ["first", "second"]
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("flag", [
+    ["--ring", "gf(4)[t,t^-1]"], ["--group", "b2plus"], ["--auto", "phiB(w)"],
+    ["--exp-window", "1"], ["--diag-window", "1"], ["--dense", "0"], ["--expect", "7"],
+], ids=lambda flag: flag[0])
+def test_config_refuses_other_experiment_flags(flag, tmp_path, monkeypatch, capsys):
+    # the spec counts 4: a dropped --expect 7 would pass having checked nothing
+    monkeypatch.delenv("TWISTCONJ_SEED", raising=False)
+    cfg = tmp_path / "spec.json"
+    cfg.write_text(json.dumps({"ring": "gf(4)[t,t^-1]", "group": "b2plus",
+                               "auto": "phiB(w)", "exp_window": 1, "diag_window": 1,
+                               "dense": 0}))
+    assert main(["reidemeister", "--config", str(cfg), *flag]) == USAGE
+    assert capsys.readouterr() == (
+        "seed=0\n", f"error: --config takes no other experiment flags: {flag[0]}\n")
 
 
 def test_reports_reproduce_bit_for_bit(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 
 from twistconj.poly import is_irreducible, parse_ring, poly_ring
 from twistconj.rings import (
-    _MODULI, LocalizedInt, RingError, ZZ, field, localized, solve_unit_equation,
+    _MODULI, GaloisField, LocalizedInt, RingError, ZZ, field, localized,
+    solve_unit_equation,
 )
 
 ALL_TAGS = ["gf(4)", "gf(5)[t]", "gf(5)[t,t^-1]", "z", "z[1/6]", "z[t]", "z[t,t^-1]"]
@@ -18,25 +19,83 @@ def _random_nonzero(ring, rng):
     return a
 
 
-def gf4_oracle_mul(a, b):
-    """Independent product: polynomial multiplication mod x^2 + x + 1."""
-    da = (a % 2, a // 2)
-    db = (b % 2, b // 2)
-    # (a0 + a1 x)(b0 + b1 x) = a0b0 + (a0b1 + a1b0) x + a1b1 x^2, x^2 = x + 1
-    c0 = da[0] * db[0] + da[1] * db[1]
-    c1 = da[0] * db[1] + da[1] * db[0] + da[1] * db[1]
-    return (c0 % 2) + 2 * (c1 % 2)
+def _digits(a, p, k):
+    return [a // p ** i % p for i in range(k)]
 
 
-def test_gf4_table_matches_modulus_oracle():
-    F = field(4)
-    for a in F.elements():
-        for b in F.elements():
-            assert F.mul(a, b) == gf4_oracle_mul(a, b)
-    w = F.parse("w")
-    w2 = F.mul(w, w)
-    assert F.add(F.add(1, w), w2) == 0          # 1 + w + w^2 = 0
-    assert F.mul(w, w2) == 1                     # w * w^2 = 1
+def _schoolbook_mul(a, b, p, modulus):
+    """Independent product: the digit vectors multiplied as polynomials in
+    w and reduced from the top by the monic modulus (none for prime q)."""
+    k = len(modulus) - 1 if modulus else 1
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(_digits(a, p, k)):
+        for j, y in enumerate(_digits(b, p, k)):
+            prod[i + j] += x * y
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for j, m in enumerate(modulus):
+            prod[top - k + j] -= c * m
+    return sum(c % p * p ** i for i, c in enumerate(prod[:k]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, *sorted(_MODULI)])
+def test_field_tables_match_schoolbook_product(q):
+    F = field(q)
+    p, k, modulus = F.p, F.k, _MODULI.get(q)
+
+    def mul(a, b):
+        return _schoolbook_mul(a, b, p, modulus)
+
+    for a in range(q):
+        da = _digits(a, p, k)
+        assert _digits(F.neg(a), p, k) == [-x % p for x in da]
+        for b in range(q):
+            db = _digits(b, p, k)
+            assert F.mul(a, b) == mul(a, b)
+            assert _digits(F.add(a, b), p, k) == [(x + y) % p for x, y in zip(da, db)]
+            if a:
+                assert (F.inv(a) == b) == (mul(a, b) == 1)
+    # the unit order: the powers of the least element of order q - 1
+    for g in range(1, q):
+        powers = [1]
+        while mul(powers[-1], g) != 1:
+            powers.append(mul(powers[-1], g))
+        if len(powers) == q - 1:
+            break
+    assert F.unit_powers == tuple(powers)
+
+
+def test_reducible_modulus_is_refused(monkeypatch):
+    # w^2 + 2 = (w - 1)(w + 1) over gf(3): w - 1 is a zero divisor
+    monkeypatch.setitem(_MODULI, 9, (2, 0, 1))
+    with pytest.raises(RingError, match=r"^reducible modulus for gf\(9\)$"):
+        GaloisField(9)
+
+
+@pytest.mark.parametrize("q", sorted(_MODULI))
+def test_parse_powers_of_w(q):
+    F = field(q)
+    w, power = F.parse("w"), F.one()
+    for e in range(3 * (q - 1)):
+        assert F.parse(f"w^{e}") == power
+        assert F.parse(f"-2*w^{e}") == F.neg(F.mul(F.from_int(2), power))
+        power = F.mul(power, w)
+
+
+def test_parse_raises_w_by_squaring():
+    F = GaloisField(4)  # a fresh instance: only its own products are counted
+    calls = []
+    mul = F.mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    F.mul = counted
+    assert F.parse("w^1000") == F.parse("w")  # w has order 3, and 1000 = 1 mod 3
+    calls.clear()
+    F.parse("w^1000")
+    assert len(calls) <= 2 * (1000).bit_length() + 1
 
 
 def test_field_inverses():
