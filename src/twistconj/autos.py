@@ -428,9 +428,9 @@ def tf_monomial_exponent(ring, u):
     raise GroupError("diagonal entry has a torsion factor; not in the '+' group")
 
 
-class AffineReflect(Automorphism):
-    """(t^k, f) -> (t^-k, a*f(1/t)) on the torsion-free affine group over
-    gf(q)[t,t^-1]."""
+class _Reflect(Automorphism):
+    """The reflection by a unit a over gf(q)[t,t^-1]; a subclass names
+    its word `head`, sets its domain and applies it."""
 
     def __init__(self, ring: PolyRing, a):
         if not (ring.laurent and isinstance(ring.base, rings.GaloisField)):
@@ -439,6 +439,19 @@ class AffineReflect(Automorphism):
             raise GroupError("the reflection scalar must be a nonzero field element")
         self.ring = ring
         self.a = a
+
+    def word(self):
+        return f"{self.head}({self.ring.base.to_str(self.a)})"
+
+
+class AffineReflect(_Reflect):
+    """(t^k, f) -> (t^-k, a*f(1/t)) on the torsion-free affine group over
+    gf(q)[t,t^-1]."""
+
+    head = "phiA"
+
+    def __init__(self, ring: PolyRing, a):
+        super().__init__(ring, a)
         self.domain = Affine(ring, plus=True)
 
     def apply(self, x: AffElem):
@@ -449,21 +462,15 @@ class AffineReflect(Automorphism):
         r = x.r.reversed_scaled(self.a)
         return AffElem._of(ring, ring.monomial(ring.base.one(), -k), r)
 
-    def word(self):
-        return f"phiA({self.ring.base.to_str(self.a)})"
 
-
-class TriangularReflect(Automorphism):
+class TriangularReflect(_Reflect):
     """((t^k, f), (0, t^j)) -> ((t^-k, a*f(1/t)), (0, t^-j)) on the
     torsion-free 2x2 triangular group over gf(q)[t,t^-1]."""
 
+    head = "phiB"
+
     def __init__(self, ring: PolyRing, a):
-        if not (ring.laurent and isinstance(ring.base, rings.GaloisField)):
-            raise GroupError("reflection needs gf(q)[t,t^-1]")
-        if not ring.base.is_unit(a):
-            raise GroupError("the reflection scalar must be a nonzero field element")
-        self.ring = ring
-        self.a = a
+        super().__init__(ring, a)
         self.domain = Borel(ring, 2, plus=True)
 
     def apply(self, m: TriMat):
@@ -476,9 +483,6 @@ class TriangularReflect(Automorphism):
         h = m.upper.get((1, 2))
         upper = {} if h is None else {(1, 2): h.reversed_scaled(self.a)}
         return TriMat._of(ring, 2, diag, upper)
-
-    def word(self):
-        return f"phiB({self.ring.base.to_str(self.a)})"
 
 
 class AugScale(Automorphism):

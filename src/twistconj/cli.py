@@ -28,10 +28,7 @@ from .autos import AffineReflect, TriangularReflect, parse_auto
 from .groups import Additive, Affine, Borel, GroupError
 from .poly import parse_ring, parse_ring_auto, poly_ring
 from .rings import RingError, field, localized, solve_unit_equation
-from .twisted import (
-    LinearWindow, additive_class_count, brute_force_partition, case_analysis,
-    is_reflection_unit,
-)
+from .twisted import LinearWindow, additive_class_count, case_analysis, is_reflection_unit
 
 EXIT_PASS, EXIT_MISMATCH, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
@@ -43,10 +40,10 @@ EXIT_PASS, EXIT_MISMATCH, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3
 MAX_FAMILY_IMAX, MAX_FAMILY_WINDOW = 6, 257
 # the exponents of a u2 window: 3.2 s (t -> 5t+1 over gf(97)[t]);
 MAX_U2_WINDOW = 401
-# a truncation, whose size counts a sampled corner as its 2e+1 monomials:
-# 5.5 s and 75 MB to classify 194 481 b2plus elements over gf(9)[t,t^-1],
-# 24.1 s to twist all 1377^2 pairs of a smaller one.
-MAX_TRUNCATION_SIZE, MAX_TRUNCATION_PAIRS = 2 * 10 ** 5, 2 * 10 ** 6
+# a reflection truncation, whose size counts a sampled corner as its 2e+1
+# monomials: 5.5 s and 75 MB to classify 194 481 b2plus elements over
+# gf(9)[t,t^-1].
+MAX_TRUNCATION_SIZE = 2 * 10 ** 5
 
 
 class ExperimentSpec:
@@ -159,12 +156,9 @@ def _refuse_over(what, size, name, bound):
 
 def _truncation_size(ring, rank, dw, ew, dense):
     """(2dw+1)^rank grid diagonals times 1 + (q-1)(2ew+1) corners, plus
-    `dense` sampled corners of 2ew+1 monomials; None where the builder
-    refuses the ring or a negative exponent first, with its own message."""
-    if isinstance(getattr(ring, "base", None), rings.GaloisField) and \
-            (ring.laurent or not (dw or ew)):
-        return (2 * dw + 1) ** rank * (1 + (ring.base.q - 1) * (2 * ew + 1)) + \
-            dense * (2 * ew + 1)
+    `dense` sampled corners of 2ew+1 monomials, over gf(q)[t,t^-1]."""
+    return (2 * dw + 1) ** rank * (1 + (ring.base.q - 1) * (2 * ew + 1)) + \
+        dense * (2 * ew + 1)
 
 
 def cmd_reidemeister(args):
@@ -201,24 +195,25 @@ def cmd_reidemeister(args):
         print(f"count={count} stabilized={stabilized} "
               f"(dim {cc.dim}, rank {cc.rank}, counts {list(cc.counts_tried)})")
     else:
-        if isinstance(phi.domain, Additive):
+        # a word of another group: mul(...), tauAlpha(...), or phiA on b2plus
+        if phi.domain.name != group.name:
             raise GroupError(f"group {spec.group} needs a matrix or affine automorphism word")
-        rank = 2 if isinstance(group, Borel) else 1  # of the diagonal torus
-        reflection = isinstance(phi, (TriangularReflect, AffineReflect)) and \
-            is_reflection_unit(ring.base, phi.a)
-        size = _truncation_size(ring, rank, dw, ew, spec.dense)
-        if size is not None and reflection:
-            _refuse_over(f"size of the {group.name} truncation", size,
+        if not (isinstance(phi, (TriangularReflect, AffineReflect)) and
+                is_reflection_unit(ring.base, phi.a)):
+            # the truncation builder's refusals of the ring and the exponents
+            LinearWindow(ring, -ew, ew)
+            ring.monomial(ring.base.one(), -dw)
+            print(f"undecided (no certified count for {phi.word()} on {group.name})")
+            uname, count, class_list, stabilized = None, None, [], False
+        else:
+            rank = 2 if isinstance(group, Borel) else 1  # of the diagonal torus
+            _refuse_over(f"size of the {group.name} truncation",
+                         _truncation_size(ring, rank, dw, ew, spec.dense),
                          "MAX_TRUNCATION_SIZE", MAX_TRUNCATION_SIZE)
-        elif size is not None:
-            _refuse_over(f"element pairs of the {group.name} truncation", size * size,
-                         "MAX_TRUNCATION_PAIRS", MAX_TRUNCATION_PAIRS)
-        build = experiments.truncated_b2plus if rank == 2 else experiments.truncated_affplus
-        universe = build(ring, dw, ew, rng, dense=spec.dense)
-        uname = (f"{'b2plus' if rank == 2 else 'aff-plus'} |k|<={dw} |m|<={ew} "
-                 f"(+{spec.dense} sampled)")
-
-        if reflection:
+            build = experiments.truncated_b2plus if rank == 2 else experiments.truncated_affplus
+            universe = build(ring, dw, ew, rng, dense=spec.dense)
+            uname = (f"{'b2plus' if rank == 2 else 'aff-plus'} |k|<={dw} |m|<={ew} "
+                     f"(+{spec.dense} sampled)")
             classes = experiments.classify_universe(universe, phi)
             count = len(classes)
             # decided once every diagonal parity class is met: 2^rank, 4 for
@@ -227,13 +222,6 @@ def cmd_reidemeister(args):
             class_list = [{"rep": repr(rep), "witnessed_members": m}
                           for rep, m in classes.values()]
             print(f"count={count} (constructive witnesses for {len(universe)} elements)")
-        else:
-            part = brute_force_partition(universe, phi, group, universe_name=uname)
-            count = part.count
-            stabilized = part.complete
-            class_list = [{"rep": repr(rep), "witnessed_members": size}
-                          for rep, size in part.classes]
-            print(f"count={count} complete={part.complete} (raw truncation count)")
     _emit(args, spec.name, ring=ring.tag, auto=phi.word(), universe=uname,
           count=count, classes=class_list, stabilized=stabilized)
     if spec.expect is not None:

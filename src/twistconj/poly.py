@@ -474,9 +474,6 @@ class IdentityAuto(RingAutoDesc):
     def word(self):
         return "t->t"
 
-    def __eq__(self, o):
-        return isinstance(o, IdentityAuto)
-
 
 class PolySub(RingAutoDesc):
     """t -> a*t + b with a a unit of the coefficient ring, and b = 0 over
@@ -531,10 +528,6 @@ class PolySub(RingAutoDesc):
         a, b = base.to_str(self.a), base.to_str(self.b)
         return f"t->{a}*t+{b}" if b != "0" else f"t->{a}*t"
 
-    def __eq__(self, o):
-        return isinstance(o, PolySub) and self.ring is o.ring and \
-            self.a == o.a and self.b == o.b
-
 
 class LaurentFlip(RingAutoDesc):
     """t -> 1/t on a Laurent ring."""
@@ -551,9 +544,6 @@ class LaurentFlip(RingAutoDesc):
 
     def word(self):
         return "t->t^-1"
-
-    def __eq__(self, o):
-        return isinstance(o, LaurentFlip) and self.ring is o.ring
 
 
 def parse_ring_auto(word: str, ring: PolyRing) -> RingAutoDesc:

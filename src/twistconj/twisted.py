@@ -1,11 +1,10 @@
 """Twisted conjugacy: the twist action h g phi(h)^-1, constructive class
 solvers for the reflection automorphisms, image/cokernel computations on
-truncated coefficient windows, a partition oracle for finite universes
-(on a finite group, cosets of the image of h -> h phi(h)^-1 when it is
-abelian; otherwise one union-find over the twists by a twisting set:
-the generating set that groups.generating_set reads off a group, every
-element of any other universe), and the bounded exponent-tuple case
-search for diagonal substitutions.
+truncated coefficient windows, a partition oracle for finite groups that
+phi preserves (cosets of the image of h -> h phi(h)^-1 when the group is
+abelian; otherwise one union-find over the twists by the generating set
+that groups.generating_set reads off it), and the bounded exponent-tuple
+case search for diagonal substitutions.
 
 The additive computations run over windows: a window fixes a finite range
 of monomial exponents and treats the corresponding coefficient space as a
@@ -292,7 +291,7 @@ class TwistedPartition(NamedTuple):
     universe: str
     classes: tuple          # ((representative, size), ...) in first-seen order
     count: int
-    complete: bool          # False when the twist action left the universe
+    complete: bool          # always True (an escaping twist raises); perfbench reads it
     witnesses: tuple        # merge log: (h, g, twisted) with twisted = h g phi(h)^-1
 
     def verify(self, phi, group=None):
@@ -306,39 +305,36 @@ class TwistedPartition(NamedTuple):
 
 def brute_force_partition(universe, phi: Automorphism, group=None,
                           universe_name="") -> TwistedPartition:
-    """The classes of g ~ h g phi(h)^-1 over all h in the universe.
+    """The classes of g ~ h g phi(h)^-1 over all h in the universe, a
+    finite group that phi preserves.
 
-    When the universe is a finite group (it holds the identity and is
-    closed under products) groups.generating_set reads a generating set
-    S off it; _prepared does so once per universe.  If S commutes
-    pairwise the classes are cosets (_coset_classes); otherwise
-    _union_classes joins g to s g phi(s)^-1 for every g and every s in S.
-    That the orbits under S are the full classes relies on phi being a
-    homomorphism, which is assumed here: the catalog's homomorphism
-    checks do not sample the oracle's maps.  When the universe is not a
-    group, or a twist leaves it, every element is a twister, and a twist
-    that leaves the universe flags the partition incomplete.  All paths
-    give the same classes (min-index representatives, in min-index
+    groups.generating_set reads a generating set S off the universe;
+    _prepared does so once per universe.  If S commutes pairwise the
+    classes are cosets (_coset_classes); otherwise _union_classes joins g
+    to s g phi(s)^-1 for every g and every s in S.  That the orbits under
+    S are the full classes relies on phi being a homomorphism, which is
+    assumed here: the catalog's homomorphism checks do not sample the
+    oracle's maps.  A universe that lacks the identity or is not closed
+    under products is refused, and so is a phi that moves some s out of
+    the universe (for a homomorphism, phi(U) is then not inside U).  Both
+    paths give the same classes (min-index representatives, in min-index
     order) and |U| - count witnesses.
     """
     group = group or phi.domain
     els = tuple(universe)
     index, gens, commute = _prepared(els, group)
-    complete = False
+    if gens is None:
+        raise GroupError("the universe is not a finite group")
     if commute:
-        cosets = _coset_classes(els, index, gens, phi, group)
-        if cosets is not None:
-            (classes, witnesses), complete = cosets, True
-    elif gens is not None:
-        classes, witnesses, complete = _union_classes(els, index, gens, phi, group)
-    if not complete:
-        classes, witnesses, complete = _union_classes(els, index, els, phi, group)
+        classes, witnesses = _coset_classes(els, index, gens, phi, group)
+    else:
+        classes, witnesses = _union_classes(els, index, gens, phi, group)
     return TwistedPartition(
         auto_word=phi.word(),
         universe=universe_name or f"{len(els)} elements",
         classes=tuple(classes),
         count=len(classes),
-        complete=complete,
+        complete=True,
         witnesses=tuple(witnesses),
     )
 
@@ -370,13 +366,12 @@ def _index_of(els):
     return index
 
 
-def _union_classes(els, index, twisters, phi, group):
-    """(classes, witnesses, complete): union-find joins g to
-    t = s g phi(s)^-1 for every g in els and s in twisters, in that
-    order, logging (s, g, t) when t was in another class; phi(s)^-1 is
-    computed once per twister.  A t outside the universe is skipped and
-    makes the partition incomplete.  Each class is represented by its
-    least index, and the classes come in that order."""
+def _union_classes(els, index, gens, phi, group):
+    """(classes, witnesses): union-find joins g to t = s g phi(s)^-1 for
+    every g in els and s in gens, in that order, logging (s, g, t) when t
+    was in another class; phi(s)^-1 is computed once per generator.  A t
+    outside the universe raises GroupError.  Each class is represented by
+    its least index, and the classes come in that order."""
     parent = list(range(len(els)))
 
     def find(x):
@@ -385,31 +380,30 @@ def _union_classes(els, index, twisters, phi, group):
             x = parent[x]
         return x
 
-    twisters = [(s, group.inv(phi.apply(s))) for s in twisters]
-    complete, witnesses = True, []
+    twisters = [(s, group.inv(phi.apply(s))) for s in gens]
+    witnesses = []
     for gi, g in enumerate(els):
         root = find(gi)
         for s, u in twisters:
             t = group.mul(group.mul(s, g), u)
             ti = index.get(t)
             if ti is None:
-                complete = False
-                continue
+                raise GroupError(f"{phi.word()} does not preserve the universe")
             other = find(ti)
             if other != root:
                 root, other = min(root, other), max(root, other)
                 parent[other] = root
                 witnesses.append((s, g, t))
     sizes = Counter(find(i) for i in range(len(els)))
-    return [(els[r], n) for r, n in sorted(sizes.items())], witnesses, complete
+    return [(els[r], n) for r, n in sorted(sizes.items())], witnesses
 
 
 def _coset_classes(els, index, gens, phi, group):
-    """(classes, witnesses) when the generators commute pairwise, or None
-    when a twist leaves the universe.  The universe is then abelian, the
-    twist by s is x -> x c_s with c_s = s phi(s)^-1, and the classes are
-    the cosets g K of K = <c_s>: groups.close_cosets closes K one c_s at
-    a time, each new k = k' c_s recording its parent (k', s), and the
+    """(classes, witnesses) when the generators commute pairwise, so the
+    universe is abelian; a c_s outside it raises GroupError.  The twist
+    by s is x -> x c_s with c_s = s phi(s)^-1, and the classes are the
+    cosets g K of K = <c_s>: groups.close_cosets closes K one c_s at a
+    time, each new k = k' c_s recording its parent (k', s), and the
     coset g K has the witnesses (s, g k', g k).  Closing K costs about
     |K| products plus |S| per coset representative, the cosets |U|."""
     cs = [group.div(s, phi.apply(s)) for s in gens]
@@ -417,7 +411,7 @@ def _coset_classes(els, index, gens, phi, group):
     K, parents, in_K = [e], [None], {e}     # parents[n] = (j, k): K[n] = K[j] cs[k]
     for k, c in enumerate(cs):
         if c not in in_K and not close_cosets(K, parents, in_K, cs[:k + 1], index, group):
-            return None
+            raise GroupError(f"{phi.word()} does not preserve the universe")
     seen = [False] * len(els)
     classes, witnesses = [], []
     for i, g in enumerate(els):

@@ -114,16 +114,6 @@ def _json_bytes(report):
     return (json.dumps(report, indent=2) + "\n").encode()
 
 
-_PARTITION_CLASSES = [
-    {"rep": "1", "witnessed_members": 1},
-    {"rep": "e(1,2;t^-1)", "witnessed_members": 2},
-    {"rep": "e(1,2;2*t^-1)", "witnessed_members": 2},
-    {"rep": "e(1,2;1)", "witnessed_members": 2},
-    {"rep": "e(1,2;2)", "witnessed_members": 1},
-    {"rep": "e(1,2;t^-1 + 2 + t)", "witnessed_members": 1},
-]
-
-
 @pytest.mark.parametrize("argv, stdout, report", [
     (["verify-relations", "--ring", "gf(5)[t]", "--n", "3", "--samples", "20"],
      "seed=0\nrelations: 20 samples on gf(5)[t], n=3: pass\n",
@@ -135,15 +125,15 @@ _PARTITION_CLASSES = [
      {"experiment": "reidemeister", "ring": "gf(2)[t]",
       "auto": "mul(1)*phiP(1 + t + t^2)", "universe": "u2 window [0,3]",
       "count": 1, "classes": [], "stabilized": True, "seed": 0}),
-    # a raw orbit-closure partition; the seed draws the sampled dense corner
+    # a word with no certified count: undecided, and no truncation is built
     (["reidemeister", "--ring", "gf(3)[t,t^-1]", "--group", "b2plus",
       "--auto", "ring(t->t^-1)", "--exp-window", "1", "--diag-window", "0",
       "--dense", "2", "--seed", "3"],
-     "seed=3\ncount=6 complete=False (raw truncation count)\n",
+     "seed=3\nundecided (no certified count for ring(t->t^-1) on "
+     "b2plus(gf(3)[t,t^-1]))\n",
      {"experiment": "reidemeister", "ring": "gf(3)[t,t^-1]",
-      "auto": "ring(t->t^-1)", "universe": "b2plus |k|<=0 |m|<=1 (+2 sampled)",
-      "count": 6, "classes": _PARTITION_CLASSES, "stabilized": False,
-      "seed": 3}),
+      "auto": "ring(t->t^-1)", "universe": None, "count": None, "classes": [],
+      "stabilized": False, "seed": 3}),
     (["case-analysis", "--ring", "gf(3)", "--f", "t^2+1", "--box", "2"],
      "seed=0\nf = 1 + t^2 over gf(3), box 2:\n"
      "  (a,b,c,d)=(-1,0,-2,1)  det=-1  det(1-M)=0\n"
@@ -240,14 +230,18 @@ def test_reidemeister_additive(capsys):
                  "--auto", "mul(1)"]) == USAGE
 
 
-def test_reidemeister_raw_counts_below_q4():
-    # the small fields have no classification unit; raw truncated counts
+def test_reidemeister_is_undecided_below_q4(capsys):
+    # the small fields have no classification unit, so no certified count
     assert main(["reidemeister", "--ring", "gf(2)[t,t^-1]", "--group", "b2plus",
                  "--auto", "phiB(1)", "--exp-window", "2", "--diag-window", "1",
                  "--dense", "0"]) == PASS
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "undecided (no certified count for phiB(1) on b2plus(gf(2)[t,t^-1]))"
     assert main(["reidemeister", "--ring", "gf(3)[t,t^-1]", "--group", "b2plus",
                  "--auto", "phiB(2)", "--exp-window", "1", "--diag-window", "1",
                  "--dense", "0", "--expect", "4"]) == UNDECIDED
+    assert capsys.readouterr().out.splitlines()[1] == \
+        "undecided (no certified count for phiB(2) on b2plus(gf(3)[t,t^-1]))"
 
 
 def test_case_analysis(tmp_path):
@@ -293,21 +287,13 @@ def test_distinct_family():
     (["reidemeister", "--ring", "gf(9)[t,t^-1]", "--group", "aff-plus", "--auto", "phiA(w)",
       "--diag-window", "100", "--exp-window", "60", "--dense", "44"],
      "size of the affplus(gf(9)[t,t^-1]) truncation: 200093 > MAX_TRUNCATION_SIZE"),
-    (["reidemeister", "--ring", "gf(3)[t,t^-1]", "--group", "b2plus", "--auto", "ring(t->t^-1)",
-      "--diag-window", "0", "--exp-window", "353", "--dense", "0"],
-     "pairs of the b2plus(gf(3)[t,t^-1]) truncation: 2002225 > MAX_TRUNCATION_PAIRS"),
-    # the default flags: 5 185 elements, 49 * 105 + 40 * 13 = 5 665 in size
-    (["reidemeister", "--ring", "gf(9)[t,t^-1]", "--group", "b2plus",
-      "--auto", "ring(t->t^-1)"],
-     "pairs of the b2plus(gf(9)[t,t^-1]) truncation: 32092225 > MAX_TRUNCATION_PAIRS"),
     # an irreducibility test of an f with no root, by trial division
     (["case-analysis", "--ring", "gf(2)", "--f", "t^41+t^3+1"],
      "monic divisors of degree 2..20 over gf(2): 2097148 > MAX_TRIAL_DIVISORS"),
     (["reidemeister", "--ring", "gf(2)[t]", "--group", "u2", "--auto", "phiP(t^41+t^3+1)"],
      "monic divisors of degree 2..20 over gf(2): 2097148 > MAX_TRIAL_DIVISORS"),
 ], ids=["family-imax", "family-window", "family-top-exponent", "u2", "u2-laurent",
-        "reflection", "partition", "partition-defaults", "case-irreducible",
-        "u2-irreducible"])
+        "reflection", "case-irreducible", "u2-irreducible"])
 def test_oversized_inputs_are_refused_before_any_work(argv, message, monkeypatch, capsys):
     def ran(*args, **kwargs):
         raise AssertionError("a refused run did work")
@@ -321,17 +307,89 @@ def test_oversized_inputs_are_refused_before_any_work(argv, message, monkeypatch
     assert message in capsys.readouterr().err
 
 
+_GF3_B2 = ["--ring", "gf(3)[t,t^-1]", "--group", "b2plus"]
+
+
+@pytest.mark.parametrize("argv, line", [
+    # formerly refused for the element pairs a raw partition would twist
+    ([*_GF3_B2, "--auto", "ring(t->t^-1)", "--diag-window", "0", "--exp-window", "353",
+      "--dense", "0"], "ring(t->t^-1) on b2plus(gf(3)[t,t^-1])"),
+    (["--ring", "gf(9)[t,t^-1]", "--group", "b2plus", "--auto", "ring(t->t^-1)"],
+     "ring(t->t^-1) on b2plus(gf(9)[t,t^-1])"),
+    # 1 - a^2 = 0 over gf(3): no classification unit
+    ([*_GF3_B2, "--auto", "phiB(1)"], "phiB(1) on b2plus(gf(3)[t,t^-1])"),
+    ([*_GF3_B2, "--auto", "phiB(2)"], "phiB(2) on b2plus(gf(3)[t,t^-1])"),
+    ([*_GF3_B2, "--auto", "inner(d(1;t))"], "inner(d(1;t)) on b2plus(gf(3)[t,t^-1])"),
+    # this truncation is a subgroup with 3 classes, but R(id) is infinite:
+    # --expect 3 passed on the raw count of its partition
+    ([*_GF3_B2, "--auto", "id", "--exp-window", "0", "--diag-window", "0", "--dense", "0"],
+     "id on b2plus(gf(3)[t,t^-1])"),
+    (["--ring", "gf(3)[t,t^-1]", "--group", "aff-plus", "--auto", "phiA(1)"],
+     "phiA(1) on affplus(gf(3)[t,t^-1])"),
+], ids=["partition", "partition-defaults", "phiB(1)", "phiB(2)", "inner", "id",
+        "phiA(1)"])
+def test_words_without_a_certified_count_are_undecided(argv, line, monkeypatch, capsys):
+    def ran(*args, **kwargs):
+        raise AssertionError("an undecided run did work")
+
+    # no truncation is built, no twist or elimination run
+    for target in ("twistconj.experiments._truncation", "twistconj.twisted.twist",
+                   "twistconj.linalg.gf_rref"):
+        monkeypatch.setattr(target, ran)
+    monkeypatch.delenv("TWISTCONJ_SEED", raising=False)
+    out = f"seed=0\nundecided (no certified count for {line})\n"
+    assert main(["reidemeister", *argv]) == PASS
+    assert capsys.readouterr().out == out
+    assert main(["reidemeister", *argv, "--expect", "3"]) == UNDECIDED
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("group, auto", [
+    ("b2plus", "tauAlpha(t->t^-1)"), ("b2plus", "phiA(w)"), ("b2plus", "phiA(1)"),
+    ("aff-plus", "phiB(1)"),
+], ids=["pair-word", "affine-reflection", "affine-non-reflection", "matrix-word"])
+def test_words_of_another_group_are_refused_before_any_work(group, auto, monkeypatch,
+                                                            capsys):
+    # formerly refused from inside the truncation's partition or classification
+    monkeypatch.setattr("twistconj.experiments._truncation", None)
+    assert main(["reidemeister", "--ring", "gf(4)[t,t^-1]", "--group", group,
+                 "--auto", auto]) == USAGE
+    assert capsys.readouterr().err == \
+        f"error: group {group} needs a matrix or affine automorphism word\n"
+
+
+def test_a_negative_diagonal_exponent_is_refused_without_a_truncation(monkeypatch, capsys):
+    # the builder's refusal of t^-d over gf(q)[t] stays, and nothing is built
+    monkeypatch.setattr("twistconj.experiments._truncation", None)
+    assert main(["reidemeister", "--ring", "gf(5)[t]", "--group", "b2plus", "--auto", "id",
+                 "--exp-window", "0", "--diag-window", "1"]) == USAGE
+    assert capsys.readouterr().err == "error: negative exponent in gf(5)[t]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["distinct-family", "--p", "10007", "--alpha", "t->t+1"],
+    ["reidemeister", "--ring", "gf(10007)[t]", "--group", "u2", "--auto", "mul(1)"],
+], ids=["distinct-family", "reidemeister"])
+def test_field_order_is_bounded_before_any_table(argv, monkeypatch, capsys):
+    def ran(self):
+        raise AssertionError("a refused field built its tables")
+
+    monkeypatch.setattr("twistconj.rings.GaloisField._build_tables", ran)
+    monkeypatch.delenv("TWISTCONJ_SEED", raising=False)
+    assert main(argv) == USAGE
+    assert capsys.readouterr() == \
+        ("seed=0\n", "error: order of gf(10007): 10007 > MAX_FIELD_ORDER = 251\n")
+
+
 def test_truncation_size_bounds_what_the_builder_makes(capsys):
-    F4L, F9L, F3L = (parse_ring(f"gf({q})[t,t^-1]") for q in (4, 9, 3))
+    F4L, F9L = (parse_ring(f"gf({q})[t,t^-1]") for q in (4, 9))
     # with no sampled corner the size is the element count
     for rank, build in ((2, experiments.truncated_b2plus), (1, experiments.truncated_affplus)):
         assert len(build(F4L, 1, 2, random.Random(0), 0)) == \
             cli._truncation_size(F4L, rank, 1, 2, 0)
-    # the refused runs above lie just over their bounds
+    # the refused run above lies just over its bound
     assert cli._truncation_size(F9L, 1, 100, 60, 43) <= cli.MAX_TRUNCATION_SIZE < \
         cli._truncation_size(F9L, 1, 100, 60, 44)
-    assert cli._truncation_size(F3L, 2, 0, 352, 0) ** 2 <= cli.MAX_TRUNCATION_PAIRS < \
-        cli._truncation_size(F3L, 2, 0, 353, 0) ** 2
     # a ring or an exponent that the builder refuses keeps its own message
     for ring, group, flags, err in (
             ("gf(5)[t]", "b2plus", ["--exp-window", "400"], "negative exponents outside"),

@@ -459,17 +459,15 @@ def test_inner_twist_keeps_count():
 
 
 def test_partition_flags_escape():
-    # a truncation that is not closed under the twist action
+    # a truncation that is not closed under products: refused, not partitioned
     ring = F4L
     B = Borel(ring, 2, plus=True)
     phi = TriangularReflect(ring, reflection_unit(F4))
     one = ring.base.one()
     universe = [TriMat(ring, 2, (ring.monomial(one, i), ring.monomial(one, j)), {})
                 for i in (-1, 0, 1) for j in (-1, 0, 1)]
-    part = brute_force_partition(universe, phi, B)
-    assert not part.complete
-    # not closed under products either: the all-pairs fallback, unchanged
-    assert part == _all_pairs_partition(universe, phi, B)
+    with pytest.raises(GroupError, match="the universe is not a finite group"):
+        brute_force_partition(universe, phi, B)
 
 
 def test_oracle_equivalence_sample():
@@ -635,20 +633,20 @@ def test_generating_set_size_does_not_depend_on_list_order():
 
 
 def test_partition_falls_back_without_identity():
+    # a universe without the identity is no group: refused
     phi = CenterScale(F4, F4.parse("w"))
     universe = [x for x in F4.elements() if x != F4.zero()]
-    part = brute_force_partition(universe, phi)
-    assert part == _all_pairs_partition(universe, phi)
-    assert not part.complete
+    with pytest.raises(GroupError, match="the universe is not a finite group"):
+        brute_force_partition(universe, phi)
 
 
 def test_partition_falls_back_when_phi_leaves_the_subgroup():
-    # the window t^0..t^3 is an additive subgroup; t -> 1/t does not keep it
+    # the window t^0..t^3 is an additive subgroup; t -> 1/t does not keep
+    # it, and the coset path refuses it
     phi = RingMap(LaurentFlip(F2L), Additive(F2L))
     universe = list(LinearWindow(F2L, 0, 3).elements())
-    part = brute_force_partition(universe, phi)
-    assert part == _all_pairs_partition(universe, phi)
-    assert not part.complete
+    with pytest.raises(GroupError, match=r"^ring\(t->t\^-1\) does not preserve the universe$"):
+        brute_force_partition(universe, phi)
 
 
 def test_partition_falls_back_when_phi_leaves_a_nonabelian_subgroup():
@@ -660,10 +658,10 @@ def test_partition_falls_back_when_phi_leaves_a_nonabelian_subgroup():
     gens = generating_set(universe, _index_of(universe), B)
     assert gens == [elementary(F3, 3, 1, 2, 1), diag_elem(F3, 3, 1, 2)]
     assert gens[0] * gens[1] != gens[1] * gens[0]
+    # the union-find over the generators refuses it
     phi = Inner(elementary(F3, 3, 2, 3, 1), B)
-    part = brute_force_partition(universe, phi, B)
-    assert part == _all_pairs_partition(universe, phi, B)
-    assert part.count == 4 and not part.complete
+    with pytest.raises(GroupError, match=r"^inner\(.*\) does not preserve the universe$"):
+        brute_force_partition(universe, phi, B)
 
 
 def _det_fraction(rows):
