@@ -4,10 +4,14 @@ Gaussian elimination over the finite fields of the rings module.
 Integer matrices are plain lists of row lists.  A gf row is a dict
 {column: code} that holds only its nonzero entries, and the columns are
 ordered by their keys.  A field context must accompany every gf routine.
-Every gf elimination step is one _sub, which computes x - f*y over the
-union of the two supports through the field's tables, so a cell costs
-table lookups and no field call.  Everything here is pure; the
-dimensions in this package stay below a few hundred.
+Every gf elimination step is one _sub, which updates x -= f*y in place
+over y's support through the field's tables, so a cell costs table
+lookups and no field call.  _sub only ever updates a row its caller
+owns: gf_reduce copies its input once, before the first update, and
+gf_rref and gf_det update only their private rows.  gf_rref finds the
+basis rows that hold a new pivot through a column index, so its work
+grows with the fill, not with rank times rows.  No public routine mutates
+its arguments; the dimensions in this package stay below a few hundred.
 """
 
 from __future__ import annotations
@@ -50,33 +54,39 @@ def det_one_minus(rows) -> int:
 # gf(q) routines; `F` is a GaloisField context, entries are codes
 
 def _sub(F, x, f, y):
-    """The sparse row x - f*y; neither x nor y is mutated."""
-    out = dict(x)
+    """x -= f*y in place, over y's support; x and y are distinct rows."""
     if f:
-        add, neg, mul = F.add_table, F.neg_table, F.mul_table[f]
+        add, mul = F.add_table, F.mul_table[F.neg_table[f]]
         for c, v in y.items():
-            w = add[out.get(c, 0)][neg[mul[v]]]
+            w = add[x.get(c, 0)][mul[v]]
             if w:
-                out[c] = w
+                x[c] = w
             else:
-                del out[c]
-    return out
+                del x[c]
 
 
 def gf_reduce(F, x, basis):
     """x reduced by a reduced basis {pivot: row}.  A basis row is zero at
-    every other pivot, so x's coefficients at the pivots are read once."""
-    for c, f in [(c, f) for c, f in x.items() if c in basis]:
-        x = _sub(F, x, f, basis[c])
+    every other pivot, so x's coefficients at the pivots are read once.
+    x itself is returned when it holds no pivot, else one updated copy."""
+    hits = [(c, f) for c, f in x.items() if c in basis]
+    if hits:
+        x = dict(x)
+        for c, f in hits:
+            _sub(F, x, f, basis[c])
     return x
 
 
 def gf_rref(F, rows):
     """(rref, pivot columns) of sparse rows, the reduced rows in pivot
     order.  Each row is reduced by the basis built so far, normalised at
-    its least column, and that column is cleared from the basis.  Input
-    rows are not mutated."""
+    its least column p, and p is cleared from the basis rows that hold
+    it.  `holders` maps a column to the pivots of the rows that may hold
+    it: an update records the columns it adds to a row, and an entry goes
+    stale when its column cancels.  The basis rows are private copies, so
+    input rows are not mutated and none is returned."""
     basis = {}
+    holders = {}
     for row in rows:
         x = gf_reduce(F, row, basis)
         if not x:
@@ -84,9 +94,16 @@ def gf_rref(F, rows):
         p = min(x)
         scale = F.mul_table[F.inv(x[p])]
         x = {c: scale[v] for c, v in x.items()}
-        for c, b in basis.items():
+        for q in holders.pop(p, ()):
+            b = basis[q]
             if p in b:
-                basis[c] = _sub(F, b, b[p], x)
+                new = [c for c in x if c not in b]
+                _sub(F, b, b[p], x)
+                for c in new:
+                    holders.setdefault(c, []).append(q)
+        for c in x:
+            holders.setdefault(c, []).append(p)
+        del holders[p]
         basis[p] = x
     pivots = sorted(basis)
     return [basis[c] for c in pivots], pivots
@@ -106,8 +123,10 @@ def gf_solve(F, rows, ncols):
 
 def gf_det(F, rows):
     """The determinant of a square matrix of codes, given as row lists."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("determinant of a non-square matrix")
     a = [{c: v for c, v in enumerate(r) if v} for r in rows]
-    n = len(a)
     det = F.one()
     for c in range(n):
         pr = next((i for i in range(c, n) if c in a[i]), None)
@@ -120,5 +139,5 @@ def gf_det(F, rows):
         s = F.inv(a[c][c])
         for i in range(c + 1, n):
             if c in a[i]:
-                a[i] = _sub(F, a[i], F.mul(a[i][c], s), a[c])
+                _sub(F, a[i], F.mul(a[i][c], s), a[c])
     return det

@@ -181,26 +181,118 @@ def test_empty_matrix():
 
 @pytest.mark.parametrize("q", QS)
 def test_sub_matches_cells_over_the_union_of_supports(q):
+    """_sub updates x in place to x - f*y and leaves y as it was."""
     F = field(q)
     rng = random.Random(f"sub-{q}")
 
     def cells(x, f, y, n):
         return _sparse([F.sub(u, F.mul(f, v)) for u, v in zip(_dense(x, n), _dense(y, n))])
 
+    def updated(x, f, y):
+        ys = dict(y)
+        _sub(F, x, f, y)
+        assert y == ys                             # y is not mutated
+        return x
+
     for _ in range(50):
         n = rng.randrange(1, 12)
         x = _sparse([rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(n)])
         y = _sparse([rng.randrange(q) if rng.random() < 0.5 else 0 for _ in range(n)])
         f = rng.randrange(q)
-        xs, ys = dict(x), dict(y)
-        assert _sub(F, x, f, y) == cells(x, f, y, n)
-        assert (x, y) == (xs, ys)                  # neither input is mutated
-        assert _sub(F, x, 0, y) == x and _sub(F, x, 0, y) is not x
+        want = cells(x, f, y, n)
+        assert updated(x, f, y) == want
+        xs = dict(x)
+        assert updated(x, 0, y) == xs
         # disjoint supports: x's entries kept, -f*y's added
         z = {c + n: v for c, v in y.items()}
-        assert _sub(F, x, f, z) == cells(x, f, z, 2 * n)
+        want = cells(x, f, z, 2 * n)
+        assert updated(x, f, z) == want
         # full cancellation: x - f*(x/f) leaves nothing
         if f:
             fy = {c: F.mul(F.inv(f), v) for c, v in x.items()}
-            assert _sub(F, x, f, fy) == {}
-        assert _sub(F, x, 1, x) == {}
+            assert updated(dict(x), f, fy) == {}
+        assert updated(dict(x), 1, x) == {}
+
+
+# ---------------------------------------------------------------------------
+# row orders that stress the column index of gf_rref
+
+def _upper(F, rng, n, width):
+    """Dense upper-triangular rows: a unit at column i, nonzeros after it."""
+    return [[0] * i + [rng.randrange(1, F.q) for _ in range(width - i)] for i in range(n)]
+
+
+def _adversarial(F, rng):
+    n = 7
+    upper = _upper(F, rng, n, n + 3)
+    # top-down, each new pivot sits in every earlier basis row; bottom-up
+    # none does
+    yield upper
+    yield upper[::-1]
+    # full-support rows, more than the columns: every pivot in every row
+    yield [[rng.randrange(1, F.q) for _ in range(n)] for _ in range(n + 3)]
+    # block-diagonal rows, the blocks interleaved
+    blocks, width = [], 0
+    for size in (3, 1, 4, 2):
+        for row in _upper(F, rng, size, size)[::-1]:
+            blocks.append((width, row))
+        width += size
+    rng.shuffle(blocks)
+    yield [[0] * at + row + [0] * (width - at - len(row)) for at, row in blocks]
+    # repeated and cancelling rows: rank two
+    row, other = _upper(F, rng, 2, n)
+    both = [F.add(u, v) for u, v in zip(row, other)]
+    yield [row, row, [F.neg(v) for v in row], both, other,
+           [F.neg(v) for v in both], [0] * n, row]
+    # sparse rows that share the last column, then a dense row that
+    # reduces to it: its pivot sits in every earlier basis row
+    yield ([[0] * i + [1] + [0] * (n - 2 - i) + [rng.randrange(1, F.q)] for i in range(n - 1)]
+           + [[rng.randrange(1, F.q) for _ in range(n)]])
+
+
+@pytest.mark.parametrize("q", QS)
+def test_adversarial_row_orders_match_the_reference(q):
+    F = field(q)
+    rng = random.Random(f"orders-{q}")
+    for _ in range(4):
+        for a in _adversarial(F, rng):
+            ncols = len(a[0])
+            rows = [_sparse(r) for r in a]
+            before = [dict(r) for r in rows]
+            red, pivots = gf_rref(F, rows)
+            assert rows == before                  # no input row is mutated
+            assert not {id(r) for r in red} & {id(r) for r in rows}
+            assert ([_dense(r, ncols) for r in red], pivots) == _ref_rref(F, a)
+            _assert_reduced(F, red, pivots, ncols)
+            basis = dict(zip(pivots, red))
+            kept = [dict(r) for r in red]
+            space = [_dense(r, ncols) for r in red]
+            # a vector that holds no pivot comes back as itself; any other
+            # comes back as a new row, zero at every pivot and congruent to
+            # the vector modulo the row space
+            for v in [*rows, _sparse([rng.randrange(q) for _ in range(ncols)])]:
+                vs = dict(v)
+                r = gf_reduce(F, v, basis)
+                assert v == vs
+                if basis.keys().isdisjoint(v):
+                    assert r is v
+                else:
+                    assert r is not v and basis.keys().isdisjoint(r)
+                    diff = [F.sub(x, y) for x, y in zip(_dense(v, ncols), _dense(r, ncols))]
+                    assert len(_ref_rref(F, space + [diff])[1]) == len(pivots)
+            assert red == kept                     # nor is a basis row
+            rhs = [rng.randrange(q) for _ in a]
+            aug = [_sparse(r + [v]) for r, v in zip(a, rhs)]
+            before = [dict(r) for r in aug]
+            assert gf_solve(F, aug, ncols) == _ref_solve(F, a, rhs)
+            assert aug == before
+            if len(a) == ncols:
+                assert gf_det(F, a) == _ref_det(F, a)
+
+
+@pytest.mark.parametrize("rows", [[[1, 2, 3], [4, 0, 1]], [[1, 2], [3]], [[1], [2], [3]],
+                                  [[1, 2], [3, 4, 0]]],
+                         ids=["2x3", "ragged", "3x1", "ragged-long"])
+def test_gf_det_refuses_a_non_square_matrix(rows):
+    with pytest.raises(ValueError, match="non-square"):
+        gf_det(field(5), rows)
