@@ -36,9 +36,9 @@ EXIT_PASS, EXIT_MISMATCH, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3
 # errors; the solvers still regrow their windows, so undecided stays
 # undecided.  CPU at each bound, on a 2-vCPU x86_64 Xeon with Python 3.11:
 # distinct-family solves imax(imax+1)/2 pairs on the exponents
-# [0, max(--window, p(p-1)imax + p - 1)]: 0.34 s (p 11, imax 2, t -> t+1);
+# [0, max(--window, p(p-1)imax + p - 1)]: 0.2 s (p 11, imax 2, t -> t+1);
 MAX_FAMILY_IMAX, MAX_FAMILY_WINDOW = 6, 257
-# the exponents of a u2 window: 0.8 s (t -> 5t+1 over gf(97)[t]);
+# the exponents of a u2 window: 0.4 s (t -> 5t+1 over gf(97)[t]);
 MAX_U2_WINDOW = 401
 # a reflection truncation, whose size counts a sampled corner as its 2e+1
 # monomials: 5.5 s and 75 MB to classify 194 481 b2plus elements over

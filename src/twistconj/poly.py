@@ -331,6 +331,10 @@ class Poly:
         return self.ring.pow_unit(self, k)
 
     def scale(self, c):
+        # values are immutable, so a scale by one hands back self; zero and
+        # monomials still go through _of, which hands out the shared ones
+        if c == self.ring._base_one and len(self.terms) > 1:
+            return self
         base = self.ring.base
         out = {}
         for e, v in self.terms.items():

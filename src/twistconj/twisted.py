@@ -9,21 +9,23 @@ case search for diagonal substitutions.
 The additive computations run over windows: a window fixes a finite range
 of monomial exponents and treats the corresponding coefficient space as a
 vector space over gf(q); a pair window does the same for R x R.  One
-routine, _images, computes (id - phi)(S) for a source window S against a
-target window W: the images of S's basis, each built once per call of
-a solver, as sparse rows eliminated with the coordinates outside W
-ordered first and W's last.  Deciding membership of r in the image grows
+incremental routine, _ImageSpan, computes (id - phi)(S) for a growing
+source window S against a target window W: each image of S's basis is
+built once, when a source first holds it, as a sparse row on column ids
+that stay fixed as S grows (W's positions 0 .. dim-1, every outside
+coordinate a negative id), and each growth eliminates only its new rows
+against the reduced ones.  Deciding membership of r in the image grows
 S round by round: r is a member when it reduces to zero against the
-rows, and otherwise the reduced rows that start inside W are the
-canonical basis of the image intersected with W.  The growth stops when
-that basis stays the same twice in a row; "undecided" is an explicit
-outcome, never silently converted into an answer.  A class count takes
-S = W, which must be invariant, and reads the cokernel off the number of
-pivots.
+reduced rows that start inside W, the canonical basis of the image
+intersected with W.  The growth stops when that basis stays the same
+twice in a row; "undecided" is an explicit outcome, never silently
+converted into an answer.  A class count grows S from W, each window
+invariant, and reads the cokernel off the rank.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from functools import cache, lru_cache
 from itertools import product
@@ -48,9 +50,10 @@ class _Window:
 
     Both kinds of window speak one protocol: `positions()` gives the
     coordinate keys in window order, `terms(x)` maps a vector to
-    {key: coefficient}, `make(terms)` builds the vector back, `bounds` is
-    the exponent range (lo, hi) and `span` its length.  The coordinate
-    routines below are written once against that protocol."""
+    {key: coefficient}, `make(terms)` builds the vector back, `unit(k)`
+    is the basis vector at key k, `bounds` is the exponent range (lo, hi)
+    and `span` its length.  The coordinate routines below are written
+    once against that protocol."""
 
     def __init__(self, ring, positions, bounds):
         self.ring = ring
@@ -108,6 +111,9 @@ class LinearWindow(_Window):
     def make(self, terms):
         return self.ring.make(terms)
 
+    def unit(self, e):
+        return self.ring.monomial(self.ring.base.one(), e)
+
     def grow(self, step: int) -> "LinearWindow":
         lo = self.lo - step if self.ring.laurent else max(0, self.lo - step)
         return LinearWindow(self.ring, lo, self.hi + step)
@@ -133,6 +139,11 @@ class PairWindow(_Window):
         for (side, e), c in terms.items():
             sides[side][e] = c
         return (self.ring.make(sides[0]), self.ring.make(sides[1]))
+
+    def unit(self, key):
+        side, e = key
+        m, z = self.win.unit(e), self.ring.zero()
+        return (m, z) if side == 0 else (z, m)
 
     def grow(self, step):
         return PairWindow(self.win.grow(step))
@@ -170,16 +181,17 @@ MAX_ROUNDS = 8
 def additive_membership(r, phi: Automorphism, window, growth=None) -> MembershipVerdict:
     """Decide r in Im(id - phi) against a target window W.
 
-    Each round is one call of _images on the solving window: r is a
-    member exactly when it reduces to zero against the reduced images;
-    only then does gf_solve find the witness h, which is re-verified as
-    r = h - phi(h).  Otherwise the reduced rows whose pivot falls in the
-    W block, cut to W, are the canonical basis of the intersection of
-    Im(id - phi) with W.  The solving window grows by `growth` (default
-    twice the window span) until that basis is unchanged twice in a row,
-    or MAX_ROUNDS growths leave the verdict undecided.  The rounds share
-    one image cache, so each basis image is built once.
+    One _ImageSpan grows with the solving window, round by round: r is a
+    member exactly when it reduces to zero against the span's canonical
+    W-basis, the basis of Im(id - phi) intersected with W; only then does
+    gf_solve find the witness h, which is re-verified as r = h - phi(h).
+    The solving window grows by `growth` (default twice the window span,
+    at least 1) until that basis is unchanged twice in a row, or
+    MAX_ROUNDS growths leave the verdict undecided.  Each basis image is
+    built once, and each round eliminates only the new ones.
     """
+    if growth is not None and growth < 1:
+        raise RingError(f"growth {growth} < 1 leaves the solving window as it is")
     pairs = isinstance(window, PairWindow)
     dom = phi.domain
     if pairs and not isinstance(dom, AdditivePairs):
@@ -188,29 +200,22 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
         raise GroupError("additive membership needs an additive automorphism")
     if not window.contains(r):
         raise RingError("target vector leaves the window")
-    F = window.field
     step = growth if growth is not None else 2 * window.span
-    cache = {}
+    span = _ImageSpan(phi, window)
+    rhs = span.row(window.terms(r))
     tried = []
     prev_canon = None
     stable = 0
     source = window
     for _ in range(MAX_ROUNDS + 1):
         tried.append(source.bounds)
-        rows, basis, cut, index = _images(phi, source, window, cache)
-        rhs = {index[k]: c for k, c in window.terms(r).items()}
-        if not linalg.gf_reduce(F, rhs, basis):
-            # the witness system: the images as columns, r as the constants
-            system = [{} for _ in index]
-            for j, row in enumerate(rows + [rhs]):
-                for c, v in row.items():
-                    system[c][j] = v
-            h = source.from_coords(linalg.gf_solve(F, system, len(rows)))
+        span.grow(source)
+        canon = span.canonical()
+        if not linalg.gf_reduce(window.field, rhs, canon):
+            h = span.solve(source, rhs)
             if dom.div(h, phi.apply(h)) != r:
                 raise AssertionError("membership witness failed re-verification")
             return MembershipVerdict(True, True, h, tuple(tried))
-        canon = tuple({c - cut: v for c, v in row.items()}
-                      for p, row in basis.items() if p >= cut)
         if canon == prev_canon:
             stable += 1
             if stable >= 2:
@@ -222,33 +227,78 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
     return MembershipVerdict(False, False, None, tuple(tried))
 
 
-def _images(phi, source, window, cache):
-    """(id - phi)(S) for S = `source`, eliminated in block order:
-    (rows, basis, cut, index).
+class _ImageSpan:
+    """(id - phi)(S) for a growing source window S, against a target
+    window W, as reduced sparse rows over gf(q).
 
-    The rows are the images b - phi(b) of S's basis, in S's order, as
-    sparse rows over the ambient coordinates: the `cut` coordinates
-    outside the target window W (sorted) first and W's positions last (in
-    window order); `index` maps a coordinate key to its column.  `basis`
-    maps each pivot of their reduced row echelon form to its row, in
-    pivot order.  An image depends on phi and the basis position alone,
-    so `cache` maps a position to its image terms and is shared by every
-    window of one computation."""
-    dom = phi.domain
-    one = window.field.one()
-    images = []
-    for k in source.positions():
-        img = cache.get(k)
-        if img is None:
-            b = source.make({k: one})
-            img = cache[k] = window.terms(dom.div(b, phi.apply(b)))
-        images.append(img)
-    target = window.positions()
-    outside = sorted({k for img in images for k in img} - set(target))
-    index = {k: i for i, k in enumerate(outside + list(target))}
-    rows = [{index[k]: c for k, c in img.items()} for img in images]
-    red, pivots = linalg.gf_rref(window.field, rows)
-    return rows, dict(zip(pivots, red)), len(outside), index
+    Each image b - phi(b) of a basis vector b of S is built once, the
+    first time a source holds b, and becomes a row on stable column ids:
+    W's positions are the columns 0 .. dim-1 in window order, and every
+    coordinate outside W gets a negative id in the order it first
+    appears.  `grow` eliminates the previous reduced rows together with
+    the new ones, which by uniqueness of the RREF is the elimination of
+    all of them.  A reduced row whose pivot is in W is zero on every
+    outside column, so the rows with a pivot >= 0 are the canonical basis
+    of Im(id - phi) intersected with W, whatever the order of the outside
+    ids; so are the rank, membership and the gf_solve witness.
+    """
+
+    def __init__(self, phi, window):
+        self.phi = phi
+        self.window = window
+        self.col = {k: i for i, k in enumerate(window.positions())}
+        self.images = {}            # basis position of S -> its image row
+        self.red, self.pivots = [], []
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def row(self, terms):
+        """The sparse row of a vector's terms; a new key gets the next
+        negative id."""
+        col = self.col
+        out = {}
+        for k, c in terms.items():
+            i = col.get(k)
+            if i is None:
+                i = col[k] = self.window.dim - 1 - len(col)
+            out[i] = c
+        return out
+
+    def grow(self, source, closed=False):
+        """Add the images of the source's basis vectors not imaged yet and
+        re-reduce.  With `closed`, an image that leaves the source raises
+        GroupError: the source must be invariant."""
+        phi, dom, images = self.phi, self.phi.domain, self.images
+        new = []
+        for k in source.positions():
+            if k not in images:
+                b = source.unit(k)
+                img = dom.div(b, phi.apply(b))
+                if closed and not source.contains(img):
+                    raise GroupError(f"{source!r} is not invariant under {phi.word()}")
+                images[k] = self.row(self.window.terms(img))
+                new.append(images[k])
+        self.red, self.pivots = linalg.gf_rref(self.window.field, self.red + new)
+
+    def canonical(self):
+        """{pivot: row} of the reduced rows with their pivot in W, in pivot
+        order: the canonical basis of the image intersected with W."""
+        cut = bisect_left(self.pivots, 0)
+        return dict(zip(self.pivots[cut:], self.red[cut:]))
+
+    def solve(self, source, rhs):
+        """An h in the source window with (id - phi)(h) = rhs, a row in
+        the image: gf_solve on the images as columns, in the source's
+        order, and rhs as the constants."""
+        cols = [self.images[k] for k in source.positions()]
+        system = {}
+        for j, row in enumerate(cols + [rhs]):
+            for c, v in row.items():
+                system.setdefault(c, {})[j] = v
+        return source.from_coords(
+            linalg.gf_solve(self.window.field, list(system.values()), len(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +313,20 @@ class ClassCount(NamedTuple):
 
 
 def additive_class_count(phi: Automorphism, window, rounds=2) -> ClassCount:
-    """q ** dim(coker(id - phi)) on a phi-invariant window: _images of the
-    window onto itself, whose rank is its number of pivots.  The window
-    is regrown `rounds` times, sharing one image cache; the count is
-    flagged stable when it does not move, and a growing count is
-    evidence of an infinite class set."""
-    cache = {}
+    """q ** dim(coker(id - phi)) on a phi-invariant window, from the rank
+    of an _ImageSpan of the window.  The window is regrown `rounds` times
+    (at least 0), each regrowth adding only its new images to the span,
+    and every image must stay inside its window; the count is flagged
+    stable when it does not move, and a growing count is evidence of an
+    infinite class set."""
+    if rounds < 0:
+        raise RingError(f"rounds {rounds} < 0 counts nothing")
+    span = _ImageSpan(phi, window)
     tried = []
     src = window
     for _ in range(rounds + 1):
-        _, basis, cut, _ = _images(phi, src, src, cache)
-        if cut:
-            raise GroupError(f"{src!r} is not invariant under {phi.word()}")
-        tried.append((src.dim, len(basis)))
+        span.grow(src, closed=True)
+        tried.append((src.dim, span.rank))
         src = src.grow(phi.block_size * max(1, src.span // 2))
     counts = tuple(window.field.q ** (dim - rank) for dim, rank in tried)
     dim, rank = tried[0]

@@ -217,6 +217,28 @@ def test_substitutions_and_scaling_hand_out_the_shared_one():
         assert t.scale(ring.base.one()) == t
 
 
+@pytest.mark.parametrize("tag", POLY_TAGS)
+def test_scale_by_one_is_the_same_object(tag):
+    # PolySub.apply scales every kept power by its coefficient: a scale by
+    # one hands back a value of two or more terms itself (zero and the
+    # monomials stay _of's shared objects), any other scalar scales each term
+    ring = parse_ring(tag)
+    base = ring.base
+    rng = random.Random(tag)
+    values = [ring.zero(), ring.one(), ring.gen()]
+    values += [ring.random(rng, max_terms=5, span=4) for _ in range(20)]
+    scalars = [base.from_int(k) for k in (0, -1, 2, 3)] + [base.random_unit(rng)]
+    for f in values:
+        before = dict(f.terms)
+        if len(f.terms) > 1:
+            assert f.scale(base.one()) is f
+        assert f.scale(base.one()) == f
+        for c in scalars:
+            ref = ring.make({e: base.mul(c, v) for e, v in f.terms.items()})
+            assert f.scale(c) == ref
+        assert f.terms == before
+
+
 def _units(ring):
     """The units c*t^e of ring, for |e| <= 3 in a Laurent ring."""
     base = ring.base

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistconj import experiments, twisted
+from twistconj import experiments, linalg, twisted
 from twistconj.autos import (
     AffineReflect, Automorphism, BlockCompanion, CenterScale, Compose,
     IdentityMap, Inner, PairSwap, RingMap, TriangularReflect,
@@ -19,7 +19,7 @@ from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
 from twistconj.rings import ZZ, RingError, field
 from test_linalg import _ref_rref
 from twistconj.twisted import (
-    LinearWindow, PairWindow, TwistedPartition, _images, _index_of, _prepared,
+    LinearWindow, PairWindow, TwistedPartition, _ImageSpan, _index_of, _prepared,
     additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
     pair_distinctness, reflection_corner, reflection_unit,
@@ -185,36 +185,166 @@ def test_window_solvers_build_each_image_once():
     assert phi.calls == 96
 
 
-def test_images_basis_matches_the_dense_reference():
-    """_images' reduced basis, and so its canonical W-block basis, equals
+def _dense_reference(phi, source, window):
+    """(canonical W-basis, rank, outside count) of (id - phi)(source) from
     the per-cell reference RREF of the dense block-ordered image matrix:
-    the coordinates outside W sorted first, W's own last."""
+    the coordinates outside W sorted first, W's own last.  The canonical
+    basis is the reduced rows with their pivot in the W block, cut to W."""
+    dom, F = phi.domain, window.field
+    images = []
+    for k in source.positions():
+        b = source.make({k: F.one()})
+        images.append(window.terms(dom.mul(b, dom.inv(phi.apply(b)))))
+    target = list(window.positions())
+    outside = sorted({k for img in images for k in img} - set(target))
+    dense = [[img.get(k, 0) for k in outside + target] for img in images]
+    red, pivots = _ref_rref(F, dense)
+    cut = len(outside)
+    canon = [row[cut:] for row, c in zip(red, pivots) if c >= cut]
+    return canon, len(pivots), cut
+
+
+def _dense_canonical(span):
+    return [[row.get(c, 0) for c in range(span.window.dim)]
+            for row in span.canonical().values()]
+
+
+def test_images_basis_matches_the_dense_reference():
+    """_ImageSpan's canonical W-basis and rank equal those of the dense
+    block-ordered reference, and it numbers as many outside coordinates.
+    The span orders the outside columns by first appearance, not sorted,
+    so its rows with an outside pivot are its own and are not compared:
+    the canonical basis, the rank and membership do not depend on them."""
     cases = (
         (RingMap(PolySub(F5T, 2, 1), Additive(F5T)), LinearWindow(F5T, 0, 6)),
         (RingMap(LaurentFlip(F3L), Additive(F3L)), LinearWindow(F3L, -2, 5)),
         (PairSwap(LaurentFlip(F3L), F3L), PairWindow(LinearWindow(F3L, -2, 3))),
     )
     for phi, window in cases:
-        dom, F = phi.domain, window.field
         for source in (window, window.grow(3)):
-            images = []
-            for k in source.positions():
-                b = source.make({k: F.one()})
-                images.append(window.terms(dom.mul(b, dom.inv(phi.apply(b)))))
-            target = list(window.positions())
-            outside = sorted({k for img in images for k in img} - set(target))
-            dense = [[img.get(k, 0) for k in outside + target] for img in images]
-            red, pivots = _ref_rref(F, dense)
-            cut = len(outside)
-            canon = [row[cut:] for row, c in zip(red, pivots) if c >= cut]
+            canon, rank, cut = _dense_reference(phi, source, window)
             assert canon
 
-            _, basis, got_cut, index = _images(phi, source, window, {})
-            assert got_cut == cut and list(index) == outside + target
-            assert list(basis) == pivots
-            assert [[row.get(c, 0) for c in range(len(index))] for row in basis.values()] == red
-            assert [[row.get(index[k], 0) for k in target]
-                    for c, row in basis.items() if c >= cut] == canon
+            span = _ImageSpan(phi, window)
+            span.grow(source)
+            assert len(span.col) - window.dim == cut
+            assert span.rank == rank
+            assert _dense_canonical(span) == canon
+            assert all(min(row) == c for c, row in span.canonical().items())
+
+
+P_COMPANION = F2T.parse("t^2+t+1")
+# (phi, target window, growth step) for the per-round checks
+_ROUND_CASES = {
+    "sub": (RingMap(PolySub(F5T, 2, 1), Additive(F5T)), LinearWindow(F5T, 0, 6), 3),
+    "flip": (RingMap(LaurentFlip(F3L), Additive(F3L)), LinearWindow(F3L, -2, 5), 2),
+    "id": (IdentityMap(Additive(F3T)), LinearWindow(F3T, 0, 3), 2),
+    "swap": (PairSwap(LaurentFlip(F3L), F3L), PairWindow(LinearWindow(F3L, -2, 3)), 2),
+    "companion": (Compose([CenterScale(F2T, F2T.one()), BlockCompanion(P_COMPANION)]),
+                  LinearWindow(F2T, 0, 5), 6),
+}
+
+
+@pytest.mark.parametrize("name", _ROUND_CASES)
+def test_image_span_rounds_match_a_from_scratch_elimination(name, monkeypatch):
+    # every round of a growing span has the canonical W-basis and rank of
+    # a from-scratch elimination, and passes gf_rref only its reduced rows
+    # and its new images
+    phi, window, step = _ROUND_CASES[name]
+    passed = []
+    gf_rref = linalg.gf_rref
+
+    def counting(F, rows):
+        passed.append(len(rows))
+        return gf_rref(F, rows)
+
+    monkeypatch.setattr("twistconj.linalg.gf_rref", counting)
+    span = _ImageSpan(phi, window)
+    source = window
+    for _ in range(4):
+        new = len(set(source.positions()) - set(span.images))
+        bound = span.rank + new
+        passed.clear()
+        span.grow(source)
+        assert len(passed) == 1 and passed[0] <= bound
+        canon, rank, _ = _dense_reference(phi, source, window)
+        assert span.rank == rank
+        assert _dense_canonical(span) == canon
+        source = source.grow(step)
+
+
+@pytest.mark.parametrize("phi, window", [
+    (RingMap(PolySub(F5T, 2, 1), Additive(F5T)), LinearWindow(F5T, 0, 6)),
+    (RingMap(LaurentFlip(F5L), Additive(F5L)), LinearWindow(F5L, -3, 3)),
+    (IdentityMap(Additive(F3T)), LinearWindow(F3T, 0, 3)),
+    (_ROUND_CASES["companion"][0], LinearWindow(F2T, 0, 5)),
+], ids=["sub", "flip", "id", "companion"])
+def test_class_count_regrowths_match_a_from_scratch_rank(phi, window):
+    cc = additive_class_count(phi, window, rounds=3)
+    src, counts = window, []
+    for _ in range(4):
+        _, rank, cut = _dense_reference(phi, src, src)
+        assert cut == 0
+        counts.append(window.field.q ** (src.dim - rank))
+        src = src.grow(phi.block_size * max(1, src.span // 2))
+    assert cc.counts_tried == tuple(counts)
+
+
+def _value(ring, x):
+    return tuple(ring.parse(s) for s in x) if isinstance(x, tuple) else ring.parse(x)
+
+
+# (case, r, witness or None, windows tried) as returned before the span
+# replaced the per-round elimination; growth is the case's step
+_PINNED_VERDICTS = [
+    ("sub", "3 + t + t^3 + 2*t^5 + t^6", "3*t + 2*t^2 + 2*t^3 + 2*t^5 + 3*t^6", ((0, 6),)),
+    ("sub", "1 + 3*t + 2*t^2 + 4*t^5 + 4*t^6", "4*t + t^2 + 2*t^5 + 2*t^6", ((0, 6),)),
+    ("sub", "4 + 2*t^3 + 2*t^5", "4*t^2 + 4*t^3 + 3*t^5", ((0, 6),)),
+    ("sub", "1 + 2*t^2 + 3*t^4 + 4*t^6", None, ((0, 6), (0, 9), (0, 12))),
+    ("flip", "t^2 + t - t^-1 - t^-2", "2*t^-2 + 2*t^-1", ((-2, 5),)),
+    ("flip", "2*t^2 - 2*t^-2", "t^-2", ((-2, 5),)),
+    ("flip", "1 + t + t^3 + 2*t^4", None, ((-2, 5), (-4, 7), (-6, 9))),
+    ("id", "0", "0", ((0, 3),)),
+    ("id", "2*t^2 + t^3", None, ((0, 3), (0, 5), (0, 7))),
+    ("swap", ("t^-1 + 1 + 2*t^2", "t^-2 + 2 + 2*t"), ("t^-1 + 1 + 2*t^2", "0"), ((-2, 3),)),
+    ("swap", ("2*t^-2 + t^-1 + 2", "1 + 2*t + t^2"), ("2*t^-2 + t^-1 + 2", "0"), ((-2, 3),)),
+    ("swap", ("2 + t^2 + 2*t^3", "2*t^-2 + 2 + t^3"), None, ((-2, 3), (-4, 5), (-6, 7))),
+    ("companion", "1 + t + t^2 + t^4", "1 + t^3 + t^5", ((0, 5),)),
+    ("companion", "1 + t^2 + t^3 + t^4", "t + t^2 + t^5", ((0, 5),)),
+]
+
+
+@pytest.mark.parametrize("name, r, witness, tried", _PINNED_VERDICTS)
+def test_membership_witnesses_match_the_pinned_ones(name, r, witness, tried):
+    phi, window, step = _ROUND_CASES[name]
+    ring = window.ring
+    v = additive_membership(_value(ring, r), phi, window, growth=step)
+    assert v.decided and v.member == (witness is not None)
+    assert v.witness == (None if witness is None else _value(ring, witness))
+    assert v.windows_tried == tried
+
+
+def test_window_solvers_refuse_a_growth_or_round_count_that_checks_nothing(monkeypatch):
+    # r = (id - phi)(t^2) is found by the default growth; growth 0 kept the
+    # window [0, 1] and called r "decided, not a member"
+    phi = RingMap(PolySub(F5T, 1, 1), Additive(F5T))
+    window = LinearWindow(F5T, 0, 1)
+    r = F5T.parse("4 + 3*t")
+    assert additive_membership(r, phi, window) == (True, True, F5T.parse("t^2"),
+                                                   ((0, 1), (0, 5)))
+    assert additive_class_count(phi, window, rounds=0).counts_tried == (5,)
+
+    def ran(*args, **kwargs):
+        raise AssertionError("a refused call did work")
+
+    for target in ("twistconj.linalg.gf_rref", "twistconj.linalg.gf_reduce"):
+        monkeypatch.setattr(target, ran)
+    monkeypatch.setattr(phi, "apply", ran)
+    for growth in (0, -1):
+        with pytest.raises(RingError, match="growth"):
+            additive_membership(r, phi, window, growth=growth)
+    with pytest.raises(RingError, match="rounds"):
+        additive_class_count(phi, window, rounds=-1)
 
 
 def _corner_by_polys(f, a, k, l, x, y):
