@@ -10,17 +10,18 @@ The additive computations run over windows: a window fixes a finite range
 of monomial exponents and treats the corresponding coefficient space as a
 vector space over gf(q); a pair window does the same for R x R.  One
 incremental routine, _ImageSpan, computes (id - phi)(S) for a growing
-source window S against a target window W: each image of S's basis is
-built once, when a source first holds it, as a sparse row on column ids
-that stay fixed as S grows (W's positions 0 .. dim-1, every outside
-coordinate a negative id), and each growth eliminates only its new rows
-against the reduced ones.  Deciding membership of r in the image grows
-S round by round: r is a member when it reduces to zero against the
-reduced rows that start inside W, the canonical basis of the image
-intersected with W.  The growth stops when that basis stays the same
-twice in a row; "undecided" is an explicit outcome, never silently
-converted into an answer.  A class count grows S from W, each window
-invariant, and reads the cokernel off the rank.
+source window S against a target window W: the image of each basis
+vector b of S is built once, when a source first holds b, straight into
+a sparse row on column ids that stay fixed as S grows (W's positions
+0 .. dim-1, every outside coordinate a negative id): 1 at b's column
+minus phi(b)'s coefficients, on the gf(q) tables.  Each growth
+eliminates only its new rows against the reduced ones.  Deciding
+membership of r in the image grows S round by round: r is a member when
+it reduces to zero against the reduced rows that start inside W, the
+canonical basis of the image intersected with W.  The growth stops when
+that basis stays the same twice in a row; "undecided" is an explicit
+outcome, never silently converted into an answer.  A class count grows
+S from W, each window invariant, and reads the cokernel off the rank.
 """
 
 from __future__ import annotations
@@ -192,16 +193,10 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
     """
     if growth is not None and growth < 1:
         raise RingError(f"growth {growth} < 1 leaves the solving window as it is")
-    pairs = isinstance(window, PairWindow)
-    dom = phi.domain
-    if pairs and not isinstance(dom, AdditivePairs):
-        raise GroupError("pair window needs an automorphism of R x R")
-    if not pairs and not isinstance(dom, Additive):
-        raise GroupError("additive membership needs an additive automorphism")
+    span = _ImageSpan(phi, window)
     if not window.contains(r):
         raise RingError("target vector leaves the window")
     step = growth if growth is not None else 2 * window.span
-    span = _ImageSpan(phi, window)
     rhs = span.row(window.terms(r))
     tried = []
     prev_canon = None
@@ -213,7 +208,7 @@ def additive_membership(r, phi: Automorphism, window, growth=None) -> Membership
         canon = span.canonical()
         if not linalg.gf_reduce(window.field, rhs, canon):
             h = span.solve(source, rhs)
-            if dom.div(h, phi.apply(h)) != r:
+            if phi.domain.div(h, phi.apply(h)) != r:
                 raise AssertionError("membership witness failed re-verification")
             return MembershipVerdict(True, True, h, tuple(tried))
         if canon == prev_canon:
@@ -232,18 +227,31 @@ class _ImageSpan:
     window W, as reduced sparse rows over gf(q).
 
     Each image b - phi(b) of a basis vector b of S is built once, the
-    first time a source holds b, and becomes a row on stable column ids:
-    W's positions are the columns 0 .. dim-1 in window order, and every
+    first time a source holds b, as a row on stable column ids: W's
+    positions are the columns 0 .. dim-1 in window order, and every
     coordinate outside W gets a negative id in the order it first
-    appears.  `grow` eliminates the previous reduced rows together with
-    the new ones, which by uniqueness of the RREF is the elimination of
-    all of them.  A reduced row whose pivot is in W is zero on every
-    outside column, so the rows with a pivot >= 0 are the canonical basis
-    of Im(id - phi) intersected with W, whatever the order of the outside
-    ids; so are the rank, membership and the gf_solve witness.
+    appears, b's key before phi(b)'s.  The row is read off phi(b) alone,
+    with no ring value for the difference.  Both window solvers build
+    their span here, so the check that phi acts on the window's R (or
+    R x R) is made once, before any image.  `grow` eliminates the
+    previous reduced rows together with the new ones, which by
+    uniqueness of the RREF is the elimination of all of them.  A reduced
+    row whose pivot is in W is zero on every outside column, so the rows
+    with a pivot >= 0 are the canonical basis of Im(id - phi) intersected
+    with W, whatever the order of the outside ids; so are the rank,
+    membership and the gf_solve witness.
     """
 
     def __init__(self, phi, window):
+        dom = phi.domain
+        if isinstance(window, PairWindow):
+            if not isinstance(dom, AdditivePairs):
+                raise GroupError("pair window needs an automorphism of R x R")
+        elif not isinstance(dom, Additive):
+            raise GroupError("additive membership needs an additive automorphism")
+        if dom.ring is not window.ring:
+            raise GroupError(f"{phi.word()} acts on {dom.ring.tag}, "
+                             f"not on the window's {window.ring.tag}")
         self.phi = phi
         self.window = window
         self.col = {k: i for i, k in enumerate(window.positions())}
@@ -257,30 +265,40 @@ class _ImageSpan:
     def row(self, terms):
         """The sparse row of a vector's terms; a new key gets the next
         negative id."""
-        col = self.col
-        out = {}
-        for k, c in terms.items():
-            i = col.get(k)
-            if i is None:
-                i = col[k] = self.window.dim - 1 - len(col)
-            out[i] = c
-        return out
+        col, last = self.col, self.window.dim - 1
+        return {col.setdefault(k, last - len(col)): c for k, c in terms.items()}
 
     def grow(self, source, closed=False):
-        """Add the images of the source's basis vectors not imaged yet and
-        re-reduce.  With `closed`, an image that leaves the source raises
-        GroupError: the source must be invariant."""
-        phi, dom, images = self.phi, self.phi.domain, self.images
+        """Add the image rows of the source's basis vectors not imaged yet
+        and re-reduce.  A basis vector b = source.unit(k) has the single
+        term 1 at k, so the row of b - phi(b) is 1 at k's column plus the
+        table negative of each coefficient of phi(b) at its column; an
+        entry that cancels is dropped.  With `closed`, a phi(b) that
+        leaves the source raises GroupError: the source must be
+        invariant, and since b lies in it, b - phi(b) does exactly when
+        phi(b) does."""
+        phi, window, images, col = self.phi, self.window, self.images, self.col
+        F = window.field
+        neg, add_one = F.neg_table, F.add_table[F.one()]
+        last = window.dim - 1       # a new key gets the id last - len(col), as in row()
         new = []
         for k in source.positions():
-            if k not in images:
-                b = source.unit(k)
-                img = dom.div(b, phi.apply(b))
-                if closed and not source.contains(img):
-                    raise GroupError(f"{source!r} is not invariant under {phi.word()}")
-                images[k] = self.row(self.window.terms(img))
-                new.append(images[k])
-        self.red, self.pivots = linalg.gf_rref(self.window.field, self.red + new)
+            if k in images:
+                continue
+            phib = phi.apply(source.unit(k))
+            if closed and not source.contains(phib):
+                raise GroupError(f"{source!r} is not invariant under {phi.word()}")
+            terms = window.terms(phib)
+            row = {}
+            v = add_one[neg[terms.get(k, 0)]]
+            if v:
+                row[col.setdefault(k, last - len(col))] = v
+            for key, c in terms.items():
+                if key != k:
+                    row[col.setdefault(key, last - len(col))] = neg[c]
+            images[k] = row
+            new.append(row)
+        self.red, self.pivots = linalg.gf_rref(F, self.red + new)
 
     def canonical(self):
         """{pivot: row} of the reduced rows with their pivot in W, in pivot

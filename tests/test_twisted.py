@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -122,6 +123,46 @@ def test_additive_membership_guards():
     with pytest.raises(GroupError):
         additive_membership((F2L.one(), F2L.zero()), phi,
                             PairWindow(LinearWindow(F2L, -1, 1)))
+
+
+def test_window_solvers_refuse_a_map_of_another_domain():
+    # one guard in _ImageSpan serves both solvers and refuses before any
+    # image is built: the class count used to die in TriMat.div on the
+    # matrix map, and to count 81 classes under the identity of gf(5)[t]
+    window = LinearWindow(F3T, 0, 3)
+    borel = _CountingAuto(RingMap(PolySub(F3T, 2, 0), Borel(F3T, 2)))
+    other = _CountingAuto(IdentityMap(Additive(F5T)))
+    not_additive = "^additive membership needs an additive automorphism$"
+    other_ring = re.escape("id acts on gf(5)[t], not on the window's gf(3)[t]") + "$"
+    for solve in (lambda phi: additive_class_count(phi, window),
+                  lambda phi: additive_membership(F3T.gen(), phi, window)):
+        with pytest.raises(GroupError, match=not_additive):
+            solve(borel)
+        with pytest.raises(GroupError, match="^" + other_ring):
+            solve(other)
+    pairs = PairWindow(LinearWindow(F3L, -1, 1))
+    with pytest.raises(GroupError, match="^pair window needs an automorphism of R x R$"):
+        additive_class_count(RingMap(LaurentFlip(F3L), Additive(F3L)), pairs)
+    swap5 = _CountingAuto(PairSwap(LaurentFlip(F5L), F5L))
+    with pytest.raises(GroupError, match=re.escape("acts on gf(5)[t,t^-1], not on the "
+                                                   "window's gf(3)[t,t^-1]")):
+        additive_membership((F3L.one(), F3L.zero()), swap5, pairs)
+    assert borel.calls == other.calls == swap5.calls == 0
+
+
+def test_class_count_refuses_a_window_its_map_leaves():
+    # t -> 1/t moves [0, 3] to [-3, 0], alone and inside the swap of pairs
+    flip = RingMap(LaurentFlip(F3L), Additive(F3L))
+    swap = PairSwap(LaurentFlip(F3L), F3L)
+    for phi, window in ((flip, LinearWindow(F3L, 0, 3)),
+                        (swap, PairWindow(LinearWindow(F3L, 0, 3)))):
+        message = f"{window!r} is not invariant under {phi.word()}"
+        with pytest.raises(GroupError, match="^" + re.escape(message) + "$"):
+            additive_class_count(phi, window)
+    # the symmetric windows [-3, 3] are invariant and are counted
+    assert additive_class_count(flip, LinearWindow(F3L, -3, 3)).counts_tried[0] == 3 ** 4
+    cc = additive_class_count(swap, PairWindow(LinearWindow(F3L, -3, 3)))
+    assert (cc.dim, cc.rank, cc.count) == (14, 7, 3 ** 7)
 
 
 def test_linear_window_guards():
@@ -270,6 +311,27 @@ def test_image_span_rounds_match_a_from_scratch_elimination(name, monkeypatch):
         canon, rank, _ = _dense_reference(phi, source, window)
         assert span.rank == rank
         assert _dense_canonical(span) == canon
+        source = source.grow(step)
+
+
+@pytest.mark.parametrize("name", _ROUND_CASES)
+def test_image_rows_are_the_images_key_for_key(name):
+    # each row, read back through the column ids, is the terms of
+    # b - phi(b): the unit at b's key, the negative of every coefficient
+    # of phi(b) inside W and outside it, and no entry that cancels
+    phi, window, step = _ROUND_CASES[name]
+    dom = phi.domain
+    span = _ImageSpan(phi, window)
+    source = window
+    for _ in range(3):
+        span.grow(source)
+        key_of = {i: k for k, i in span.col.items()}
+        assert len(key_of) == len(span.col)
+        assert set(span.images) == set(source.positions())
+        for k in source.positions():
+            b = source.unit(k)
+            image = window.terms(dom.div(b, phi.apply(b)))
+            assert {key_of[i]: c for i, c in span.images[k].items()} == image
         source = source.grow(step)
 
 
