@@ -35,8 +35,9 @@ EXIT_PASS, EXIT_MISMATCH, EXIT_USAGE, EXIT_UNDECIDED, EXIT_INTERNAL = 0, 1, 2, 3
 # Requested inputs over these bounds are refused before any work, as usage
 # errors; the solvers still regrow their windows, so undecided stays
 # undecided.  CPU at each bound, on a 2-vCPU x86_64 Xeon with Python 3.11:
-# distinct-family solves imax(imax+1)/2 pairs on the exponents
-# [0, max(--window, p(p-1)imax + p - 1)]: 0.19 s (p 11, imax 2, t -> t+1);
+# distinct-family decides imax(imax+1)/2 pairs on one span of the exponents
+# [0, max(--window, p(p-1)imax + p - 1)]: 0.09 s (p 11, imax 2, t -> t+1),
+# 0.28 s for the slowest t -> t+1 within both (p 13, imax 1, --window 256);
 MAX_FAMILY_IMAX, MAX_FAMILY_WINDOW = 6, 257
 # the exponents of a u2 window: 0.36 s (t -> 5t+1 over gf(97)[t]);
 MAX_U2_WINDOW = 401
@@ -271,6 +272,8 @@ def cmd_distinct_family(args):
         raise RingError("the identity substitution is excluded")
     if args.imax < 1:
         raise RingError("--imax must be at least 1")
+    if args.window < 0:
+        raise RingError("--window must be non-negative")
     _refuse_over("--imax", args.imax, "MAX_FAMILY_IMAX", MAX_FAMILY_IMAX)
     exps = experiments.family_exponents(args.p, args.imax)
     hi = max(max(exps), args.window)

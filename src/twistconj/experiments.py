@@ -33,7 +33,7 @@ from .poly import (
 )
 from .rings import ZZ, field, localized, solve_unit_equation
 from .twisted import (
-    LinearWindow, PairWindow, additive_class_count, additive_membership,
+    ImageSpan, LinearWindow, PairWindow, additive_class_count,
     brute_force_partition, case_analysis, classify_reflection,
     pair_distinctness, reflection_unit, twist,
 )
@@ -244,17 +244,18 @@ def family_exponents(p, imax):
 
 def family_verdicts(alpha, exps, hi=None):
     """Membership of t^e - t^f, f before e in exps, in the image of
-    id - alpha on gf(p)[t]; yields (e, f, verdict).  The solving window
-    is [0, hi], or [0, e] for each pair when hi is None."""
+    id - alpha on gf(p)[t]; yields (e, f, verdict).  One ImageSpan per
+    solving window, [0, hi] or [0, e] when hi is None, decides its pairs."""
     ring = alpha.ring
     F = ring.base
     phi = RingMap(alpha, Additive(ring))
-    for ii, e in enumerate(exps):
+    for ii, e in enumerate(exps[1:], 1):
+        if hi is None or ii == 1:
+            span = ImageSpan(phi, LinearWindow(ring, 0, e if hi is None else hi),
+                             growth=2 * F.p * (F.p - 1))
         for f in exps[:ii]:
             r = ring.monomial(F.one(), e) - ring.monomial(F.one(), f)
-            window = LinearWindow(ring, 0, e if hi is None else hi)
-            yield e, f, additive_membership(r, phi, window,
-                                            growth=2 * F.p * (F.p - 1))
+            yield e, f, span.membership(r)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +487,11 @@ def criterion_laurent_distinct(seed=0):
         F = ring.base
         autos_ = [IdentityAuto(), LaurentFlip(ring)]
         for alpha in autos_:
-            phi = RingMap(alpha, Additive(ring))
+            span = ImageSpan(RingMap(alpha, Additive(ring)), LinearWindow(ring, -5, 5))
             for i in range(5):
                 for j in range(i):
                     r = ring.monomial(F.one(), i) - ring.monomial(F.one(), j)
-                    v = additive_membership(r, phi, LinearWindow(ring, -5, 5))
+                    v = span.membership(r)
                     if not v.decided or v.member:
                         return False, f"p={p} {alpha.word()}: t^{i} vs t^{j}"
                     checked += 1

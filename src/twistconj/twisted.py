@@ -9,19 +9,19 @@ case search for diagonal substitutions.
 The additive computations run over windows: a window fixes a finite range
 of monomial exponents and treats the corresponding coefficient space as a
 vector space over gf(q); a pair window does the same for R x R.  One
-incremental routine, _ImageSpan, computes (id - phi)(S) for a growing
+incremental routine, ImageSpan, computes (id - phi)(S) for a growing
 source window S against a target window W: the image of each basis
 vector b of S is built once, when a source first holds b, straight into
 a sparse row on column ids that stay fixed as S grows (W's positions
 0 .. dim-1, every outside coordinate a negative id): 1 at b's column
 minus phi(b)'s coefficients, on the gf(q) tables.  Each growth
-eliminates only its new rows against the reduced ones.  Deciding
-membership of r in the image grows S round by round: r is a member when
-it reduces to zero against the reduced rows that start inside W, the
-canonical basis of the image intersected with W.  The growth stops when
-that basis stays the same twice in a row; "undecided" is an explicit
-outcome, never silently converted into an answer.  A class count grows
-S from W, each window invariant, and reads the cokernel off the rank.
+eliminates only its new rows against the reduced ones.  One span per
+(phi, W), its growth rounds kept, decides every membership target r in
+W: r is a member when it reduces to zero against a round's canonical
+basis of the image intersected with W, and not one once that basis has
+stayed the same twice in a row; "undecided" is an explicit outcome,
+never silently converted into an answer.  A class count grows S from W,
+each window invariant, and reads the cokernel off the rank.
 """
 
 from __future__ import annotations
@@ -180,51 +180,15 @@ MAX_ROUNDS = 8
 
 
 def additive_membership(r, phi: Automorphism, window, growth=None) -> MembershipVerdict:
-    """Decide r in Im(id - phi) against a target window W.
-
-    One _ImageSpan grows with the solving window, round by round: r is a
-    member exactly when it reduces to zero against the span's canonical
-    W-basis, the basis of Im(id - phi) intersected with W; only then does
-    gf_solve find the witness h, which is re-verified as r = h - phi(h).
-    The solving window grows by `growth` (default twice the window span,
-    at least 1) until that basis is unchanged twice in a row, or
-    MAX_ROUNDS growths leave the verdict undecided.  Each basis image is
-    built once, and each round eliminates only the new ones.
-    """
-    if growth is not None and growth < 1:
-        raise RingError(f"growth {growth} < 1 leaves the solving window as it is")
-    span = _ImageSpan(phi, window)
-    if not window.contains(r):
-        raise RingError("target vector leaves the window")
-    step = growth if growth is not None else 2 * window.span
-    rhs = span.row(window.terms(r))
-    tried = []
-    prev_canon = None
-    stable = 0
-    source = window
-    for _ in range(MAX_ROUNDS + 1):
-        tried.append(source.bounds)
-        span.grow(source)
-        canon = span.canonical()
-        if not linalg.gf_reduce(window.field, rhs, canon):
-            h = span.solve(source, rhs)
-            if phi.domain.div(h, phi.apply(h)) != r:
-                raise AssertionError("membership witness failed re-verification")
-            return MembershipVerdict(True, True, h, tuple(tried))
-        if canon == prev_canon:
-            stable += 1
-            if stable >= 2:
-                return MembershipVerdict(True, False, None, tuple(tried))
-        else:
-            stable = 0
-        prev_canon = canon
-        source = source.grow(step)
-    return MembershipVerdict(False, False, None, tuple(tried))
+    """Decide r in Im(id - phi) against a target window W, on an ImageSpan
+    of its own; the verdict is that of any span of (phi, W, growth)."""
+    return ImageSpan(phi, window, growth).membership(r)
 
 
-class _ImageSpan:
+class ImageSpan:
     """(id - phi)(S) for a growing source window S, against a target
-    window W, as reduced sparse rows over gf(q).
+    window W, as reduced sparse rows over gf(q): one span per (phi, W)
+    decides every target in W.
 
     Each image b - phi(b) of a basis vector b of S is built once, the
     first time a source holds b, as a row on stable column ids: W's
@@ -239,10 +203,16 @@ class _ImageSpan:
     row whose pivot is in W is zero on every outside column, so the rows
     with a pivot >= 0 are the canonical basis of Im(id - phi) intersected
     with W, whatever the order of the outside ids; so are the rank,
-    membership and the gf_solve witness.
+    membership and the gf_solve witness.  The membership rounds grow S
+    from W by `growth` (default twice the window span), each the first
+    time a target reaches it, and are kept.  A round depends on (phi, W,
+    growth) alone, so each target gets the verdict, witness and windows
+    tried that a span of its own would give, in any order.
     """
 
-    def __init__(self, phi, window):
+    def __init__(self, phi, window, growth=None):
+        if growth is not None and growth < 1:
+            raise RingError(f"growth {growth} < 1 leaves the solving window as it is")
         dom = phi.domain
         if isinstance(window, PairWindow):
             if not isinstance(dom, AdditivePairs):
@@ -254,19 +224,48 @@ class _ImageSpan:
                              f"not on the window's {window.ring.tag}")
         self.phi = phi
         self.window = window
+        self.step = growth if growth is not None else 2 * window.span
         self.col = {k: i for i, k in enumerate(window.positions())}
         self.images = {}            # basis position of S -> its image row
         self.red, self.pivots = [], []
+        self.rounds = []            # (source, canonical W-basis, settled) per round
+
+    def membership(self, r) -> MembershipVerdict:
+        """Decide r in Im(id - phi): a member at the first round whose
+        canonical W-basis reduces r to zero, with a gf_solve witness h
+        re-verified as r = h - phi(h); not one at the first settled round
+        (its basis unchanged twice in a row); else undecided."""
+        window, col = self.window, self.col
+        if not window.contains(r):
+            raise RingError("target vector leaves the window")
+        rhs = {col[k]: c for k, c in window.terms(r).items()}
+        tried = []
+        for i in range(MAX_ROUNDS + 1):
+            source, canon, settled = self._round(i)
+            tried.append(source.bounds)
+            if not linalg.gf_reduce(window.field, rhs, canon):
+                h = self.solve(source, rhs)
+                if self.phi.domain.div(h, self.phi.apply(h)) != r:
+                    raise AssertionError("membership witness failed re-verification")
+                return MembershipVerdict(True, True, h, tuple(tried))
+            if settled:
+                return MembershipVerdict(True, False, None, tuple(tried))
+        return MembershipVerdict(False, False, None, tuple(tried))
+
+    def _round(self, i):
+        """Round i, growing the span through it on first use."""
+        rounds = self.rounds
+        while len(rounds) <= i:
+            source = rounds[-1][0].grow(self.step) if rounds else self.window
+            self.grow(source)
+            canon = self.canonical()
+            settled = len(rounds) >= 2 and canon == rounds[-1][1] == rounds[-2][1]
+            rounds.append((source, canon, settled))
+        return rounds[i]
 
     @property
     def rank(self):
         return len(self.pivots)
-
-    def row(self, terms):
-        """The sparse row of a vector's terms; a new key gets the next
-        negative id."""
-        col, last = self.col, self.window.dim - 1
-        return {col.setdefault(k, last - len(col)): c for k, c in terms.items()}
 
     def grow(self, source, closed=False):
         """Add the image rows of the source's basis vectors not imaged yet
@@ -280,7 +279,7 @@ class _ImageSpan:
         phi, window, images, col = self.phi, self.window, self.images, self.col
         F = window.field
         neg, add_one = F.neg_table, F.add_table[F.one()]
-        last = window.dim - 1       # a new key gets the id last - len(col), as in row()
+        last = window.dim - 1       # a new key gets the next negative id, last - len(col)
         new = []
         for k in source.positions():
             if k in images:
@@ -332,14 +331,14 @@ class ClassCount(NamedTuple):
 
 def additive_class_count(phi: Automorphism, window, rounds=2) -> ClassCount:
     """q ** dim(coker(id - phi)) on a phi-invariant window, from the rank
-    of an _ImageSpan of the window.  The window is regrown `rounds` times
+    of an ImageSpan of the window.  The window is regrown `rounds` times
     (at least 0), each regrowth adding only its new images to the span,
     and every image must stay inside its window; the count is flagged
     stable when it does not move, and a growing count is evidence of an
     infinite class set."""
     if rounds < 0:
         raise RingError(f"rounds {rounds} < 0 counts nothing")
-    span = _ImageSpan(phi, window)
+    span = ImageSpan(phi, window)
     tried = []
     src = window
     for _ in range(rounds + 1):
@@ -732,12 +731,9 @@ def case_analysis(f: Poly, box: int) -> CaseReport:
 
 def pair_distinctness(alpha, pairs, window: PairWindow):
     """Membership verdicts for (A - B) in Im(id - tau_alpha) for each
-    (A, B) in pairs; 'not member, decided' certifies distinct classes."""
+    (A, B) in pairs, all on one ImageSpan; 'not member, decided'
+    certifies distinct classes."""
     phi = PairSwap(alpha, window.ring)
-    dom = phi.domain
-    out = []
-    for A, B in pairs:
-        diff = dom.div(A, B)
-        out.append(additive_membership(diff, phi, window))
-    return out
+    span = ImageSpan(phi, window)
+    return [span.membership(phi.domain.div(A, B)) for A, B in pairs]
 

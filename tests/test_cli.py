@@ -426,8 +426,12 @@ def test_vacuous_runs_are_refused(argv, capsys):
      "the identity substitution is excluded"),
     (["distinct-family", "--p", "2", "--alpha", "t->t+1", "--imax", "0"],
      "--imax must be at least 1"),
+    # a negative --window was dropped by the widening to the top exponent
+    (["distinct-family", "--p", "2", "--alpha", "t->t+1", "--window", "-7"],
+     "--window must be non-negative"),
     (["all"], "use --paper-suite"),
-], ids=["n", "samples", "reidemeister-flags", "box", "identity-alpha", "imax", "all"])
+], ids=["n", "samples", "reidemeister-flags", "box", "identity-alpha", "imax",
+        "negative-window", "all"])
 def test_usage_refusals_keep_their_bytes(argv, err, monkeypatch, capsys):
     # each refusal raises, and main prints its one error line and exits 2
     monkeypatch.delenv("TWISTCONJ_SEED", raising=False)

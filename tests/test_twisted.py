@@ -11,6 +11,7 @@ from twistconj.autos import (
     AffineReflect, Automorphism, BlockCompanion, CenterScale, Compose,
     IdentityMap, Inner, PairSwap, RingMap, TriangularReflect,
 )
+from twistconj.cli import main
 from twistconj.groups import (
     Additive, AffElem, Borel, GroupError, ProjBorel, TriMat, Unitriangular,
     diag_elem, elementary, generating_set, identity,
@@ -20,7 +21,7 @@ from twistconj.poly import IdentityAuto, LaurentFlip, PolySub, parse_ring
 from twistconj.rings import ZZ, RingError, field
 from test_linalg import _ref_rref
 from twistconj.twisted import (
-    LinearWindow, PairWindow, TwistedPartition, _ImageSpan, _index_of, _prepared,
+    LinearWindow, PairWindow, TwistedPartition, ImageSpan, _index_of, _prepared,
     additive_class_count,
     additive_membership, brute_force_partition, case_analysis, classify_reflection,
     pair_distinctness, reflection_corner, reflection_unit,
@@ -126,7 +127,7 @@ def test_additive_membership_guards():
 
 
 def test_window_solvers_refuse_a_map_of_another_domain():
-    # one guard in _ImageSpan serves both solvers and refuses before any
+    # one guard in ImageSpan serves both solvers and refuses before any
     # image is built: the class count used to die in TriMat.div on the
     # matrix map, and to count 81 classes under the identity of gf(5)[t]
     window = LinearWindow(F3T, 0, 3)
@@ -210,7 +211,7 @@ class _CountingAuto(Automorphism):
         return self.phi.word()
 
 
-def test_window_solvers_build_each_image_once():
+def test_window_solvers_build_each_image_once(monkeypatch, capsys):
     # criterion 6's t^8 vs t^2: windows [0, 8], [0, 20], [0, 32] share
     # their images, so 33 applies where a rebuild per round makes 9 + 21 + 33
     phi = _CountingAuto(RingMap(PolySub(F3T, 1, 1), Additive(F3T)))
@@ -224,6 +225,30 @@ def test_window_solvers_build_each_image_once():
     cc = additive_class_count(phi, LinearWindow(F2T, 0, 23))
     assert cc == (1, True, 24, 24, (1, 1, 1))
     assert phi.calls == 96
+
+    # one span per (phi, W): criterion 7's 80 verdicts on 8 spans, each
+    # grown to [-49, 49] once (99 images, 198 for pairs), where a span per
+    # verdict built 80 spans and 11 880 images; criterion 6's 27 pairs on
+    # one span per solving window [0, e] that holds a pair; distinct-family
+    # on one span whatever --imax is
+    spans = []
+    init = ImageSpan.__init__
+
+    def counting(self, *args, **kwargs):
+        spans.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ImageSpan, "__init__", counting)
+    assert experiments.criterion_laurent_distinct() == (True, "80 pairs decided distinct")
+    assert (len(spans), sum(len(span.images) for span in spans)) == (8, 1188)
+    spans.clear()
+    assert experiments.criterion_distinct_family()[0]
+    assert len(spans) == 18
+    for imax in ("1", "6"):
+        spans.clear()
+        assert main(["distinct-family", "--p", "5", "--alpha", "t->t+1", "--imax", imax]) == 0
+        assert len(spans) == 1
+    capsys.readouterr()
 
 
 def _dense_reference(phi, source, window):
@@ -251,7 +276,7 @@ def _dense_canonical(span):
 
 
 def test_images_basis_matches_the_dense_reference():
-    """_ImageSpan's canonical W-basis and rank equal those of the dense
+    """ImageSpan's canonical W-basis and rank equal those of the dense
     block-ordered reference, and it numbers as many outside coordinates.
     The span orders the outside columns by first appearance, not sorted,
     so its rows with an outside pivot are its own and are not compared:
@@ -266,7 +291,7 @@ def test_images_basis_matches_the_dense_reference():
             canon, rank, cut = _dense_reference(phi, source, window)
             assert canon
 
-            span = _ImageSpan(phi, window)
+            span = ImageSpan(phi, window)
             span.grow(source)
             assert len(span.col) - window.dim == cut
             assert span.rank == rank
@@ -300,7 +325,7 @@ def test_image_span_rounds_match_a_from_scratch_elimination(name, monkeypatch):
         return gf_rref(F, rows)
 
     monkeypatch.setattr("twistconj.linalg.gf_rref", counting)
-    span = _ImageSpan(phi, window)
+    span = ImageSpan(phi, window)
     source = window
     for _ in range(4):
         new = len(set(source.positions()) - set(span.images))
@@ -321,7 +346,7 @@ def test_image_rows_are_the_images_key_for_key(name):
     # of phi(b) inside W and outside it, and no entry that cancels
     phi, window, step = _ROUND_CASES[name]
     dom = phi.domain
-    span = _ImageSpan(phi, window)
+    span = ImageSpan(phi, window)
     source = window
     for _ in range(3):
         span.grow(source)
@@ -384,6 +409,76 @@ def test_membership_witnesses_match_the_pinned_ones(name, r, witness, tried):
     assert v.decided and v.member == (witness is not None)
     assert v.witness == (None if witness is None else _value(ring, witness))
     assert v.windows_tried == tried
+
+
+def _shared_span_cases():
+    """(phi, target window, growth, targets) of each span that criterion 7,
+    criterion 6 and `distinct-family --p 5 --imax 6` share among targets,
+    and of the pinned verdicts of each round case, members among them."""
+    cases = []
+    for p in (2, 3):
+        ring = parse_ring(f"gf({p})[t,t^-1]")
+        mono = [ring.monomial(ring.base.one(), i) for i in range(5)]
+        window = LinearWindow(ring, -5, 5)
+        for alpha in (IdentityAuto(), LaurentFlip(ring)):
+            ij = [(i, j) for i in range(5) for j in range(i)]
+            cases.append((RingMap(alpha, Additive(ring)), window, None,
+                          [mono[i] - mono[j] for i, j in ij]))
+            swap = PairSwap(alpha, ring)
+            cases.append((swap, PairWindow(window), None,
+                          [swap.domain.div((mono[i], ring.zero()), (ring.zero(), -mono[j]))
+                           for i, j in ij]))
+    for p, subs in ((2, [(1, 1)] * 3), (3, [(2, 0), (1, 1), (2, 1)]),
+                    (5, [(2, 0), (1, 1), (4, 3)])):
+        ring = parse_ring(f"gf({p})[t]")
+        mono = {e: ring.monomial(ring.base.one(), e) for e in experiments.family_exponents(p, 2)}
+        exps = list(mono)
+        for a, b in subs:
+            phi = RingMap(PolySub(ring, a, b), Additive(ring))
+            for ii, e in enumerate(exps[1:], 1):
+                cases.append((phi, LinearWindow(ring, 0, e), 2 * p * (p - 1),
+                              [mono[e] - mono[f] for f in exps[:ii]]))
+    for name, (phi, window, step) in _ROUND_CASES.items():
+        cases.append((phi, window, step, [_value(window.ring, r)
+                                          for n, r, _, _ in _PINNED_VERDICTS if n == name]))
+    mono = {e: F5T.monomial(F5T.base.one(), e) for e in experiments.family_exponents(5, 6)}
+    exps = list(mono)
+    cases.append((RingMap(PolySub(F5T, 1, 1), Additive(F5T)), LinearWindow(F5T, 0, exps[-1]),
+                  40, [mono[e] - mono[f] for ii, e in enumerate(exps) for f in exps[:ii]]))
+    return cases
+
+
+_SHARED = _shared_span_cases()
+
+
+@pytest.mark.parametrize("phi, window, growth, targets", _SHARED,
+                         ids=[f"{phi.word()}/{window!r}" for phi, window, _, _ in _SHARED])
+def test_a_shared_span_decides_as_a_span_per_target(phi, window, growth, targets):
+    # a round depends on (phi, W, growth) alone: a span shared by all the
+    # targets, in their order or reversed, gives each target the verdict,
+    # witness and windows tried of a span of its own
+    fresh = [additive_membership(r, phi, window, growth) for r in targets]
+    forward = ImageSpan(phi, window, growth)
+    assert [forward.membership(r) for r in targets] == fresh
+    backward = ImageSpan(phi, window, growth)
+    assert [backward.membership(r) for r in reversed(targets)] == fresh[::-1]
+
+
+def test_a_member_keeps_its_round_zero_witness_after_growth():
+    # a non-member grows the span to round 2 first; the member is still
+    # found at round 0 with its pinned witness, against a round-0 basis
+    # that later growth left as a fresh span computes it
+    phi, window, step = _ROUND_CASES["sub"]
+    member = F5T.parse("3 + t + t^3 + 2*t^5 + t^6")
+    witness = F5T.parse("3*t + 2*t^2 + 2*t^3 + 2*t^5 + 3*t^6")
+    span = ImageSpan(phi, window, step)
+    assert span.membership(F5T.parse("1 + 2*t^2 + 3*t^4 + 4*t^6")) == \
+        (True, False, None, ((0, 6), (0, 9), (0, 12)))
+    assert len(span.rounds) == 3
+    assert span.membership(member) == (True, True, witness, ((0, 6),))
+    fresh = ImageSpan(phi, window, step)
+    assert fresh.membership(member) == (True, True, witness, ((0, 6),))
+    assert span.rounds[0][1] == fresh.rounds[0][1]
 
 
 def test_window_solvers_refuse_a_growth_or_round_count_that_checks_nothing(monkeypatch):
